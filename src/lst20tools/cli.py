@@ -125,7 +125,7 @@ def _cmd_validate(args) -> int:
     for path in inputs:
         try:
             doc, format_issues = _read_document(path, args.informat, args.strict)
-        except fmt.FormatError as exc:
+        except (fmt.FormatError, UnicodeDecodeError) as exc:
             print(f"{path.name}: {exc}", file=sys.stderr)
             had_errors = True
             continue

@@ -12,10 +12,13 @@ is the glyph ``SPACE_GLYPH`` (U+2423).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .schema import (
+    CLAUSE_LABELS,
+    NE_LABELS,
     NE_OUTSIDE,
+    POS_TAGS,
     ClauseLabel,
     MalformedLabel,
     NeLabel,
@@ -28,6 +31,8 @@ from .schema import (
 
 SPACE_GLYPH = "␣"
 COLUMNAR_SPACE = "_"
+# A byte-order mark some editors put at the start of a UTF-8 file.
+_BOM = "\ufeff"
 
 FORMAT_COLUMNAR = "columnar"
 FORMAT_INLINE = "inline"
@@ -89,6 +94,9 @@ def space_token(
     return Token(SPACE_GLYPH, pos, ne, clause, is_space=True)
 
 
+_BARE_SPACE = space_token()
+
+
 @dataclass(frozen=True, slots=True)
 class Sentence:
     tokens: tuple[Token, ...]
@@ -148,6 +156,7 @@ def read_columnar(
     :class:`LineError`. Passing a list switches to permissive mode: bad
     lines are skipped and their errors appended to the list.
     """
+    text = text.removeprefix(_BOM)
     sentences: list[Sentence] = []
     current: list[Token] = []
 
@@ -219,81 +228,58 @@ def write_columnar(doc: Document) -> str:
 
 
 _ARITIES = (2, 3, 4)
+# Plausible layer counts as a bitmask with bit ``1 << arity``. Only the bare
+# space glyph fits every arity: POS tags are disjoint from NE/clause labels.
+_ANY_ARITY = sum(1 << arity for arity in _ARITIES)
 
 
-def _is_pos(text: str) -> bool:
-    try:
-        parse_pos_tag(text)
-    except UnknownTag:
-        return False
-    return True
-
-
-def _is_ne(text: str) -> bool:
-    try:
-        parse_ne_label(text)
-    except MalformedLabel:
-        return False
-    return True
-
-
-def _is_clause(text: str) -> bool:
-    try:
-        parse_clause_label(text)
-    except MalformedLabel:
-        return False
-    return True
-
-
-def _plausible_arities(chunk: str) -> set[int]:
+def _arity_mask(chunk: str) -> int:
     """Layer counts under which the chunk parses, splitting from the right.
 
     Right-to-left splitting keeps slashes inside the surface (URLs and the
     like) intact once the layer count is known. Tag vocabularies are
     disjoint, so at most one arity survives per chunk in practice.
     """
-    plausible: set[int] = set()
-    parts = chunk.rsplit("/", 1)
-    if len(parts) == 2 and parts[0] and _is_pos(parts[1]):
-        plausible.add(2)
-    parts = chunk.rsplit("/", 2)
-    if len(parts) == 3 and parts[0] and _is_pos(parts[1]) and _is_ne(parts[2]):
-        plausible.add(3)
+    if chunk == SPACE_GLYPH:
+        return _ANY_ARITY
     parts = chunk.rsplit("/", 3)
+    n = len(parts)
+    # Under arity k the surface is parts[: n - k + 1], empty only when it is
+    # the single empty string parts[0].
+    mask = 0
+    if n >= 2 and (n > 2 or parts[0]) and parts[-1] in POS_TAGS:
+        mask |= 1 << 2
     if (
-        len(parts) == 4
-        and parts[0]
-        and _is_pos(parts[1])
-        and _is_ne(parts[2])
-        and _is_clause(parts[3])
+        n >= 3
+        and (n > 3 or parts[0])
+        and parts[-2] in POS_TAGS
+        and parts[-1] in NE_LABELS
     ):
-        plausible.add(4)
-    return plausible
+        mask |= 1 << 3
+    if (
+        n == 4
+        and parts[0]
+        and parts[1] in POS_TAGS
+        and parts[2] in NE_LABELS
+        and parts[3] in CLAUSE_LABELS
+    ):
+        mask |= 1 << 4
+    return mask
 
 
-def _split_sentences(text: str) -> list[list[str]]:
-    chunk_lists = []
-    for part in text.split("||"):
-        chunks = [c.strip() for c in part.split("|")]
-        chunks = [c for c in chunks if c]
-        if chunks:
-            chunk_lists.append(chunks)
-    return chunk_lists
-
-
-def _sentence_arity(chunks: Sequence[str]) -> Optional[int]:
-    """The uniform layer count of a sentence, or None for bare-space-only."""
-    shared: Optional[set[int]] = None
+def _sentence_mask(chunks: Sequence[str]) -> int:
+    """Layer counts every chunk of a sentence parses under."""
+    mask = _ANY_ARITY
     for chunk in chunks:
-        if chunk == SPACE_GLYPH:
-            continue  # bare space tokens carry no layers of their own
-        arities = _plausible_arities(chunk)
-        shared = arities if shared is None else shared & arities
-    if shared is None:
-        return None
-    if not shared:
-        raise ValueError("inconsistent or missing annotation layers")
-    return max(shared)
+        mask &= _arity_mask(chunk)
+    return mask
+
+
+def _split_sentences(text: str) -> Iterator[list[str]]:
+    for part in text.split("||"):
+        chunks = [c for c in map(str.strip, part.split("|")) if c]
+        if chunks:
+            yield chunks
 
 
 def read_inline(
@@ -307,49 +293,40 @@ def read_inline(
     Strict/permissive modes work as in :func:`read_columnar`; in permissive
     mode a malformed sentence is skipped whole, never silently truncated.
     """
+    text = text.removeprefix(_BOM)
     sentences: list[Sentence] = []
     for sent_idx, chunks in enumerate(_split_sentences(text)):
-        try:
-            arity = _sentence_arity(chunks)
-        except ValueError as exc:
-            bad = next(
-                (
-                    i
-                    for i, c in enumerate(chunks)
-                    if c != SPACE_GLYPH and not _plausible_arities(c)
-                ),
-                0,
+        mask = _sentence_mask(chunks)
+        if not mask:
+            bad = next((i for i, c in enumerate(chunks) if not _arity_mask(c)), 0)
+            _fail(
+                TokenError(sent_idx, bad, "inconsistent or missing annotation layers"),
+                errors,
             )
-            _fail(TokenError(sent_idx, bad, str(exc)), errors)
             continue
+        arity = mask.bit_length() - 1
         tokens: list[Token] = []
-        ok = True
         for tok_idx, chunk in enumerate(chunks):
             if chunk == SPACE_GLYPH:
-                tokens.append(space_token())
+                tokens.append(_BARE_SPACE)
                 continue
+            # Every chunk fits this arity, so the lookups below cannot miss.
             parts = chunk.rsplit("/", arity - 1)
             surface = parts[0]
             try:
-                pos = parse_pos_tag(parts[1])
-                ne = parse_ne_label(parts[2]) if arity >= 3 else NE_OUTSIDE
-                clause = (
-                    parse_clause_label(parts[3]) if arity == 4 else ClauseLabel.O
-                )
                 tokens.append(
                     Token(
-                        SPACE_GLYPH if surface == SPACE_GLYPH else surface,
-                        pos,
-                        ne,
-                        clause,
+                        surface,
+                        POS_TAGS[parts[1]],
+                        NE_LABELS[parts[2]] if arity >= 3 else NE_OUTSIDE,
+                        CLAUSE_LABELS[parts[3]] if arity == 4 else ClauseLabel.O,
                         is_space=surface == SPACE_GLYPH,
                     )
                 )
-            except (UnknownTag, MalformedLabel, ValueError) as exc:
+            except ValueError as exc:
                 _fail(TokenError(sent_idx, tok_idx, str(exc)), errors)
-                ok = False
                 break
-        if ok and tokens:
+        else:
             sentences.append(Sentence(tuple(tokens)))
     return sentences
 
@@ -358,12 +335,10 @@ def inline_layer_count(text: str) -> int:
     """Largest uniform layer count found in the inline text (default 4)."""
     best = 0
     for chunks in _split_sentences(text):
-        try:
-            arity = _sentence_arity(chunks)
-        except ValueError:
-            continue
-        if arity is not None:
-            best = max(best, arity)
+        mask = _sentence_mask(chunks)
+        # Skip malformed sentences and bare-space ones, which carry no layers.
+        if mask and mask != _ANY_ARITY:
+            best = max(best, mask.bit_length() - 1)
     return best or 4
 
 

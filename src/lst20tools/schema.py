@@ -118,42 +118,48 @@ _CLAUSE_PAIR = {
 }
 
 
+# Every label string the readers accept, mapped once to its parsed value:
+# parsing is one dict lookup, and equal labels are the same object.
+POS_TAGS: dict[str, PosTag] = {tag.value: tag for tag in PosTag}
+NE_LABELS: dict[str, NeLabel] = {
+    str(label): label
+    for label in (
+        NE_OUTSIDE,
+        *(
+            NeLabel(prefix, category)
+            for prefix in (BoundaryPrefix.B, BoundaryPrefix.I, BoundaryPrefix.E)
+            for category in NeCategory
+        ),
+    )
+}
+CLAUSE_LABELS: dict[str, ClauseLabel] = {label.value: label for label in ClauseLabel}
+
+
 def parse_pos_tag(text: str) -> PosTag:
     """Exact, case-sensitive lookup in the sixteen-tag set."""
     try:
-        return PosTag(text)
-    except ValueError:
+        return POS_TAGS[text]
+    except KeyError:
         raise UnknownTag(f"unknown POS tag {text!r}") from None
 
 
 def parse_ne_label(text: str) -> NeLabel:
-    """Parse ``O`` or ``<B|I|E>_<CATEGORY>``."""
-    if text == "O":
-        return NE_OUTSIDE
-    prefix_text, sep, category_text = text.partition("_")
-    if not sep or prefix_text not in ("B", "I", "E"):
-        raise MalformedLabel(f"malformed NE label {text!r}")
+    """Parse ``O`` or ``<B|I|E>_<CATEGORY>``; equal labels share one object."""
     try:
-        category = NeCategory(category_text)
-    except ValueError:
+        return NE_LABELS[text]
+    except KeyError:
+        prefix_text, sep, _ = text.partition("_")
+        if not sep or prefix_text not in ("B", "I", "E"):
+            raise MalformedLabel(f"malformed NE label {text!r}") from None
         raise UnknownCategory(f"unknown NE category in {text!r}") from None
-    return NeLabel(BoundaryPrefix(prefix_text), category)
 
 
 def parse_clause_label(text: str) -> ClauseLabel:
     """Parse one of the four clause boundary labels."""
     try:
-        return ClauseLabel(text)
-    except ValueError:
+        return CLAUSE_LABELS[text]
+    except KeyError:
         raise MalformedLabel(f"malformed clause label {text!r}") from None
-
-
-def is_ne_label(text: str) -> bool:
-    try:
-        parse_ne_label(text)
-    except MalformedLabel:
-        return False
-    return True
 
 
 def _transition_valid(prev, nxt) -> bool:

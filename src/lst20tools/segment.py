@@ -264,15 +264,18 @@ def _split_spaces(
     markers = lexicon.clause_markers
     splits = []
     region_start = 0
+    last_verb = -1  # index of the latest verb before token i
     n = len(tokens)
     for i, token in enumerate(tokens):
+        if i and tokens[i - 1].pos is PosTag.VV:
+            last_verb = i - 1
         if not token.is_space:
             continue
         # Right flank: the run of non-space tokens after this space.
         j = i + 1
         while j < n and not tokens[j].is_space:
             j += 1
-        left_ok = _has_verb(tokens, region_start, i)
+        left_ok = last_verb >= region_start
         right_ok = _has_verb(tokens, i + 1, j)
         marker_adjacent = (
             i > 0 and not tokens[i - 1].is_space and tokens[i - 1].surface in markers

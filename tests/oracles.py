@@ -11,6 +11,7 @@ import re
 from itertools import product
 from typing import Sequence
 
+from lst20tools.format import Token
 from lst20tools.frames import FramePattern, SlotKind
 from lst20tools.schema import PosTag
 
@@ -44,6 +45,39 @@ def count_entity_spans(labels: Sequence[str]) -> int:
     """Maximal spans (B...E or lone B) in a legal label sequence."""
     text, _ = _encode(labels)
     return len(re.findall(r"B(\d)(?:I\1)*(?:E\1)?", text))
+
+
+def r2_space_splits(tokens: Sequence[Token], markers: frozenset[str]) -> list[int]:
+    """R2 split points by the rule's direct, quadratic reading.
+
+    A space splits when a verb lies between the last split and the space,
+    a verb lies in the non-space run right after it, and a clause marker
+    touches it on either side. The left flank is rescanned at every space.
+    """
+
+    def has_verb(start: int, end: int) -> bool:
+        return any(t.pos is PosTag.VV for t in tokens[start:end])
+
+    def is_marker(i: int) -> bool:
+        inside = 0 <= i < len(tokens)
+        return inside and not tokens[i].is_space and tokens[i].surface in markers
+
+    splits = []
+    region_start = 0
+    for i, token in enumerate(tokens):
+        if not token.is_space:
+            continue
+        j = i + 1
+        while j < len(tokens) and not tokens[j].is_space:
+            j += 1
+        if (
+            has_verb(region_start, i)
+            and has_verb(i + 1, j)
+            and (is_marker(i - 1) or is_marker(i + 1))
+        ):
+            splits.append(i)
+            region_start = i + 1
+    return splits
 
 
 def frame_match_exists(

@@ -86,6 +86,44 @@ class TestValidateCommand:
         assert out.index("a.txt") < out.index("b.txt")
 
 
+    def test_undecodable_file_is_reported_and_skipped(self, tmp_path, capsys):
+        (tmp_path / "a.txt").write_text("ก\tNN\tO\tO\n", encoding="utf-8")
+        (tmp_path / "b.txt").write_bytes(b"\xff\tNN\tO\tO\n")
+        (tmp_path / "c.txt").write_text("ข\tNN\tO\tO\n", encoding="utf-8")
+        assert main(["validate", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("b.txt: 'utf-8' codec can't decode")
+        assert "a.txt" in captured.out and "c.txt" in captured.out
+
+
+class TestByteOrderMark:
+    @pytest.fixture
+    def pair(self, fixture_copy, tmp_path):
+        plain = fixture_copy("glimpse.txt")
+        marked = tmp_path / "marked" / "glimpse.txt"
+        marked.parent.mkdir()
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        return plain, marked
+
+    def test_stats_ignore_it(self, pair, capsys):
+        outputs = []
+        for path in pair:
+            assert main(["stats", "--json", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_convert_drops_it(self, pair, capsys):
+        plain, marked = pair
+        assert main(["convert", "--to", "columnar", str(marked)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == plain.read_bytes()
+        outputs = []
+        for path in pair:
+            assert main(["convert", "--to", "inline", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert not outputs[1].startswith("\ufeff")
+
+
 class TestConvertCommand:
     def test_round_trip_is_byte_identical(self, fixture_copy, tmp_path, capsys):
         source = fixture_copy("glimpse.txt")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,19 @@ from lst20tools import (
     write_inline,
 )
 from lst20tools.format import SPACE_GLYPH, inline_layer_count
+from lst20tools.schema import (
+    CLAUSE_LABELS,
+    NE_LABELS,
+    NE_OUTSIDE,
+    MalformedLabel,
+    UnknownCategory,
+    UnknownTag,
+    parse_clause_label,
+    parse_ne_label,
+    parse_pos_tag,
+)
+
+BOM = "\ufeff"
 
 
 class TestToken:
@@ -288,3 +302,114 @@ def test_random_valid_documents_round_trip_small():
         doc = corpus_samples.random_document(rng, max_sentences=8, max_tokens=12)
         assert read_columnar(write_columnar(doc), doc.doc_id) == doc
         assert tuple(read_inline(write_inline(doc.sentences, 4))) == doc.sentences
+
+
+# Bad label strings with the error class and message prefix parse_ne_label
+# gives; the POS and clause parsers reject every one of them.
+BAD_LABELS = [
+    ("", MalformedLabel, "malformed NE label"),
+    ("nn", MalformedLabel, "malformed NE label"),
+    ("B-PER", MalformedLabel, "malformed NE label"),
+    ("B_XYZ", UnknownCategory, "unknown NE category in"),
+    ("X_PER", MalformedLabel, "malformed NE label"),
+    ("O ", MalformedLabel, "malformed NE label"),
+    ("b_cls", MalformedLabel, "malformed NE label"),
+]
+
+
+@pytest.mark.parametrize("text, ne_error, ne_message", BAD_LABELS)
+def test_bad_labels_keep_error_class_and_message(text, ne_error, ne_message):
+    layers = [
+        (parse_pos_tag, UnknownTag, f"unknown POS tag {text!r}"),
+        (parse_ne_label, ne_error, f"{ne_message} {text!r}"),
+        (parse_clause_label, MalformedLabel, f"malformed clause label {text!r}"),
+    ]
+    for column, (parse, error, message) in enumerate(layers, start=1):
+        with pytest.raises(ValueError) as caught:
+            parse(text)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+        fields = ["w", "NN", "O", "O"]
+        fields[column] = text
+        with pytest.raises(LineError) as caught:
+            read_columnar("a\tNN\tO\tO\n" + "\t".join(fields) + "\n", "d")
+        assert (caught.value.line_no, caught.value.reason) == (2, message)
+
+
+class TestByteOrderMark:
+    def test_columnar_reader_strips_it(self):
+        text = corpus_samples.fixture_text("glimpse.txt")
+        assert read_columnar(BOM + text, "g") == read_columnar(text, "g")
+
+    def test_inline_reader_strips_it(self, glimpse_doc):
+        text = write_inline(glimpse_doc.sentences, 4)
+        assert read_inline(BOM + text) == read_inline(text)
+
+    def test_only_a_leading_mark_is_stripped(self):
+        doc = read_columnar("a\tNN\tO\tO\n" + BOM + "b\tNN\tO\tO\n", "d")
+        assert doc.sentences[0].tokens[1].surface == BOM + "b"
+
+
+_URLS = ["https://lst20.example/a/b", "a/NN", "x/VV/O", "1/2"]
+
+
+@st.composite
+def labelled_sentences(draw):
+    tokens = []
+    for _ in range(draw(st.integers(1, 8))):
+        pos = draw(st.sampled_from(list(PosTag)))
+        ne = draw(st.sampled_from(list(NE_LABELS.values())))
+        clause = draw(st.sampled_from(list(CLAUSE_LABELS.values())))
+        if draw(st.integers(0, 4)) == 0:
+            tokens.append(space_token(pos, ne, clause))
+        else:
+            surface = draw(st.one_of(st.sampled_from(_URLS), _surface_alphabet()))
+            tokens.append(Token(surface, pos, ne, clause))
+    return Sentence(tuple(tokens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(labelled_sentences(), min_size=1, max_size=4),
+    st.sampled_from([2, 3, 4]),
+)
+def test_inline_round_trip_at_every_layer_count(sentences, layers):
+    text = write_inline(sentences, layers)
+    expected = [
+        Sentence(
+            tuple(
+                replace(
+                    token,
+                    ne=token.ne if layers >= 3 else NE_OUTSIDE,
+                    clause=token.clause if layers == 4 else ClauseLabel.O,
+                )
+                for token in sentence
+            )
+        )
+        for sentence in sentences
+    ]
+    assert read_inline(text) == expected
+    assert inline_layer_count(text) == layers
+
+
+_COLUMNAR_LINES = [
+    "ก\tNN\tO\tO",
+    "_\tPU\tB_PER\tI_CLS",
+    "http://x.th/a\tNN\tO\tB_CLS",
+    "",
+    "no tabs here",
+    "a\tQQ\tO\tO",
+    "\tNN\tO\tO",
+    "a\tNN\tB_XYZ\tO",
+    "a\tNN\tO\tO\tO",
+    "a\tNN\tO\tb_cls",
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(_COLUMNAR_LINES), max_size=30))
+def test_permissive_columnar_accounts_for_every_line(lines):
+    errors = []
+    doc = read_columnar("\n".join(lines), "d", errors=errors)
+    parsed = sum(len(sentence) for sentence in doc.sentences)
+    assert parsed + len(errors) == sum(1 for line in lines if line)

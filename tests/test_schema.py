@@ -85,6 +85,16 @@ class TestParsing:
                 label = NeLabel(prefix, category)
                 assert parse_ne_label(str(label)) == label
 
+    def test_ne_labels_are_interned(self):
+        texts = ["O"] + [
+            f"{prefix}_{category.value}" for prefix in "BIE" for category in NeCategory
+        ]
+        assert len(texts) == 31
+        for text in texts:
+            assert parse_ne_label(text) is parse_ne_label(text)
+        assert len({id(parse_ne_label(text)) for text in texts}) == 31
+        assert parse_ne_label("O") is NE_OUTSIDE
+
     def test_outside_cannot_carry_category(self):
         with pytest.raises(MalformedLabel):
             NeLabel(BoundaryPrefix.O, NeCategory.ORG)

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus_samples
 from corpus_samples import toks
-from lst20tools import PosTag, Token
+from lst20tools import PosTag, Token, space_token
 from lst20tools.schema import ClauseLabel
 from lst20tools.segment import (
     ClauseSpan,
@@ -15,11 +17,13 @@ from lst20tools.segment import (
     detect_clauses,
     emit_clause_labels,
     emit_sentence_markers,
+    _split_spaces,
     load_marker_lexicon,
     segment_paragraphs,
 )
 from lst20tools.validate import Severity, validate_clause_sequence
 from lst20tools.format import Sentence, relabel_clauses
+from oracles import r2_space_splits
 
 
 class TestLexicon:
@@ -365,3 +369,23 @@ class TestEmitSentenceMarkers:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_sentence_markers([], "tsv")
+
+
+# Markers from the default lexicon ("ว่า", "เช่น", "นะ") mixed with plain words.
+_R2_TOKENS = st.one_of(
+    st.builds(space_token, st.sampled_from([PosTag.PU, PosTag.VV])),
+    st.builds(
+        Token,
+        st.sampled_from(["ว่า", "เช่น", "นะ", "กิน", "บ้าน"]),
+        st.sampled_from([PosTag.VV, PosTag.NN, PosTag.CC, PosTag.PA]),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_R2_TOKENS, max_size=40))
+def test_r2_space_splits_match_quadratic_reference(tokens):
+    lexicon = MarkerLexicon.default()
+    assert _split_spaces(tokens, lexicon, SegmenterConfig()) == r2_space_splits(
+        tokens, lexicon.clause_markers
+    )
