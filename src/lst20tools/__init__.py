@@ -59,7 +59,6 @@ from .segment import (
     aggregate_sentences,
     detect_clauses,
     emit_clause_labels,
-    emit_sentence_markers,
     load_marker_lexicon,
     segment_paragraphs,
 )

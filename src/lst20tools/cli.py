@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -63,19 +64,37 @@ def _expand_inputs(paths: Sequence[str]) -> list[Path]:
     return files
 
 
+class _BadInput(Exception):
+    """An input file that is not UTF-8 or, under ``--strict``, does not parse.
+
+    Reported as ``name: reason`` with exit 1; validate and stats go on.
+    """
+
+
+def _read_text(path: Path) -> str:
+    """Every input file is read here, so every command reports a bad one alike."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _BadInput(f"{path.name}: {exc}") from None
+
+
 def _read_document(path: Path, informat: str, strict: bool):
     """Parse one input file; returns (Document, format_issues)."""
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     issues: list[LintIssue] = []
     if strict:
         errors = None
     else:
         errors = []
-    if informat == FORMAT_COLUMNAR:
-        doc = fmt.read_columnar(text, path.name, errors=errors)
-    else:
-        sentences = fmt.read_inline(text, errors=errors)
-        doc = Document(path.name, tuple(sentences))
+    try:
+        if informat == FORMAT_COLUMNAR:
+            doc = fmt.read_columnar(text, path.name, errors=errors)
+        else:
+            sentences = fmt.read_inline(text, errors=errors)
+            doc = Document(path.name, tuple(sentences))
+    except fmt.FormatError as exc:
+        raise _BadInput(f"{path.name}: {exc}") from None
     for err in errors or []:
         if isinstance(err, fmt.LineError):
             issues.append(
@@ -125,8 +144,8 @@ def _cmd_validate(args) -> int:
     for path in inputs:
         try:
             doc, format_issues = _read_document(path, args.informat, args.strict)
-        except (fmt.FormatError, UnicodeDecodeError) as exc:
-            print(f"{path.name}: {exc}", file=sys.stderr)
+        except _BadInput as exc:
+            print(exc, file=sys.stderr)
             had_errors = True
             continue
         report = validate_mod.lint_document(doc, extra=format_issues)
@@ -151,15 +170,14 @@ def _cmd_convert(args) -> int:
     if len(inputs) != 1:
         raise ValueError("convert takes exactly one input file")
     path = inputs[0]
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     errors: Optional[list] = None if args.strict else []
     try:
         converted = fmt.convert(
             args.informat, args.outformat, text, doc_id=path.stem, errors=errors
         )
     except fmt.FormatError as exc:
-        print(f"{path.name}: {exc}", file=sys.stderr)
-        return EXIT_ISSUES
+        raise _BadInput(f"{path.name}: {exc}") from None
     for err in errors or []:
         print(f"{path.name}: {err}", file=sys.stderr)
     _write(_open_output(args, inputs), converted)
@@ -186,8 +204,8 @@ def _cmd_segment(args) -> int:
         print(f"{path.name}: {issue.message}", file=sys.stderr)
     # Each input sentence block (columnar) or line (inline) is one paragraph.
     paragraphs = [s.tokens for s in doc.sentences]
-    sentences, starts = segment_mod.segment_paragraphs(paragraphs, lexicon, cfg)
-    result = Document(path.stem, tuple(sentences), paragraph_starts=tuple(starts))
+    sentences, _ = segment_mod.segment_paragraphs(paragraphs, lexicon, cfg)
+    result = Document(path.stem, tuple(sentences))
     if args.outformat == FORMAT_COLUMNAR:
         output = fmt.write_columnar(result)
     else:
@@ -204,11 +222,17 @@ def _cmd_stats(args) -> int:
             Path(args.manifest).read_text(encoding="utf-8")
         )
     totals = stats_mod.CorpusCounts()
-    genre_hist: dict[str, int] = {}
-    pos_hist: dict[str, int] = {}
-    ne_hist: dict[str, int] = {}
+    genre_hist: Counter = Counter()
+    pos_hist: Counter = Counter()
+    ne_hist: Counter = Counter()
+    skipped = False
     for path in inputs:
-        doc, _ = _read_document(path, args.informat, args.strict)
+        try:
+            doc, _ = _read_document(path, args.informat, args.strict)
+        except _BadInput as exc:
+            print(exc, file=sys.stderr)
+            skipped = True
+            continue
         if doc.doc_id in genres or path.stem in genres:
             doc = Document(
                 doc.doc_id,
@@ -217,12 +241,9 @@ def _cmd_stats(args) -> int:
             )
         corpus = Corpus((doc,))
         totals = totals + stats_mod.document_counts(doc, args.include_spaces)
-        for key, count in stats_mod.genre_histogram(corpus).items():
-            genre_hist[key] = genre_hist.get(key, 0) + count
-        for key, count in stats_mod.tag_frequency(corpus, "pos").items():
-            pos_hist[key] = pos_hist.get(key, 0) + count
-        for key, count in stats_mod.tag_frequency(corpus, "ne").items():
-            ne_hist[key] = ne_hist.get(key, 0) + count
+        genre_hist += stats_mod.genre_histogram(corpus)
+        pos_hist += stats_mod.tag_frequency(corpus, "pos")
+        ne_hist += stats_mod.tag_frequency(corpus, "ne")
     if args.json:
         payload = {
             "counts": totals.to_dict(),
@@ -238,7 +259,7 @@ def _cmd_stats(args) -> int:
                 lines.append(f"{title}:{key}\t{count}")
         output = "\n".join(lines) + "\n"
     _write(_open_output(args, inputs), output)
-    return EXIT_OK
+    return EXIT_ISSUES if skipped else EXIT_OK
 
 
 def _load_frameset(args) -> frames_mod.FrameSet:
@@ -368,6 +389,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _BadInput as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_ISSUES
     except fmt.FormatError as exc:
         print(f"lst20: {exc}", file=sys.stderr)
         return EXIT_ISSUES

@@ -118,18 +118,11 @@ class Document:
     doc_id: str
     sentences: tuple[Sentence, ...] = ()
     genre: Optional[str] = None
-    # Sentence indices that open a paragraph; populated by the segmenter,
-    # not representable in the columnar file itself.
-    paragraph_starts: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sentences", tuple(self.sentences))
         if not self.doc_id:
             raise ValueError("document id must be non-empty")
-        if self.paragraph_starts is not None:
-            object.__setattr__(
-                self, "paragraph_starts", tuple(self.paragraph_starts)
-            )
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 
 class UnknownTag(ValueError):
@@ -101,21 +101,20 @@ NE_OUTSIDE = NeLabel(BoundaryPrefix.O)
 
 
 class ClauseLabel(Enum):
+    """A clause boundary label; like :class:`NeLabel` it has ``prefix`` and
+    ``category``, the latter always None (the one category is CLS)."""
+
     B_CLS = "B_CLS"
     I_CLS = "I_CLS"
     E_CLS = "E_CLS"
     O = "O"
 
+    def __init__(self, value: str) -> None:
+        self.prefix = BoundaryPrefix(value[0])
+        self.category = None
+
     def __str__(self) -> str:
         return self.value
-
-
-_CLAUSE_PAIR = {
-    ClauseLabel.B_CLS: (BoundaryPrefix.B, "CLS"),
-    ClauseLabel.I_CLS: (BoundaryPrefix.I, "CLS"),
-    ClauseLabel.E_CLS: (BoundaryPrefix.E, "CLS"),
-    ClauseLabel.O: (BoundaryPrefix.O, None),
-}
 
 
 # Every label string the readers accept, mapped once to its parsed value:
@@ -162,22 +161,77 @@ def parse_clause_label(text: str) -> ClauseLabel:
         raise MalformedLabel(f"malformed clause label {text!r}") from None
 
 
-def _transition_valid(prev, nxt) -> bool:
-    # States as (prefix, category) pairs; None marks the sentence edge.
-    if prev is None or prev[0] in (BoundaryPrefix.O, BoundaryPrefix.E):
-        # Nothing open: only O or a fresh B may follow; the edge is fine.
-        return nxt is None or nxt[0] in (BoundaryPrefix.O, BoundaryPrefix.B)
-    if prev[0] is BoundaryPrefix.B:
-        # A lone B is a complete single-token span, so it may close silently.
-        if nxt is None or nxt[0] in (BoundaryPrefix.O, BoundaryPrefix.B):
-            return True
-        return nxt[1] == prev[1]
-    # prev is I: the span must continue or close explicitly, same category.
-    return (
-        nxt is not None
-        and nxt[0] in (BoundaryPrefix.I, BoundaryPrefix.E)
-        and nxt[1] == prev[1]
-    )
+# Module-level names: the walker below tests them once per linted token.
+_B, _I, _E, _O = BoundaryPrefix.B, BoundaryPrefix.I, BoundaryPrefix.E, BoundaryPrefix.O
+
+
+def _boundary_step(open_prefix, open_category, label) -> Optional[str]:
+    """The BIEO rule that ``label`` breaks after the open span, or None.
+
+    The open span is ``open_prefix`` (B or I; any other value means no
+    span is open) with ``open_category``. ``label`` is an NE or clause
+    label, or None for the sentence edge. A lone B is a complete
+    single-token span, so it may close silently; an I may not.
+    """
+    if label is None or label.prefix is _O or label.prefix is _B:
+        return "UNTERMINATED" if open_prefix is _I else None
+    if open_prefix is not _B and open_prefix is not _I:
+        return "ORPHAN_I" if label.prefix is _I else "ORPHAN_E"
+    if label.category is not open_category:
+        return "CAT_MISMATCH"
+    return None
+
+
+def scan_boundaries(
+    labels: Iterable,
+) -> tuple[list[tuple[str, int, str]], list[tuple[int, int]]]:
+    """Walk one sentence's NE or clause labels through the BIEO automaton.
+
+    Returns ``(violations, spans)``. A violation is ``(rule, index,
+    message)`` with ``rule`` one of ORPHAN_I, ORPHAN_E, CAT_MISMATCH and
+    UNTERMINATED. The walker resynchronises on the offending label, so a
+    single corruption yields a single violation: a span already reported
+    is not reported again as unterminated. ``spans`` are the half-open
+    ranges of the well-formed spans, ``B I* E`` and a lone ``B``.
+    """
+    violations: list[tuple[str, int, str]] = []
+    spans: list[tuple[int, int]] = []
+    open_prefix = open_category = None  # B or I and its category while a span is open
+    start = None  # index of the open span's B while the span is well-formed
+    i = -1
+    for i, label in enumerate(labels):
+        prefix = label.prefix
+        # The two steps that cannot break a rule skip the step call: this
+        # loop runs once per token of every sentence linted.
+        if open_prefix is None:
+            if prefix is _O:
+                continue
+        elif prefix is _I and label.category is open_category:
+            open_prefix = _I
+            continue
+        rule = _boundary_step(open_prefix, open_category, label)
+        if rule == "CAT_MISMATCH":
+            message = f"category changes from {open_category} to {label.category} mid-span"
+            violations.append((rule, i, message))
+        elif rule == "UNTERMINATED":
+            if start is not None:  # not when the span was already reported
+                violations.append((rule, i, "open span not closed by an E-label"))
+        elif rule is not None:
+            violations.append((rule, i, f"{prefix}-label with no open span"))
+        elif prefix is _E:
+            if start is not None:
+                spans.append((start, i + 1))
+        elif open_prefix is _B:  # a B closed by O or B: a single-token span
+            spans.append((start, start + 1))
+        # Every legal I was taken above, so an I here leaves a broken span open.
+        open_prefix = prefix if prefix is _B or prefix is _I else None
+        open_category = label.category
+        start = i if prefix is _B else None
+    if open_prefix is _B:
+        spans.append((start, start + 1))
+    elif _boundary_step(open_prefix, open_category, None) and start is not None:
+        violations.append(("UNTERMINATED", i, "span still open at sentence end"))
+    return violations, spans
 
 
 def ne_transition_valid(prev: Optional[NeLabel], nxt: Optional[NeLabel]) -> bool:
@@ -187,15 +241,15 @@ def ne_transition_valid(prev: Optional[NeLabel], nxt: Optional[NeLabel]) -> bool
     entities are a lone B; an I must always be closed by an E of the same
     category before the sentence ends.
     """
-    prev_pair = None if prev is None else (prev.prefix, prev.category)
-    nxt_pair = None if nxt is None else (nxt.prefix, nxt.category)
-    return _transition_valid(prev_pair, nxt_pair)
+    return _boundary_step(
+        getattr(prev, "prefix", None), getattr(prev, "category", None), nxt
+    ) is None
 
 
 def clause_transition_valid(
     prev: Optional[ClauseLabel], nxt: Optional[ClauseLabel]
 ) -> bool:
     """Same automaton as :func:`ne_transition_valid` over the single CLS category."""
-    prev_pair = None if prev is None else _CLAUSE_PAIR[prev]
-    nxt_pair = None if nxt is None else _CLAUSE_PAIR[nxt]
-    return _transition_valid(prev_pair, nxt_pair)
+    return _boundary_step(
+        getattr(prev, "prefix", None), getattr(prev, "category", None), nxt
+    ) is None

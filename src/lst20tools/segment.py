@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .format import Document, Sentence, Token, relabel_clauses, write_columnar, write_inline
+from .format import Sentence, Token, relabel_clauses
 from .schema import ClauseLabel, PosTag
 
 _SUBORDINATE_CONNECTORS = ("ซึ่ง", "ที่", "ถ้า", "ว่า", "ผู้")
@@ -373,28 +373,6 @@ def detect_clauses(
     return [_segment_paragraph(tokens, lexicon, cfg) for tokens in paragraphs]
 
 
-def clause_spans_from_tokens(tokens: Sequence[Token]) -> list[ClauseSpan]:
-    """Recover clause spans from an already-labeled token sequence.
-
-    Lets the sentence aggregator run over gold clause boundaries instead
-    of detected ones. The clause column must be legal BIEO.
-    """
-    spans = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        if tokens[i].clause is not ClauseLabel.B_CLS:
-            i += 1
-            continue
-        j = i + 1
-        while j < n and tokens[j].clause is ClauseLabel.I_CLS:
-            j += 1
-        end = j + 1 if j < n and tokens[j].clause is ClauseLabel.E_CLS else i + 1
-        spans.append(ClauseSpan(i, end, _has_verb(tokens, i, end)))
-        i = end
-    return spans
-
-
 def emit_clause_labels(
     spans: Sequence[ClauseSpan], tokens: Sequence[Token]
 ) -> list[ClauseLabel]:
@@ -572,14 +550,3 @@ def segment_paragraphs(
             hi = clause_spans[span.end - 1].end
             sentences.append(Sentence(relabeled[lo:hi]))
     return sentences, paragraph_starts
-
-
-def emit_sentence_markers(sentences: Sequence[Sentence], output_format: str) -> str:
-    """Render sentence boundaries: ``||`` inline, empty lines columnar."""
-    if output_format == "inline":
-        return write_inline(sentences, layers=4)
-    if output_format == "columnar":
-        if not sentences:
-            return ""
-        return write_columnar(Document("segmented", tuple(sentences)))
-    raise ValueError(f"unknown format {output_format!r}")

@@ -15,31 +15,12 @@ from enum import Enum
 from typing import Optional
 
 from .format import Document, Sentence
-from .schema import BoundaryPrefix, ClauseLabel, PosTag
+from .schema import PosTag, scan_boundaries
 
 LAYER_POS = "POS"
 LAYER_NE = "NE"
 LAYER_CLS = "CLS"
 LAYER_FORMAT = "FORMAT"
-
-#: The closed diagnostic code list.
-CODES = (
-    "NE_ORPHAN_I",
-    "NE_ORPHAN_E",
-    "NE_CAT_MISMATCH",
-    "NE_UNTERMINATED",
-    "CLS_ORPHAN_I",
-    "CLS_ORPHAN_E",
-    "CLS_UNTERMINATED",
-    "CLS_SINGLETON",
-    "CLS_NO_VERB",
-    "SPACE_NOT_PU",
-    "URL_SPLIT",
-    "PUNCT_RUN_SPLIT",
-    "FORMAT_SPACE_IN_SURFACE",
-    "FORMAT_LINE",
-    "FORMAT_TOKEN",
-)
 
 
 class Severity(Enum):
@@ -100,125 +81,40 @@ def _issue(severity, code, message, sentence, token, layer) -> LintIssue:
     return LintIssue(severity, code, message, sentence, token, layer)
 
 
-def _boundary_issues(pairs, code_prefix, layer, sentence_idx):
-    """Walk (prefix, category) pairs through the BIEO automaton.
-
-    Returns (issues, lone_b_positions). After a violation the walker
-    resynchronises on the offending label, so a single corruption yields a
-    single diagnostic.
-    """
-    issues = []
-    lone_b = []
-
-    def err(code, message, position):
-        issues.append(
-            _issue(Severity.ERROR, f"{code_prefix}_{code}", message, sentence_idx, position, layer)
-        )
-
-    open_span = None  # (prefix, category, start index) while a span is open
-    span_ok = True  # False once this span has already been reported
-    for i, (prefix, category) in enumerate(pairs):
-        if prefix is BoundaryPrefix.I:
-            if open_span is None:
-                err("ORPHAN_I", "I-label with no open span", i)
-                span_ok = False
-            elif open_span[1] != category:
-                err(
-                    "CAT_MISMATCH",
-                    f"category changes from {open_span[1]} to {category} mid-span",
-                    i,
-                )
-                span_ok = False
-            open_span = (BoundaryPrefix.I, category, i)
-        elif prefix is BoundaryPrefix.E:
-            if open_span is None:
-                err("ORPHAN_E", "E-label with no open span", i)
-            elif open_span[1] != category:
-                err(
-                    "CAT_MISMATCH",
-                    f"category changes from {open_span[1]} to {category} mid-span",
-                    i,
-                )
-            open_span = None
-            span_ok = True
-        else:  # O or B
-            if open_span is not None:
-                if open_span[0] is BoundaryPrefix.I and span_ok:
-                    err("UNTERMINATED", "open span not closed by an E-label", i)
-                elif open_span[0] is BoundaryPrefix.B:
-                    lone_b.append(open_span[2])
-            open_span = (
-                (BoundaryPrefix.B, category, i) if prefix is BoundaryPrefix.B else None
-            )
-            span_ok = True
-    if open_span is not None:
-        if open_span[0] is BoundaryPrefix.I and span_ok:
-            err("UNTERMINATED", "span still open at sentence end", len(pairs) - 1)
-        elif open_span[0] is BoundaryPrefix.B:
-            lone_b.append(open_span[2])
-    return issues, lone_b
+def _violation_issues(violations, code_prefix, layer, sentence_idx) -> list[LintIssue]:
+    return [
+        _issue(Severity.ERROR, f"{code_prefix}_{rule}", message, sentence_idx, index, layer)
+        for rule, index, message in violations
+    ]
 
 
 def validate_ne_sequence(sentence: Sentence, sentence_idx: int = 0) -> list[LintIssue]:
     """BIEO legality of the NE layer. Lone B is a legal single-token entity."""
-    pairs = [(t.ne.prefix, t.ne.category) for t in sentence.tokens]
-    issues, _ = _boundary_issues(pairs, "NE", LAYER_NE, sentence_idx)
-    return issues
-
-
-_CLAUSE_PREFIX = {
-    ClauseLabel.B_CLS: BoundaryPrefix.B,
-    ClauseLabel.I_CLS: BoundaryPrefix.I,
-    ClauseLabel.E_CLS: BoundaryPrefix.E,
-    ClauseLabel.O: BoundaryPrefix.O,
-}
-
-
-def _clause_spans(labels) -> list[tuple[int, int]]:
-    """Well-formed clause spans: B..E runs and lone Bs. Broken runs are skipped."""
-    spans = []
-    i = 0
-    n = len(labels)
-    while i < n:
-        if labels[i] is not ClauseLabel.B_CLS:
-            i += 1
-            continue
-        j = i + 1
-        while j < n and labels[j] is ClauseLabel.I_CLS:
-            j += 1
-        if j < n and labels[j] is ClauseLabel.E_CLS:
-            spans.append((i, j + 1))
-            i = j + 1
-        elif j == i + 1:
-            spans.append((i, i + 1))  # lone B: single-token clause
-            i = j
-        else:
-            i = j  # B I.. without E: already an error, no span
-    return spans
+    violations, _ = scan_boundaries([t.ne for t in sentence.tokens])
+    return _violation_issues(violations, "NE", LAYER_NE, sentence_idx)
 
 
 def validate_clause_sequence(
     sentence: Sentence, sentence_idx: int = 0
 ) -> list[LintIssue]:
     """Clause-layer legality plus the verb-content and singleton warnings."""
-    labels = [t.clause for t in sentence.tokens]
-    pairs = [(_CLAUSE_PREFIX[lab], "CLS") for lab in labels]
-    issues, lone_b = _boundary_issues(pairs, "CLS", LAYER_CLS, sentence_idx)
-    for pos in lone_b:
-        issues.append(
-            _issue(
-                Severity.WARNING,
-                "CLS_SINGLETON",
-                "single-token clause (lone B_CLS)",
-                sentence_idx,
-                pos,
-                LAYER_CLS,
+    tokens = sentence.tokens
+    violations, spans = scan_boundaries([t.clause for t in tokens])
+    issues = _violation_issues(violations, "CLS", LAYER_CLS, sentence_idx)
+    for start, end in spans:
+        if end - start == 1:
+            issues.append(
+                _issue(
+                    Severity.WARNING,
+                    "CLS_SINGLETON",
+                    "single-token clause (lone B_CLS)",
+                    sentence_idx,
+                    start,
+                    LAYER_CLS,
+                )
             )
-        )
-    for start, end in _clause_spans(labels):
-        if not any(
-            t.pos is PosTag.VV for t in sentence.tokens[start:end]
-        ):
+    for start, end in spans:
+        if not any(t.pos is PosTag.VV for t in tokens[start:end]):
             issues.append(
                 _issue(
                     Severity.WARNING,

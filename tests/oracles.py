@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they verify: boundary-label
 legality is decided by a regular expression, frame matching by exhaustive
-enumeration of slot lengths, and entity counting by regex span extraction.
+enumeration of slot lengths, and entity spans and counts by regex span
+extraction.
 """
 
 from __future__ import annotations
@@ -39,6 +40,19 @@ def bieo_accepts(labels: Sequence[str]) -> bool:
         alternatives.append(f"B{i}")
     pattern = "^(?:" + "|".join(alternatives) + ")*$"
     return re.match(pattern, text) is not None
+
+
+def bieo_spans(labels: Sequence[str]) -> list[tuple[int, int]]:
+    """Half-open spans (B...E or lone B) of a legal label sequence.
+
+    Each label encodes to two characters, so a match at offset ``k`` starts
+    at label ``k // 2``; this holds for fewer than ten categories.
+    """
+    text, _ = _encode(labels)
+    return [
+        (match.start() // 2, match.end() // 2)
+        for match in re.finditer(r"B(\d)(?:(?:I\1)*E\1)?", text)
+    ]
 
 
 def count_entity_spans(labels: Sequence[str]) -> int:

@@ -96,6 +96,46 @@ class TestValidateCommand:
         assert "a.txt" in captured.out and "c.txt" in captured.out
 
 
+class TestBadInputFile:
+    """A bad input file is reported as ``name: reason`` with exit 1."""
+
+    @pytest.fixture
+    def pair(self, tmp_path):
+        good = tmp_path / "a.txt"
+        good.write_text("ก\tVV\tO\tB_CLS\n", encoding="utf-8")
+        bad = tmp_path / "b.txt"
+        bad.write_bytes(b"\xff\tNN\tO\tO\n")
+        return good, bad
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["convert", "--to", "inline"], ["segment"], ["frames", "check", "--word", "ก"]],
+    )
+    def test_single_input_commands_name_the_file(self, pair, argv, capsys):
+        good, bad = pair
+        assert main([*argv, str(good)]) == 0
+        capsys.readouterr()
+        assert main([*argv, str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("b.txt: 'utf-8' codec can't decode")
+        assert captured.out == ""
+
+    def test_stats_counts_the_other_files(self, pair, capsys):
+        good, _ = pair
+        assert main(["stats", "--json", str(good.parent)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("b.txt: 'utf-8' codec can't decode")
+        assert json.loads(captured.out)["counts"]["documents"] == 1
+
+    def test_strict_stats_skips_a_file_that_does_not_parse(self, pair, capsys):
+        good, bad = pair
+        bad.write_text("broken\n", encoding="utf-8")
+        assert main(["stats", "--json", "--strict", str(good.parent)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("b.txt: line 1: ")
+        assert json.loads(captured.out)["counts"]["documents"] == 1
+
+
 class TestByteOrderMark:
     @pytest.fixture
     def pair(self, fixture_copy, tmp_path):

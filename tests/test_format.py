@@ -413,3 +413,36 @@ def test_permissive_columnar_accounts_for_every_line(lines):
     doc = read_columnar("\n".join(lines), "d", errors=errors)
     parsed = sum(len(sentence) for sentence in doc.sentences)
     assert parsed + len(errors) == sum(1 for line in lines if line)
+
+
+_INLINE_PIECES = [
+    "|",
+    "||",
+    " ",
+    "\n",
+    SPACE_GLYPH,
+    "ก/NN",
+    "a/VV/B_PER",
+    "x/NN/O/B_CLS",
+    "https://x.th/a/NN/O",
+    "a/QQ",
+    "a/NN/b_cls",
+    "a\tb/NN",
+    "/",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.sampled_from(_INLINE_PIECES), st.text(max_size=4)), max_size=30)
+)
+def test_permissive_inline_accounts_for_every_sentence(pieces):
+    text = "".join(pieces)
+    errors = []
+    sentences = read_inline(text, errors=errors)
+    blocks = [
+        block
+        for block in text.removeprefix(BOM).split("||")
+        if any(chunk.strip() for chunk in block.split("|"))
+    ]
+    assert len(sentences) + len(errors) == len(blocks)

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lst20tools.schema import (
@@ -19,8 +19,9 @@ from lst20tools.schema import (
     parse_clause_label,
     parse_ne_label,
     parse_pos_tag,
+    scan_boundaries,
 )
-from oracles import bieo_accepts
+from oracles import bieo_accepts, bieo_spans
 
 
 class TestTagsets:
@@ -39,6 +40,14 @@ class TestTagsets:
 
     def test_clause_labels_are_four(self):
         assert {l.value for l in ClauseLabel} == {"B_CLS", "I_CLS", "E_CLS", "O"}
+
+    def test_clause_labels_have_the_ne_label_shape(self):
+        assert [(l.prefix, l.category) for l in ClauseLabel] == [
+            (BoundaryPrefix.B, None),
+            (BoundaryPrefix.I, None),
+            (BoundaryPrefix.E, None),
+            (BoundaryPrefix.O, None),
+        ]
 
 
 class TestParsing:
@@ -140,27 +149,45 @@ class TestNeTransitions:
         assert not clause_transition_valid(ClauseLabel.I_CLS, None)
 
 
-def sequence_accepted(labels):
+def sequence_accepted(labels, parse, valid):
     """Fold the pairwise transition check over a whole sequence."""
-    parsed = [lab(text) for text in labels]
+    parsed = [parse(text) for text in labels]
     edges = zip([None] + parsed, parsed + [None])
-    return all(ne_transition_valid(a, b) for a, b in edges)
+    return all(valid(a, b) for a, b in edges)
 
 
 ALPHABET = ("O", "B_ORG", "I_ORG", "E_ORG", "B_PER", "I_PER", "E_PER")
+CLAUSE_ALPHABET = ("O", "B_CLS", "I_CLS", "E_CLS")
+# Each alphabet with its parser and transition predicate.
+LAYERS = (
+    (ALPHABET, lab, ne_transition_valid),
+    (CLAUSE_ALPHABET, parse_clause_label, clause_transition_valid),
+)
 
 
 def test_fold_matches_regex_oracle_short_sequences():
-    for length in range(0, 5):
-        for labels in product(ALPHABET, repeat=length):
-            assert sequence_accepted(labels) == bieo_accepts(labels), labels
+    for alphabet, parse, valid in LAYERS:
+        for length in range(0, 5):
+            for labels in product(alphabet, repeat=length):
+                assert sequence_accepted(labels, parse, valid) == bieo_accepts(labels), labels
 
 
-@given(
-    st.lists(st.sampled_from(ALPHABET), min_size=0, max_size=9),
-)
-def test_fold_matches_regex_oracle_random(labels):
-    assert sequence_accepted(labels) == bieo_accepts(labels)
+@given(st.data())
+def test_fold_matches_regex_oracle_random(data):
+    alphabet, parse, valid = data.draw(st.sampled_from(LAYERS))
+    labels = data.draw(st.lists(st.sampled_from(alphabet), min_size=0, max_size=9))
+    assert sequence_accepted(labels, parse, valid) == bieo_accepts(labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scan_boundaries_matches_regex_oracle(data):
+    alphabet, parse, _ = data.draw(st.sampled_from(LAYERS))
+    labels = data.draw(st.lists(st.sampled_from(alphabet), max_size=12))
+    violations, spans = scan_boundaries([parse(text) for text in labels])
+    assert (violations == []) == bieo_accepts(labels)
+    if not violations:
+        assert spans == bieo_spans(labels)
 
 
 @given(

@@ -16,7 +16,6 @@ from lst20tools.segment import (
     aggregate_sentences,
     detect_clauses,
     emit_clause_labels,
-    emit_sentence_markers,
     _split_spaces,
     load_marker_lexicon,
     segment_paragraphs,
@@ -300,13 +299,8 @@ class TestPipeline:
         )
 
     def test_aggregating_gold_clauses_matches_gold_file(self):
-        from lst20tools.segment import clause_spans_from_tokens
-
         gold = corpus_samples.load_fixture("phone_call.txt")
         tokens, clauses, _ = corpus_samples.phone_call_paragraph()
-        assert clause_spans_from_tokens(
-            [t for s in gold.sentences for t in s.tokens]
-        )  # sanity: the gold file itself decomposes into clauses
         labels = emit_clause_labels(clauses, tokens)
         relabeled = relabel_clauses(tokens, labels)
         spans = aggregate_sentences(clauses, tokens)
@@ -348,27 +342,6 @@ class TestPipeline:
             for i, token in enumerate(tokens):
                 if not token.is_space:
                     assert i in covered, (rows, spans)
-
-
-class TestEmitSentenceMarkers:
-    def test_inline_markers(self):
-        doc = corpus_samples.load_fixture("phone_call.txt")
-        text = emit_sentence_markers(doc.sentences, "inline")
-        assert text.count("||") == 3
-
-    def test_columnar_markers(self):
-        doc = corpus_samples.load_fixture("phone_call.txt")
-        text = emit_sentence_markers(doc.sentences[:2], "columnar")
-        assert text.count("\n\n") == 1
-        assert text.endswith("\n")
-
-    def test_empty(self):
-        assert emit_sentence_markers([], "inline") == ""
-        assert emit_sentence_markers([], "columnar") == ""
-
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            emit_sentence_markers([], "tsv")
 
 
 # Markers from the default lexicon ("ว่า", "เช่น", "นะ") mixed with plain words.
