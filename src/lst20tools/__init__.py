@@ -54,7 +54,6 @@ from .segment import (
     ClauseSpan,
     ConfigError,
     MarkerLexicon,
-    SegmenterConfig,
     SentenceSpan,
     aggregate_sentences,
     detect_clauses,

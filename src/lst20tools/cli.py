@@ -27,12 +27,8 @@ EXIT_ISSUES = 1
 EXIT_USAGE = 2
 
 
-def format_report(report: LintReport, mode: str = "text", filename: str = "") -> str:
-    """Render a lint report as human-readable text or as JSON."""
-    if mode == "json":
-        return json.dumps(report.to_dicts(), ensure_ascii=False, indent=2) + "\n"
-    if mode != "text":
-        raise ValueError("mode must be 'text' or 'json'")
+def format_report(report: LintReport, filename: str = "") -> str:
+    """Render a lint report as human-readable text."""
     prefix = f"{filename}:" if filename else ""
     lines = []
     for issue in report.issues:
@@ -72,21 +68,26 @@ class _BadInput(Exception):
 
 
 def _read_text(path: Path) -> str:
-    """Every input file is read here, so every command reports a bad one alike."""
+    """Every file is read here, so every command names a file that is not UTF-8."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _BadInput(f"{path.name}: {exc}") from None
 
 
+def _read_config(name: str) -> str:
+    """A --lexicon, --manifest or --frames file: a bad one is exit 2, not 1."""
+    try:
+        return _read_text(Path(name))
+    except _BadInput as exc:
+        raise ValueError(str(exc)) from None
+
+
 def _read_document(path: Path, informat: str, strict: bool):
     """Parse one input file; returns (Document, format_issues)."""
     text = _read_text(path)
     issues: list[LintIssue] = []
-    if strict:
-        errors = None
-    else:
-        errors = []
+    errors: Optional[list] = None if strict else []
     try:
         if informat == FORMAT_COLUMNAR:
             doc = fmt.read_columnar(text, path.name, errors=errors)
@@ -119,6 +120,13 @@ def _read_document(path: Path, informat: str, strict: bool):
                 )
             )
     return doc, issues
+
+
+def _print_format_issues(path: Path, issues: Sequence[LintIssue]) -> int:
+    """Report parse problems as ``name: message`` on stderr; exit 1 if any."""
+    for issue in issues:
+        print(f"{path.name}: {issue.message}", file=sys.stderr)
+    return EXIT_ISSUES if issues else EXIT_OK
 
 
 def _open_output(args, inputs: Sequence[Path]):
@@ -156,7 +164,7 @@ def _cmd_validate(args) -> int:
                 entry["file"] = path.name
                 json_entries.append(entry)
         else:
-            chunks.append(format_report(report, "text", path.name))
+            chunks.append(format_report(report, path.name))
     if args.json:
         output = json.dumps(json_entries, ensure_ascii=False, indent=2) + "\n"
     else:
@@ -186,9 +194,7 @@ def _cmd_convert(args) -> int:
 
 def _load_lexicon(args) -> segment_mod.MarkerLexicon:
     if args.lexicon:
-        return segment_mod.load_marker_lexicon(
-            Path(args.lexicon).read_text(encoding="utf-8")
-        )
+        return segment_mod.load_marker_lexicon(_read_config(args.lexicon))
     return segment_mod.MarkerLexicon.default()
 
 
@@ -198,29 +204,27 @@ def _cmd_segment(args) -> int:
         raise ValueError("segment takes exactly one input file")
     path = inputs[0]
     lexicon = _load_lexicon(args)
-    cfg = segment_mod.SegmenterConfig(subject_shift=args.subject_shift)
     doc, format_issues = _read_document(path, args.informat, args.strict)
-    for issue in format_issues:
-        print(f"{path.name}: {issue.message}", file=sys.stderr)
+    status = _print_format_issues(path, format_issues)
     # Each input sentence block (columnar) or line (inline) is one paragraph.
     paragraphs = [s.tokens for s in doc.sentences]
-    sentences, _ = segment_mod.segment_paragraphs(paragraphs, lexicon, cfg)
+    sentences, _ = segment_mod.segment_paragraphs(
+        paragraphs, lexicon, subject_shift=args.subject_shift
+    )
     result = Document(path.stem, tuple(sentences))
     if args.outformat == FORMAT_COLUMNAR:
         output = fmt.write_columnar(result)
     else:
         output = fmt.write_inline(result.sentences, layers=4)
     _write(_open_output(args, inputs), output)
-    return EXIT_ISSUES if format_issues else EXIT_OK
+    return status
 
 
 def _cmd_stats(args) -> int:
     inputs = _expand_inputs(args.inputs)
     genres = {}
     if args.manifest:
-        genres = stats_mod.load_manifest(
-            Path(args.manifest).read_text(encoding="utf-8")
-        )
+        genres = stats_mod.load_manifest(_read_config(args.manifest))
     totals = stats_mod.CorpusCounts()
     genre_hist: Counter = Counter()
     pos_hist: Counter = Counter()
@@ -264,7 +268,7 @@ def _cmd_stats(args) -> int:
 
 def _load_frameset(args) -> frames_mod.FrameSet:
     if args.frames:
-        return frames_mod.load_frameset(Path(args.frames).read_text(encoding="utf-8"))
+        return frames_mod.load_frameset(_read_config(args.frames))
     return frames_mod.default_frameset()
 
 
@@ -278,7 +282,8 @@ def _cmd_frames(args) -> int:
     if len(inputs) != 1:
         raise ValueError("frames check takes exactly one input file")
     path = inputs[0]
-    doc, _ = _read_document(path, args.informat, args.strict)
+    doc, format_issues = _read_document(path, args.informat, args.strict)
+    status = _print_format_issues(path, format_issues)
     attestations = []
     lines = []
     for s_idx, sentence in enumerate(doc.sentences):
@@ -298,7 +303,7 @@ def _cmd_frames(args) -> int:
         lines.append(f"no occurrences of {args.word!r}")
     lines.append("classes: " + (" ".join(sorted(classes)) if classes else "-"))
     _write(_open_output(args, inputs), "\n".join(lines) + "\n")
-    return EXIT_OK
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,7 @@ Sentence rules, applied to each adjacent clause pair, merge rules first:
 * S1 paragraph boundary: implicit, paragraphs never share a sentence.
 * S2 topic shift: next clause opens with a cohesive marker -> split.
 * S7 particle: sentence-final particle ends the sentence -> split.
-* S3 subject shift: the configured fallback strategy decides.
+* S3 subject shift: the ``subject_shift`` fallback strategy decides.
 
 The default S3 strategy is a surface stand-in for the semantic judgment:
 each clause's subject stretch is read off as the tokens before its first
@@ -34,7 +34,7 @@ differing stretches split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 from .format import Sentence, Token, relabel_clauses
@@ -141,15 +141,7 @@ class MarkerLexicon:
         )
 
 
-_LEXICON_SECTIONS = (
-    "subordinate_connectors",
-    "cohesive_markers",
-    "list_markers",
-    "particles",
-    "question_adverbs",
-    "reporting_verbs",
-    "auxiliaries",
-)
+_LEXICON_SECTIONS = tuple(field.name for field in fields(MarkerLexicon))
 
 
 def load_marker_lexicon(config_text: str = "") -> MarkerLexicon:
@@ -208,39 +200,6 @@ class SentenceSpan:
             raise ValueError("sentence span must be non-empty")
 
 
-@dataclass(frozen=True, slots=True)
-class SegmenterConfig:
-    """Rule toggles and the subject-shift fallback strategy.
-
-    The paragraph rules (R1/S1) are load-bearing and must stay enabled.
-    ``sentence_rule_order`` may be rearranged for experimentation; S3 is
-    always the fallback when no listed rule decides a pair.
-    """
-
-    r1_paragraph: bool = True
-    r2_space: bool = True
-    r3_marker: bool = True
-    s1_paragraph: bool = True
-    s2_topic_shift: bool = True
-    s4_direct_speech: bool = True
-    s5_indirect_speech: bool = True
-    s6_item_list: bool = True
-    s7_particle: bool = True
-    subject_shift: str = "heuristic"
-    sentence_rule_order: tuple[str, ...] = ("S6", "S4", "S5", "S2", "S7")
-
-    def __post_init__(self) -> None:
-        if not self.r1_paragraph or not self.s1_paragraph:
-            raise ValueError("paragraph rules R1 and S1 cannot be disabled")
-        if self.subject_shift not in SUBJECT_SHIFT_STRATEGIES:
-            raise ValueError(
-                f"subject_shift must be one of {SUBJECT_SHIFT_STRATEGIES}"
-            )
-        unknown = set(self.sentence_rule_order) - {"S2", "S4", "S5", "S6", "S7"}
-        if unknown:
-            raise ValueError(f"unknown sentence rules {sorted(unknown)}")
-
-
 def _has_verb(tokens: Sequence[Token], start: int, end: int) -> bool:
     return any(t.pos is PosTag.VV for t in tokens[start:end])
 
@@ -255,13 +214,8 @@ def _trim(tokens: Sequence[Token], start: int, end: int) -> Optional[tuple[int, 
     return start, end
 
 
-def _split_spaces(
-    tokens: Sequence[Token], lexicon: MarkerLexicon, cfg: SegmenterConfig
-) -> list[int]:
+def _split_spaces(tokens: Sequence[Token], markers: frozenset[str]) -> list[int]:
     """Indices of space tokens where R2 separates clauses."""
-    if not cfg.r2_space:
-        return []
-    markers = lexicon.clause_markers
     splits = []
     region_start = 0
     last_verb = -1  # index of the latest verb before token i
@@ -287,22 +241,16 @@ def _split_spaces(
 
 
 def _marker_splits(
-    tokens: Sequence[Token],
-    start: int,
-    end: int,
-    lexicon: MarkerLexicon,
-    cfg: SegmenterConfig,
+    tokens: Sequence[Token], start: int, end: int, connectors: frozenset[str]
 ) -> list[int]:
     """R3 split points inside one region: a new clause opens at each one."""
-    if not cfg.r3_marker:
-        return []
     points = []
     for i in range(start + 1, end):
         token = tokens[i]
         if (
             not token.is_space
             and token.pos is PosTag.CC
-            and token.surface in lexicon.subordinate_connectors
+            and token.surface in connectors
         ):
             points.append(i)
     return points
@@ -330,11 +278,11 @@ def _merge_verbless(chunks: list[tuple[int, int, bool]]) -> list[tuple[int, int,
 
 
 def _segment_paragraph(
-    tokens: Sequence[Token], lexicon: MarkerLexicon, cfg: SegmenterConfig
+    tokens: Sequence[Token], lexicon: MarkerLexicon
 ) -> list[ClauseSpan]:
     if not tokens:
         raise ValueError("paragraph must contain at least one token")
-    splits = _split_spaces(tokens, lexicon, cfg)
+    splits = _split_spaces(tokens, lexicon.clause_markers)
     regions = []
     start = 0
     for space_idx in splits:
@@ -348,7 +296,9 @@ def _segment_paragraph(
         if trimmed is None:
             continue
         reg_start, reg_end = trimmed
-        points = _marker_splits(tokens, reg_start, reg_end, lexicon, cfg)
+        points = _marker_splits(
+            tokens, reg_start, reg_end, lexicon.subordinate_connectors
+        )
         bounds = [reg_start, *points, reg_end]
         chunks = []
         for lo, hi in zip(bounds, bounds[1:]):
@@ -365,12 +315,10 @@ def _segment_paragraph(
 def detect_clauses(
     paragraphs: Iterable[Sequence[Token]],
     lexicon: Optional[MarkerLexicon] = None,
-    cfg: Optional[SegmenterConfig] = None,
 ) -> list[list[ClauseSpan]]:
     """Clause spans per paragraph over POS-tagged token streams."""
     lexicon = lexicon or MarkerLexicon.default()
-    cfg = cfg or SegmenterConfig()
-    return [_segment_paragraph(tokens, lexicon, cfg) for tokens in paragraphs]
+    return [_segment_paragraph(tokens, lexicon) for tokens in paragraphs]
 
 
 def emit_clause_labels(
@@ -463,33 +411,18 @@ def _rule_s7(prev, nxt, tokens, lexicon) -> Optional[str]:
     return None
 
 
-_SENTENCE_RULES = {
-    "S2": _rule_s2,
-    "S4": _rule_s4,
-    "S5": _rule_s5,
-    "S6": _rule_s6,
-    "S7": _rule_s7,
-}
-
-_RULE_TOGGLE = {
-    "S2": "s2_topic_shift",
-    "S4": "s4_direct_speech",
-    "S5": "s5_indirect_speech",
-    "S6": "s6_item_list",
-    "S7": "s7_particle",
-}
+# Merge rules first; S3 decides a pair that none of these decides.
+_SENTENCE_RULES = (_rule_s6, _rule_s4, _rule_s5, _rule_s2, _rule_s7)
 
 
-def _decide_pair(prev, nxt, tokens, lexicon, cfg) -> str:
-    for rule_id in cfg.sentence_rule_order:
-        if not getattr(cfg, _RULE_TOGGLE[rule_id]):
-            continue
-        verdict = _SENTENCE_RULES[rule_id](prev, nxt, tokens, lexicon)
+def _decide_pair(prev, nxt, tokens, lexicon, subject_shift) -> str:
+    for rule in _SENTENCE_RULES:
+        verdict = rule(prev, nxt, tokens, lexicon)
         if verdict is not None:
             return verdict
-    if cfg.subject_shift == "always":
+    if subject_shift == "always":
         return "split"
-    if cfg.subject_shift == "never":
+    if subject_shift == "never":
         return "merge"
     left = _subject_stretch(tokens, prev)
     right = _subject_stretch(tokens, nxt)
@@ -502,21 +435,25 @@ def aggregate_sentences(
     clauses: Sequence[ClauseSpan],
     tokens: Sequence[Token],
     lexicon: Optional[MarkerLexicon] = None,
-    cfg: Optional[SegmenterConfig] = None,
+    *,
+    subject_shift: str = "heuristic",
 ) -> list[SentenceSpan]:
     """Group one paragraph's clauses into sentences.
 
     Paragraph boundaries (S1) are enforced by construction: callers pass
-    one paragraph's clauses at a time.
+    one paragraph's clauses at a time. ``subject_shift`` is the S3
+    strategy, one of ``SUBJECT_SHIFT_STRATEGIES``.
     """
+    if subject_shift not in SUBJECT_SHIFT_STRATEGIES:
+        raise ValueError(f"subject_shift must be one of {SUBJECT_SHIFT_STRATEGIES}")
     lexicon = lexicon or MarkerLexicon.default()
-    cfg = cfg or SegmenterConfig()
     if not clauses:
         return []
     spans = []
     start = 0
     for i in range(len(clauses) - 1):
-        if _decide_pair(clauses[i], clauses[i + 1], tokens, lexicon, cfg) == "split":
+        verdict = _decide_pair(clauses[i], clauses[i + 1], tokens, lexicon, subject_shift)
+        if verdict == "split":
             spans.append(SentenceSpan(start, i + 1))
             start = i + 1
     spans.append(SentenceSpan(start, len(clauses)))
@@ -526,7 +463,8 @@ def aggregate_sentences(
 def segment_paragraphs(
     paragraphs: Sequence[Sequence[Token]],
     lexicon: Optional[MarkerLexicon] = None,
-    cfg: Optional[SegmenterConfig] = None,
+    *,
+    subject_shift: str = "heuristic",
 ) -> tuple[list[Sentence], list[int]]:
     """Full pipeline: clause detection, labeling, sentence aggregation.
 
@@ -535,17 +473,18 @@ def segment_paragraphs(
     space between clauses of one sentence is kept with clause label O.
     """
     lexicon = lexicon or MarkerLexicon.default()
-    cfg = cfg or SegmenterConfig()
     sentences: list[Sentence] = []
     paragraph_starts: list[int] = []
     for tokens in paragraphs:
         paragraph_starts.append(len(sentences))
-        clause_spans = _segment_paragraph(tokens, lexicon, cfg)
+        clause_spans = _segment_paragraph(tokens, lexicon)
         if not clause_spans:
             continue
         labels = emit_clause_labels(clause_spans, tokens)
         relabeled = relabel_clauses(tokens, labels)
-        for span in aggregate_sentences(clause_spans, tokens, lexicon, cfg):
+        for span in aggregate_sentences(
+            clause_spans, tokens, lexicon, subject_shift=subject_shift
+        ):
             lo = clause_spans[span.start].start
             hi = clause_spans[span.end - 1].end
             sentences.append(Sentence(relabeled[lo:hi]))

@@ -77,13 +77,9 @@ class LintReport:
         return [issue.to_dict() for issue in self.issues]
 
 
-def _issue(severity, code, message, sentence, token, layer) -> LintIssue:
-    return LintIssue(severity, code, message, sentence, token, layer)
-
-
 def _violation_issues(violations, code_prefix, layer, sentence_idx) -> list[LintIssue]:
     return [
-        _issue(Severity.ERROR, f"{code_prefix}_{rule}", message, sentence_idx, index, layer)
+        LintIssue(Severity.ERROR, f"{code_prefix}_{rule}", message, sentence_idx, index, layer)
         for rule, index, message in violations
     ]
 
@@ -104,7 +100,7 @@ def validate_clause_sequence(
     for start, end in spans:
         if end - start == 1:
             issues.append(
-                _issue(
+                LintIssue(
                     Severity.WARNING,
                     "CLS_SINGLETON",
                     "single-token clause (lone B_CLS)",
@@ -116,7 +112,7 @@ def validate_clause_sequence(
     for start, end in spans:
         if not any(t.pos is PosTag.VV for t in tokens[start:end]):
             issues.append(
-                _issue(
+                LintIssue(
                     Severity.WARNING,
                     "CLS_NO_VERB",
                     "clause contains no verb",
@@ -141,7 +137,7 @@ def validate_token_tags(sentence: Sentence, sentence_idx: int = 0) -> list[LintI
     for i, token in enumerate(tokens):
         if token.is_space and token.pos is not PosTag.PU:
             issues.append(
-                _issue(
+                LintIssue(
                     Severity.ERROR,
                     "SPACE_NOT_PU",
                     f"white-space token tagged {token.pos} instead of PU",
@@ -152,7 +148,7 @@ def validate_token_tags(sentence: Sentence, sentence_idx: int = 0) -> list[LintI
             )
         if not token.is_space and _WHITESPACE_RE.search(token.surface):
             issues.append(
-                _issue(
+                LintIssue(
                     Severity.WARNING,
                     "FORMAT_SPACE_IN_SURFACE",
                     "white-space character inside a word surface",
@@ -171,7 +167,7 @@ def validate_token_tags(sentence: Sentence, sentence_idx: int = 0) -> list[LintI
             and _URL_RE.match(cur.surface + nxt.surface)
         ):
             issues.append(
-                _issue(
+                LintIssue(
                     Severity.WARNING,
                     "URL_SPLIT",
                     "URL appears to be split across adjacent tokens",
@@ -189,7 +185,7 @@ def validate_token_tags(sentence: Sentence, sentence_idx: int = 0) -> list[LintI
             and nxt.surface in _ASCII_PUNCT
         ):
             issues.append(
-                _issue(
+                LintIssue(
                     Severity.WARNING,
                     "PUNCT_RUN_SPLIT",
                     "consecutive non-Thai punctuation split into separate tokens",

@@ -20,12 +20,7 @@ def fixture_copy(tmp_path):
 
 class TestFormatReport:
     def test_empty_report_text(self):
-        assert format_report(LintReport(()), "text") == "0 errors, 0 warnings\n"
-
-    def test_single_error_json(self, glimpse_doc):
-        report = lint_document(glimpse_doc)
-        payload = json.loads(format_report(report, "json"))
-        assert isinstance(payload, list) and len(payload) == len(report.issues)
+        assert format_report(LintReport(())) == "0 errors, 0 warnings\n"
 
     def test_text_lines_carry_location_and_code(self, fixture_copy):
         text = corpus_samples.fixture_text("glimpse.txt").replace(
@@ -34,12 +29,8 @@ class TestFormatReport:
         from lst20tools import read_columnar
 
         report = lint_document(read_columnar(text, "mutated"))
-        rendered = format_report(report, "text", filename="mutated.txt")
+        rendered = format_report(report, filename="mutated.txt")
         assert "mutated.txt:1:2: error NE_ORPHAN_I" in rendered
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            format_report(LintReport(()), "yaml")
 
 
 class TestValidateCommand:
@@ -134,6 +125,31 @@ class TestBadInputFile:
         captured = capsys.readouterr()
         assert captured.err.startswith("b.txt: line 1: ")
         assert json.loads(captured.out)["counts"]["documents"] == 1
+
+
+class TestBadConfigFile:
+    """A --lexicon, --manifest or --frames file that is not UTF-8 is named, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["segment", "--lexicon"],
+            ["stats", "--manifest"],
+            ["frames", "check", "--word", "ก", "--frames"],
+            ["frames", "dump", "--frames"],
+        ],
+        ids=["lexicon", "manifest", "frames-check", "frames-dump"],
+    )
+    def test_undecodable_config_names_the_file(self, tmp_path, argv, capsys):
+        good = tmp_path / "a.txt"
+        good.write_text("ก\tVV\tO\tB_CLS\n", encoding="utf-8")
+        config = tmp_path / "conf.txt"
+        config.write_bytes(b"\xff\n")
+        inputs = [] if argv[:2] == ["frames", "dump"] else [str(good)]
+        assert main([*argv, str(config), *inputs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("lst20: conf.txt: 'utf-8' codec can't decode")
+        assert captured.out == ""
 
 
 class TestByteOrderMark:
@@ -317,6 +333,19 @@ class TestFramesCommand:
         frames_file.write_text("X.1: _ VV\n", encoding="utf-8")
         assert main(["frames", "dump", "--frames", str(frames_file)]) == 0
         assert capsys.readouterr().out == "X.1: _ VV\n"
+
+    def test_check_reports_format_issues(self, tmp_path, capsys):
+        source = tmp_path / "draft.txt"
+        source.write_text(
+            "ก\tVV\tO\tO\nbroken line\nข\tQQ\tO\tO\n", encoding="utf-8"
+        )
+        assert main(["frames", "check", "--word", "ก", str(source)]) == 1
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        assert len(errors) == 2
+        assert all(line.startswith("draft.txt: ") for line in errors)
+        assert "QQ" in captured.err
+        assert "sentence 0, token 0" in captured.out
 
     def test_bad_frame_file_exits_two(self, tmp_path):
         frames_file = tmp_path / "frames.txt"

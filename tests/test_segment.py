@@ -12,7 +12,7 @@ from lst20tools.segment import (
     ClauseSpan,
     ConfigError,
     MarkerLexicon,
-    SegmenterConfig,
+    SentenceSpan,
     aggregate_sentences,
     detect_clauses,
     emit_clause_labels,
@@ -64,15 +64,10 @@ class TestLexicon:
 
 
 class TestConfig:
-    def test_paragraph_rules_cannot_be_disabled(self):
-        with pytest.raises(ValueError):
-            SegmenterConfig(r1_paragraph=False)
-        with pytest.raises(ValueError):
-            SegmenterConfig(s1_paragraph=False)
-
     def test_subject_shift_is_validated(self):
+        tokens, clauses, _ = corpus_samples.phone_call_paragraph()
         with pytest.raises(ValueError):
-            SegmenterConfig(subject_shift="maybe")
+            aggregate_sentences(clauses, tokens, subject_shift="maybe")
 
 
 class TestDetectClauses:
@@ -140,12 +135,6 @@ class TestDetectClauses:
         tokens = toks([("(", "PU"), ("1", "NU"), (")", "PU")])
         (spans,) = detect_clauses([tokens])
         assert [(s.start, s.end, s.has_verb) for s in spans] == [(0, 3, False)]
-
-    def test_rules_can_be_toggled_off(self):
-        tokens, _, _ = corpus_samples.phone_call_paragraph()
-        cfg = SegmenterConfig(r2_space=False, r3_marker=False)
-        (spans,) = detect_clauses([tokens], cfg=cfg)
-        assert len(spans) == 1
 
     def test_gold_clause_spans(self):
         tokens, _ = corpus_samples.disease_report_paragraph()
@@ -228,15 +217,28 @@ class TestAggregateSentences:
 
     def test_always_and_never_strategies(self):
         tokens, clauses, _ = corpus_samples.phone_call_paragraph()
-        always = aggregate_sentences(
-            clauses, tokens, cfg=SegmenterConfig(subject_shift="always")
-        )
-        never = aggregate_sentences(
-            clauses, tokens, cfg=SegmenterConfig(subject_shift="never")
-        )
+        always = aggregate_sentences(clauses, tokens, subject_shift="always")
+        never = aggregate_sentences(clauses, tokens, subject_shift="never")
         assert len(always) == 4
         # merge rules like S5 do not apply here, so never-split joins them all
         assert len(never) == 1
+
+    def test_item_list_outranks_topic_shift_and_particle(self):
+        # ดังนั้น is both a list marker (S6 merge) and a cohesive marker (S2
+        # split), and the first clause ends in a particle (S7 split): the
+        # fixed order S6, S4, S5, S2, S7 lets S6 decide.
+        lexicon = load_marker_lexicon(
+            "[list_markers]\nดังนั้น\n[cohesive_markers]\nดังนั้น\n"
+        )
+        tokens = toks(
+            [
+                ("เขา", "PR"), ("กิน", "VV"), ("นะ", "PA"),
+                (None, "PU"),
+                ("ดังนั้น", "CC"), ("เรา", "PR"), ("นอน", "VV"),
+            ]
+        )
+        clauses = [ClauseSpan(0, 3), ClauseSpan(4, 7)]
+        assert aggregate_sentences(clauses, tokens, lexicon) == [SentenceSpan(0, 2)]
 
     def test_empty_clause_list(self):
         assert aggregate_sentences([], []) == []
@@ -359,6 +361,6 @@ _R2_TOKENS = st.one_of(
 @given(st.lists(_R2_TOKENS, max_size=40))
 def test_r2_space_splits_match_quadratic_reference(tokens):
     lexicon = MarkerLexicon.default()
-    assert _split_spaces(tokens, lexicon, SegmenterConfig()) == r2_space_splits(
+    assert _split_spaces(tokens, lexicon.clause_markers) == r2_space_splits(
         tokens, lexicon.clause_markers
     )
