@@ -68,25 +68,28 @@ class _BadInput(Exception):
 
 
 def _read_text(path: Path) -> str:
-    """Every file is read here, so every command names a file that is not UTF-8."""
+    """Every input file is read here, so every command names one that is not UTF-8."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _BadInput(f"{path.name}: {exc}") from None
 
 
-def _read_config(name: str) -> str:
-    """A --lexicon, --manifest or --frames file: a bad one is exit 2, not 1."""
+def _load_config(name: str, parse):
+    """Read and parse a --lexicon, --manifest or --frames file.
+
+    A file that is not UTF-8 or does not parse is named, and is exit 2, not 1.
+    """
+    path = Path(name)
     try:
-        return _read_text(Path(name))
-    except _BadInput as exc:
-        raise ValueError(str(exc)) from None
+        return parse(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
 
 
 def _read_document(path: Path, informat: str, strict: bool):
-    """Parse one input file; returns (Document, format_issues)."""
+    """Parse one input file; returns (Document, the readers' LineError/TokenError list)."""
     text = _read_text(path)
-    issues: list[LintIssue] = []
     errors: Optional[list] = None if strict else []
     try:
         if informat == FORMAT_COLUMNAR:
@@ -96,37 +99,30 @@ def _read_document(path: Path, informat: str, strict: bool):
             doc = Document(path.name, tuple(sentences))
     except fmt.FormatError as exc:
         raise _BadInput(f"{path.name}: {exc}") from None
-    for err in errors or []:
-        if isinstance(err, fmt.LineError):
-            issues.append(
-                LintIssue(
-                    Severity.ERROR,
-                    "FORMAT_LINE",
-                    str(err),
-                    None,
-                    None,
-                    validate_mod.LAYER_FORMAT,
-                )
-            )
-        else:
-            issues.append(
-                LintIssue(
-                    Severity.ERROR,
-                    "FORMAT_TOKEN",
-                    err.reason,
-                    err.sentence,
-                    err.token,
-                    validate_mod.LAYER_FORMAT,
-                )
-            )
-    return doc, issues
+    return doc, errors or []
 
 
-def _print_format_issues(path: Path, issues: Sequence[LintIssue]) -> int:
-    """Report parse problems as ``name: message`` on stderr; exit 1 if any."""
-    for issue in issues:
-        print(f"{path.name}: {issue.message}", file=sys.stderr)
-    return EXIT_ISSUES if issues else EXIT_OK
+def _format_issue(err: fmt.FormatError) -> LintIssue:
+    """A reader's LineError or TokenError as a FORMAT_LINE/FORMAT_TOKEN lint issue."""
+    if isinstance(err, fmt.LineError):
+        return LintIssue(
+            Severity.ERROR, "FORMAT_LINE", str(err), None, None, validate_mod.LAYER_FORMAT
+        )
+    return LintIssue(
+        Severity.ERROR,
+        "FORMAT_TOKEN",
+        err.reason,
+        err.sentence,
+        err.token,
+        validate_mod.LAYER_FORMAT,
+    )
+
+
+def _print_format_issues(path: Path, errors: Sequence[fmt.FormatError]) -> int:
+    """Report parse problems as ``name: {err}`` on stderr; exit 1 if any."""
+    for err in errors:
+        print(f"{path.name}: {err}", file=sys.stderr)
+    return EXIT_ISSUES if errors else EXIT_OK
 
 
 def _open_output(args, inputs: Sequence[Path]):
@@ -151,12 +147,12 @@ def _cmd_validate(args) -> int:
     json_entries = []
     for path in inputs:
         try:
-            doc, format_issues = _read_document(path, args.informat, args.strict)
+            doc, errors = _read_document(path, args.informat, args.strict)
         except _BadInput as exc:
             print(exc, file=sys.stderr)
             had_errors = True
             continue
-        report = validate_mod.lint_document(doc, extra=format_issues)
+        report = validate_mod.lint_document(doc, extra=[_format_issue(e) for e in errors])
         if report.error_count:
             had_errors = True
         if args.json:
@@ -186,15 +182,14 @@ def _cmd_convert(args) -> int:
         )
     except fmt.FormatError as exc:
         raise _BadInput(f"{path.name}: {exc}") from None
-    for err in errors or []:
-        print(f"{path.name}: {err}", file=sys.stderr)
+    status = _print_format_issues(path, errors or [])
     _write(_open_output(args, inputs), converted)
-    return EXIT_ISSUES if errors else EXIT_OK
+    return status
 
 
 def _load_lexicon(args) -> segment_mod.MarkerLexicon:
     if args.lexicon:
-        return segment_mod.load_marker_lexicon(_read_config(args.lexicon))
+        return _load_config(args.lexicon, segment_mod.load_marker_lexicon)
     return segment_mod.MarkerLexicon.default()
 
 
@@ -204,8 +199,8 @@ def _cmd_segment(args) -> int:
         raise ValueError("segment takes exactly one input file")
     path = inputs[0]
     lexicon = _load_lexicon(args)
-    doc, format_issues = _read_document(path, args.informat, args.strict)
-    status = _print_format_issues(path, format_issues)
+    doc, errors = _read_document(path, args.informat, args.strict)
+    status = _print_format_issues(path, errors)
     # Each input sentence block (columnar) or line (inline) is one paragraph.
     paragraphs = [s.tokens for s in doc.sentences]
     sentences, _ = segment_mod.segment_paragraphs(
@@ -224,7 +219,7 @@ def _cmd_stats(args) -> int:
     inputs = _expand_inputs(args.inputs)
     genres = {}
     if args.manifest:
-        genres = stats_mod.load_manifest(_read_config(args.manifest))
+        genres = _load_config(args.manifest, stats_mod.load_manifest)
     totals = stats_mod.CorpusCounts()
     genre_hist: Counter = Counter()
     pos_hist: Counter = Counter()
@@ -268,7 +263,7 @@ def _cmd_stats(args) -> int:
 
 def _load_frameset(args) -> frames_mod.FrameSet:
     if args.frames:
-        return frames_mod.load_frameset(_read_config(args.frames))
+        return _load_config(args.frames, frames_mod.load_frameset)
     return frames_mod.default_frameset()
 
 
@@ -282,9 +277,9 @@ def _cmd_frames(args) -> int:
     if len(inputs) != 1:
         raise ValueError("frames check takes exactly one input file")
     path = inputs[0]
-    doc, format_issues = _read_document(path, args.informat, args.strict)
-    status = _print_format_issues(path, format_issues)
-    attestations = []
+    doc, errors = _read_document(path, args.informat, args.strict)
+    status = _print_format_issues(path, errors)
+    matched_ids: set[str] = set()
     lines = []
     for s_idx, sentence in enumerate(doc.sentences):
         content = [t for t in sentence.tokens if not t.is_space]
@@ -293,13 +288,13 @@ def _cmd_frames(args) -> int:
             if token.surface != args.word:
                 continue
             matched = frames_mod.classify_instance(pos_sequence, c_idx, frameset)
-            attestations.append((pos_sequence, c_idx))
+            matched_ids |= matched
             lines.append(
                 f"sentence {s_idx}, token {c_idx}: "
                 + (" ".join(sorted(matched)) if matched else "-")
             )
-    classes = frames_mod.classify_lexeme(attestations, frameset) if attestations else set()
-    if not attestations:
+    classes = frames_mod.classify_lexeme(matched_ids)
+    if not lines:
         lines.append(f"no occurrences of {args.word!r}")
     lines.append("classes: " + (" ".join(sorted(classes)) if classes else "-"))
     _write(_open_output(args, inputs), "\n".join(lines) + "\n")
@@ -400,12 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except fmt.FormatError as exc:
         print(f"lst20: {exc}", file=sys.stderr)
         return EXIT_ISSUES
-    except (
-        OSError,
-        ValueError,
-        segment_mod.ConfigError,
-        frames_mod.FrameSpecError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         print(f"lst20: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

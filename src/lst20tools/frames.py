@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .schema import PosTag, UnknownTag, parse_pos_tag
 
@@ -59,13 +59,6 @@ class FramePattern:
             raise FrameSpecError(
                 f"frame {self.frame_id or '<anonymous>'} needs exactly one hole, got {holes}"
             )
-
-    @property
-    def hole_index(self) -> int:
-        for i, slot in enumerate(self.slots):
-            if slot.kind is SlotKind.HOLE:
-                return i
-        raise AssertionError("unreachable: pattern always has a hole")
 
     def spec(self) -> str:
         return " ".join(slot.spec() for slot in self.slots)
@@ -107,33 +100,6 @@ def _tag(text: str, spec: str) -> PosTag:
         raise FrameSpecError(f"unknown tag {text!r} in frame spec {spec!r}") from None
 
 
-def _cover(
-    slots: Sequence[FrameSlot], tags: Sequence[PosTag], lo: int, hi: int
-) -> Optional[list[tuple[int, int]]]:
-    """Ranges assigning slots to tags[lo:hi] exactly, greedy-longest first."""
-    if not slots:
-        return [] if lo == hi else None
-    head, rest = slots[0], slots[1:]
-    if head.kind is SlotKind.PHRASE:
-        shortest = 0 if head.optional else 1
-        for take in range(hi - lo, shortest - 1, -1):
-            sub = _cover(rest, tags, lo + take, hi)
-            if sub is not None:
-                return [(lo, lo + take)] + sub
-        return None
-    # EXACT (the hole never reaches here)
-    nexts = []
-    if lo < hi and tags[lo] is head.tag:
-        nexts.append(lo + 1)
-    if head.optional:
-        nexts.append(lo)
-    for nxt in nexts:
-        sub = _cover(rest, tags, nxt, hi)
-        if sub is not None:
-            return [(lo, nxt)] + sub
-    return None
-
-
 def frame_matches(
     pos_sequence: Sequence[PosTag], candidate: int, frame: FramePattern
 ) -> Optional[FrameMatch]:
@@ -142,19 +108,45 @@ def frame_matches(
     Returns the leftmost-longest witness (each slot greedily takes the most
     it can, scanning left to right) or None. The caller strips space tokens
     beforehand; ``candidate`` indexes the stripped sequence.
+
+    ``fits[k]`` holds the positions from which ``slots[k:]`` can cover the
+    rest of the sequence, filled right to left; the witness is one walk
+    that takes each slot's longest step staying inside the table. Both
+    passes are O(slots x length), with no backtracking.
     """
-    if not 0 <= candidate < len(pos_sequence):
+    n = len(pos_sequence)
+    if not 0 <= candidate < n:
         raise ValueError("candidate index out of range")
-    hole = frame.hole_index
-    before = _cover(frame.slots[:hole], pos_sequence, 0, candidate)
-    if before is None:
+    fits: list = [{n}]
+    for slot in reversed(frame.slots):
+        after = fits[-1]
+        if slot.kind is SlotKind.PHRASE:
+            here = range(max(after) + slot.optional)
+        elif slot.kind is SlotKind.HOLE:
+            here = {candidate} if candidate + 1 in after else set()
+        else:
+            here = {p - 1 for p in after if p and pos_sequence[p - 1] is slot.tag}
+            if slot.optional:
+                here.update(after)
+        if not here:
+            return None
+        fits.append(here)
+    fits.reverse()
+    if 0 not in fits[0]:
         return None
-    after = _cover(
-        frame.slots[hole + 1 :], pos_sequence, candidate + 1, len(pos_sequence)
-    )
-    if after is None:
-        return None
-    alignment = before + [(candidate, candidate + 1)] + after
+    alignment = []
+    pos = 0
+    for slot, after in zip(frame.slots, fits[1:]):
+        if slot.kind is SlotKind.PHRASE:
+            step = max(after)
+        elif pos + 1 in after and (
+            slot.kind is SlotKind.HOLE or pos_sequence[pos] is slot.tag
+        ):
+            step = pos + 1
+        else:
+            step = pos
+        alignment.append((pos, step))
+        pos = step
     return FrameMatch(frame.frame_id, tuple(alignment))
 
 
@@ -204,12 +196,6 @@ class FrameSet:
     def ids(self) -> tuple[str, ...]:
         return tuple(f.frame_id for f in self.frames)
 
-    def get(self, frame_id: str) -> FramePattern:
-        for frame in self.frames:
-            if frame.frame_id == frame_id:
-                return frame
-        raise KeyError(frame_id)
-
 
 def default_frameset() -> FrameSet:
     return FrameSet(
@@ -246,13 +232,8 @@ def classify_instance(
     }
 
 
-def classify_lexeme(
-    attestations: Iterable[tuple[Sequence[PosTag], int]], frameset: FrameSet
-) -> set[str]:
-    """Content-word classes licensed by the union of matched frames."""
-    matched: set[str] = set()
-    for pos_sequence, candidate in attestations:
-        matched |= classify_instance(pos_sequence, candidate, frameset)
+def classify_lexeme(matched: set[str]) -> set[str]:
+    """Content-word classes licensed by the union of a lexeme's matched frame ids."""
     classes = set()
     if NOUN_FRAMES <= matched:
         classes.add("noun")

@@ -11,6 +11,7 @@ from lst20tools import (
     PosTag,
     Sentence,
     Token,
+    classify_instance,
     parse_clause_label,
     parse_ne_label,
     read_columnar,
@@ -202,6 +203,13 @@ VERB_ATTESTATIONS = (
     (_p("NN", "AX", "VV", "AV"), 2),
     (_p("NN", "VV", "NN", "CC", "AX", "VV"), 5),
 )
+
+
+def matched_frame_ids(attestations, frameset) -> set[str]:
+    """Union of the frame ids matched by each (tags, candidate) usage."""
+    return set().union(
+        *(classify_instance(tags, candidate, frameset) for tags, candidate in attestations)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,18 @@
 
 These deliberately avoid the code paths they verify: boundary-label
 legality is decided by a regular expression, frame matching by exhaustive
-enumeration of slot lengths, and entity spans and counts by regex span
-extraction.
+enumeration of slot lengths, its witness alignment by recursive
+backtracking, and entity spans and counts by regex span extraction.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import product
-from typing import Sequence
+from typing import Optional, Sequence
 
 from lst20tools.format import Token
-from lst20tools.frames import FramePattern, SlotKind
+from lst20tools.frames import FramePattern, FrameSlot, SlotKind
 from lst20tools.schema import PosTag
 
 
@@ -123,3 +123,36 @@ def frame_match_exists(
         if ok:
             return True
     return False
+
+
+def frame_witness(
+    frame: FramePattern, tags: Sequence[PosTag], candidate: int
+) -> Optional[tuple[tuple[int, int], ...]]:
+    """Leftmost-longest alignment by its direct, exponential reading.
+
+    Slots are assigned left to right by recursive backtracking: a phrase
+    tries its longest run first, an exact slot tries to take its tag before
+    taking nothing, and the hole takes the candidate token only.
+    """
+
+    def cover(slots: Sequence[FrameSlot], lo: int) -> Optional[list[tuple[int, int]]]:
+        if not slots:
+            return [] if lo == len(tags) else None
+        head, rest = slots[0], slots[1:]
+        if head.kind is SlotKind.PHRASE:
+            shortest = 0 if head.optional else 1
+            nexts = range(len(tags), lo + shortest - 1, -1)
+        elif head.kind is SlotKind.HOLE:
+            nexts = [lo + 1] if lo == candidate else []
+        else:
+            nexts = [lo + 1] if lo < len(tags) and tags[lo] is head.tag else []
+            if head.optional:
+                nexts.append(lo)
+        for nxt in nexts:
+            sub = cover(rest, nxt)
+            if sub is not None:
+                return [(lo, nxt)] + sub
+        return None
+
+    alignment = cover(frame.slots, 0)
+    return None if alignment is None else tuple(alignment)

@@ -20,6 +20,7 @@ from corpus_samples import (
     NOUN_ATTESTATIONS,
     VERB_ATTESTATIONS,
     load_fixture,
+    matched_frame_ids,
 )
 from lst20tools import Corpus, corpus_counts, lint_document, read_columnar
 from lst20tools.format import read_inline, write_columnar, write_inline
@@ -106,8 +107,8 @@ def test_frame_fixtures():
     for sequence, candidate, expected in FRAME_WITNESSES:
         matched = classify_instance(sequence, candidate, frameset)
         assert expected in matched, (sequence, candidate, expected, matched)
-    assert classify_lexeme(NOUN_ATTESTATIONS, frameset) == {"noun"}
-    assert classify_lexeme(VERB_ATTESTATIONS, frameset) == {"verb"}
+    assert classify_lexeme(matched_frame_ids(NOUN_ATTESTATIONS, frameset)) == {"noun"}
+    assert classify_lexeme(matched_frame_ids(VERB_ATTESTATIONS, frameset)) == {"verb"}
     _announce("frame-fixtures", started)
 
 

@@ -128,7 +128,8 @@ class TestBadInputFile:
 
 
 class TestBadConfigFile:
-    """A --lexicon, --manifest or --frames file that is not UTF-8 is named, exit 2."""
+    """A --lexicon, --manifest or --frames file that is not UTF-8 or does not
+    parse is named, exit 2."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -149,6 +150,27 @@ class TestBadConfigFile:
         assert main([*argv, str(config), *inputs]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("lst20: conf.txt: 'utf-8' codec can't decode")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv,content,reason",
+        [
+            (["segment", "--lexicon"], "[verbs]\n", "unknown category 'verbs'"),
+            (["stats", "--manifest"], "doc-1\n", "expected '<document-id>\\t<genre>'"),
+            (["frames", "check", "--word", "ก", "--frames"], "X.1 _ VV\n", "expected 'id: spec'"),
+            (["frames", "dump", "--frames"], "X.1 _ VV\n", "expected 'id: spec'"),
+        ],
+        ids=["lexicon", "manifest", "frames-check", "frames-dump"],
+    )
+    def test_malformed_config_names_the_file(self, tmp_path, argv, content, reason, capsys):
+        good = tmp_path / "a.txt"
+        good.write_text("ก\tVV\tO\tB_CLS\n", encoding="utf-8")
+        config = tmp_path / "conf.txt"
+        config.write_text(content, encoding="utf-8")
+        inputs = [] if argv[:2] == ["frames", "dump"] else [str(good)]
+        assert main([*argv, str(config), *inputs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"lst20: conf.txt: line 1: {reason}\n"
         assert captured.out == ""
 
 
@@ -258,6 +280,18 @@ class TestSegmentCommand:
         assert baseline.count("B_CLS") == 1
         assert extended.count("B_CLS") == 2
 
+    def test_reports_format_issues_with_location(self, tmp_path, capsys):
+        source = tmp_path / "draft.txt"
+        source.write_text("ก\tVV\tO\tO\nbroken line\n", encoding="utf-8")
+        assert main(["segment", str(source)]) == 1
+        assert capsys.readouterr().err.startswith("draft.txt: line 2: ")
+        inline = tmp_path / "draft.inline"
+        inline.write_text("ก/VV/O/O | ข/QQ/O/O ||\n", encoding="utf-8")
+        assert main(["segment", "--from", "inline", str(inline)]) == 1
+        assert capsys.readouterr().err == (
+            "draft.inline: sentence 0, token 1: inconsistent or missing annotation layers\n"
+        )
+
     def test_subject_shift_flag(self, tmp_path, capsys):
         tokens, _, _ = corpus_samples.phone_call_paragraph()
         rows = [
@@ -346,6 +380,12 @@ class TestFramesCommand:
         assert all(line.startswith("draft.txt: ") for line in errors)
         assert "QQ" in captured.err
         assert "sentence 0, token 0" in captured.out
+        inline = tmp_path / "draft.inline"
+        inline.write_text("ก/VV/O/O | ข/QQ/O/O ||\n", encoding="utf-8")
+        assert main(["frames", "check", "--from", "inline", "--word", "ก", str(inline)]) == 1
+        assert capsys.readouterr().err == (
+            "draft.inline: sentence 0, token 1: inconsistent or missing annotation layers\n"
+        )
 
     def test_bad_frame_file_exits_two(self, tmp_path):
         frames_file = tmp_path / "frames.txt"

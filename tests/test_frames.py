@@ -8,6 +8,7 @@ from corpus_samples import (
     FRAME_WITNESSES,
     NOUN_ATTESTATIONS,
     VERB_ATTESTATIONS,
+    matched_frame_ids,
 )
 from lst20tools.frames import (
     DEFAULT_FRAME_SPECS,
@@ -25,7 +26,7 @@ from lst20tools.frames import (
     load_frameset,
 )
 from lst20tools.schema import PosTag
-from oracles import frame_match_exists
+from oracles import frame_match_exists, frame_witness
 
 
 def tags(*names):
@@ -110,6 +111,21 @@ class TestMatcher:
         match = frame_matches(tags("NN", "NN", "VV"), 2, frame)
         assert match.alignment == ((0, 1), (1, 2), (2, 3))
 
+    @pytest.mark.parametrize("last", ["NN", "VV"], ids=["miss", "match"])
+    def test_matching_reads_each_tag_once_per_slot(self, last):
+        class CountingTags(list):
+            reads = 0
+
+            def __getitem__(self, index):
+                self.reads += 1
+                return super().__getitem__(index)
+
+        frame = compile_frame("_ * * * * * VV", "x")
+        sequence = CountingTags(tags(*["NN"] * 59, last))
+        match = frame_matches(sequence, 0, frame)
+        assert (match is not None) == (last == "VV")
+        assert sequence.reads <= len(frame.slots) * (len(sequence) + 1)
+
     def test_candidate_out_of_range(self):
         frame = compile_frame("_", "x")
         with pytest.raises(ValueError):
@@ -124,14 +140,14 @@ class TestMatcher:
 class TestClassification:
     def test_noun_requires_all_four_frames(self):
         frameset = default_frameset()
-        assert classify_lexeme(NOUN_ATTESTATIONS, frameset) == {"noun"}
-        assert classify_lexeme(NOUN_ATTESTATIONS[:1], frameset) == set()
+        assert classify_lexeme(matched_frame_ids(NOUN_ATTESTATIONS, frameset)) == {"noun"}
+        assert classify_lexeme(matched_frame_ids(NOUN_ATTESTATIONS[:1], frameset)) == set()
 
     def test_verb_requires_core_plus_relative_complement(self):
         frameset = default_frameset()
-        assert classify_lexeme(VERB_ATTESTATIONS, frameset) == {"verb"}
+        assert classify_lexeme(matched_frame_ids(VERB_ATTESTATIONS, frameset)) == {"verb"}
         # the intransitive use alone does not license the class
-        assert classify_lexeme(VERB_ATTESTATIONS[:1], frameset) == set()
+        assert classify_lexeme(matched_frame_ids(VERB_ATTESTATIONS[:1], frameset)) == set()
 
     def test_single_token_sentence_matches_nothing(self):
         frameset = default_frameset()
@@ -139,10 +155,9 @@ class TestClassification:
 
     def test_adjective_and_adverb_from_any_frame(self):
         frameset = default_frameset()
-        assert classify_lexeme([(tags("AJ", "NN", "VV"), 0)], frameset) == {
-            "adjective"
-        }
-        adverb = classify_lexeme([(tags("NN", "VV", "AV"), 2)], frameset)
+        adjective = matched_frame_ids([(tags("AJ", "NN", "VV"), 0)], frameset)
+        assert classify_lexeme(adjective) == {"adjective"}
+        adverb = classify_lexeme(matched_frame_ids([(tags("NN", "VV", "AV"), 2)], frameset))
         assert "adverb" in adverb
 
     def test_monotone_in_attestations(self):
@@ -156,7 +171,7 @@ class TestClassification:
             usages.append((seq, rng.randint(0, n - 1)))
         previous = set()
         for end in range(1, len(usages) + 1):
-            classes = classify_lexeme(usages[:end], frameset)
+            classes = classify_lexeme(matched_frame_ids(usages[:end], frameset))
             assert previous <= classes
             previous = classes
 
@@ -219,9 +234,15 @@ def test_matcher_agrees_with_enumeration_oracle_sample():
         n = rng.randint(1, 8)
         sequence = [rng.choice(ALL_TAGS) for _ in range(n)]
         candidate = rng.randrange(n)
-        got = frame_matches(sequence, candidate, frame) is not None
+        match = frame_matches(sequence, candidate, frame)
         expected = frame_match_exists(frame, sequence, candidate)
-        assert got == expected, (frame.spec(), [t.value for t in sequence], candidate)
+        assert (match is not None) == expected, (
+            frame.spec(), [t.value for t in sequence], candidate
+        )
+        witness = frame_witness(frame, sequence, candidate)
+        assert (match and match.alignment) == witness, (
+            frame.spec(), [t.value for t in sequence], candidate
+        )
 
 
 @settings(max_examples=200, deadline=None)
