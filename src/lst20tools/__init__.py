@@ -9,7 +9,6 @@ from .format import (
     FORMAT_COLUMNAR,
     FORMAT_INLINE,
     SPACE_GLYPH,
-    Corpus,
     Document,
     FormatError,
     LineError,
@@ -61,7 +60,7 @@ from .segment import (
     load_marker_lexicon,
     segment_paragraphs,
 )
-from .stats import CorpusCounts, corpus_counts, genre_histogram, load_manifest, tag_frequency
+from .stats import CorpusCounts, document_counts, load_manifest, tag_frequency
 from .validate import (
     LintIssue,
     LintReport,

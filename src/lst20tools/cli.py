@@ -19,7 +19,7 @@ from . import frames as frames_mod
 from . import segment as segment_mod
 from . import stats as stats_mod
 from . import validate as validate_mod
-from .format import FORMAT_COLUMNAR, FORMAT_INLINE, Corpus, Document
+from .format import FORMAT_COLUMNAR, FORMAT_INLINE, Document
 from .validate import LintIssue, LintReport, Severity
 
 EXIT_OK = 0
@@ -222,38 +222,31 @@ def _cmd_stats(args) -> int:
         genres = _load_config(args.manifest, stats_mod.load_manifest)
     totals = stats_mod.CorpusCounts()
     genre_hist: Counter = Counter()
-    pos_hist: Counter = Counter()
-    ne_hist: Counter = Counter()
+    format_errors = 0
     skipped = False
     for path in inputs:
         try:
-            doc, _ = _read_document(path, args.informat, args.strict)
+            doc, errors = _read_document(path, args.informat, args.strict)
         except _BadInput as exc:
             print(exc, file=sys.stderr)
             skipped = True
             continue
-        if doc.doc_id in genres or path.stem in genres:
-            doc = Document(
-                doc.doc_id,
-                doc.sentences,
-                genre=genres.get(doc.doc_id, genres.get(path.stem)),
-            )
-        corpus = Corpus((doc,))
-        totals = totals + stats_mod.document_counts(doc, args.include_spaces)
-        genre_hist += stats_mod.genre_histogram(corpus)
-        pos_hist += stats_mod.tag_frequency(corpus, "pos")
-        ne_hist += stats_mod.tag_frequency(corpus, "ne")
+        totals += stats_mod.document_counts(doc, args.include_spaces)
+        genre_hist[genres.get(path.name) or genres.get(path.stem) or "unknown"] += 1
+        format_errors += len(errors)
     if args.json:
         payload = {
             "counts": totals.to_dict(),
+            "format_errors": format_errors,
             "genres": dict(sorted(genre_hist.items())),
-            "pos": dict(sorted(pos_hist.items())),
-            "ne": dict(sorted(ne_hist.items())),
+            "pos": dict(sorted(totals.pos.items())),
+            "ne": dict(sorted(totals.ne.items())),
         }
         output = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     else:
         lines = [f"{name}\t{value}" for name, value in totals.to_dict().items()]
-        for title, hist in (("genre", genre_hist), ("pos", pos_hist), ("ne", ne_hist)):
+        lines.append(f"format_errors\t{format_errors}")
+        for title, hist in (("genre", genre_hist), ("pos", totals.pos), ("ne", totals.ne)):
             for key, count in sorted(hist.items()):
                 lines.append(f"{title}:{key}\t{count}")
         output = "\n".join(lines) + "\n"

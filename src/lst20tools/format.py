@@ -117,20 +117,11 @@ class Sentence:
 class Document:
     doc_id: str
     sentences: tuple[Sentence, ...] = ()
-    genre: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sentences", tuple(self.sentences))
         if not self.doc_id:
             raise ValueError("document id must be non-empty")
-
-
-@dataclass(frozen=True, slots=True)
-class Corpus:
-    documents: tuple[Document, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "documents", tuple(self.documents))
 
 
 def _fail(exc: FormatError, errors: Optional[list]) -> None:

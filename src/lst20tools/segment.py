@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 from .format import Sentence, Token, relabel_clauses
-from .schema import ClauseLabel, PosTag
+from .schema import BoundaryPrefix, ClauseLabel, PosTag
 
 _SUBORDINATE_CONNECTORS = ("ซึ่ง", "ที่", "ถ้า", "ว่า", "ผู้")
 _COHESIVE_MARKERS = ("อย่างไรก็ตาม", "นอกจากนี้", "แต่ทว่า", "ในที่สุด")
@@ -204,10 +204,16 @@ def _has_verb(tokens: Sequence[Token], start: int, end: int) -> bool:
     return any(t.pos is PosTag.VV for t in tokens[start:end])
 
 
+def _is_gap(token: Token) -> bool:
+    """A space outside every named entity. A space inside one is content:
+    no clause edge trims it and R2 never splits at it, so no name loses a token."""
+    return token.is_space and token.ne.prefix is BoundaryPrefix.O
+
+
 def _trim(tokens: Sequence[Token], start: int, end: int) -> Optional[tuple[int, int]]:
-    while start < end and tokens[start].is_space:
+    while start < end and _is_gap(tokens[start]):
         start += 1
-    while end > start and tokens[end - 1].is_space:
+    while end > start and _is_gap(tokens[end - 1]):
         end -= 1
     if start == end:
         return None
@@ -223,7 +229,7 @@ def _split_spaces(tokens: Sequence[Token], markers: frozenset[str]) -> list[int]
     for i, token in enumerate(tokens):
         if i and tokens[i - 1].pos is PosTag.VV:
             last_verb = i - 1
-        if not token.is_space:
+        if not _is_gap(token):
             continue
         # Right flank: the run of non-space tokens after this space.
         j = i + 1
@@ -471,6 +477,7 @@ def segment_paragraphs(
     Returns the segmented sentences and the indices at which each input
     paragraph starts. White space between sentences is dropped; white
     space between clauses of one sentence is kept with clause label O.
+    White space with an NE label is part of a name and always kept.
     """
     lexicon = lexicon or MarkerLexicon.default()
     sentences: list[Sentence] = []

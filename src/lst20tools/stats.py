@@ -9,20 +9,26 @@ number of spans.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable
 
-from .format import Corpus, Document
+from .format import Document
 from .schema import BoundaryPrefix, ClauseLabel
 
 
 @dataclass(frozen=True, slots=True)
 class CorpusCounts:
+    """The six corpus counts plus the POS histogram (every token's tag) and
+    the NE histogram (entities per category); ``+`` sums them all."""
+
     documents: int = 0
     sentences: int = 0
     clauses: int = 0
     named_entities: int = 0
     words: int = 0
     tokens: int = 0
+    pos: Counter = field(default_factory=Counter)
+    ne: Counter = field(default_factory=Counter)
 
     def __add__(self, other: "CorpusCounts") -> "CorpusCounts":
         return CorpusCounts(
@@ -32,9 +38,12 @@ class CorpusCounts:
             self.named_entities + other.named_entities,
             self.words + other.words,
             self.tokens + other.tokens,
+            self.pos + other.pos,
+            self.ne + other.ne,
         )
 
     def to_dict(self) -> dict[str, int]:
+        """The six counts; the histograms are reported on their own."""
         return {
             "documents": self.documents,
             "sentences": self.sentences,
@@ -46,49 +55,30 @@ class CorpusCounts:
 
 
 def document_counts(doc: Document, include_spaces: bool = False) -> CorpusCounts:
-    sentences = clauses = entities = words = tokens = 0
+    """Counts and histograms of one document, in one walk over its tokens."""
+    sentences = clauses = words = tokens = 0
+    pos: Counter = Counter()
+    ne: Counter = Counter()
     for sentence in doc.sentences:
         sentences += 1
         for token in sentence.tokens:
             tokens += 1
+            pos[token.pos.value] += 1
             if include_spaces or not token.is_space:
                 words += 1
             if token.ne.prefix is BoundaryPrefix.B:
-                entities += 1
+                ne[token.ne.category.value] += 1
             if token.clause is ClauseLabel.B_CLS:
                 clauses += 1
-    return CorpusCounts(1, sentences, clauses, entities, words, tokens)
+    return CorpusCounts(1, sentences, clauses, sum(ne.values()), words, tokens, pos, ne)
 
 
-def corpus_counts(corpus: Corpus, include_spaces: bool = False) -> CorpusCounts:
-    total = CorpusCounts()
-    for doc in corpus.documents:
-        total = total + document_counts(doc, include_spaces)
-    return total
-
-
-def genre_histogram(corpus: Corpus) -> Counter:
-    """Documents per genre; documents without one land in ``unknown``."""
-    histogram: Counter = Counter()
-    for doc in corpus.documents:
-        histogram[doc.genre if doc.genre else "unknown"] += 1
-    return histogram
-
-
-def tag_frequency(corpus: Corpus, layer: str) -> Counter:
-    """Tag histogram for ``layer``: ``pos`` counts every token's POS tag,
-    ``ne`` counts entities (B-labels) per category."""
+def tag_frequency(documents: Iterable[Document], layer: str) -> Counter:
+    """Tag histogram for ``layer`` over ``documents``: ``pos`` counts every
+    token's POS tag, ``ne`` counts entities (B-labels) per category."""
     if layer not in ("pos", "ne"):
         raise ValueError("layer must be 'pos' or 'ne'")
-    histogram: Counter = Counter()
-    for doc in corpus.documents:
-        for sentence in doc.sentences:
-            for token in sentence.tokens:
-                if layer == "pos":
-                    histogram[token.pos.value] += 1
-                elif token.ne.prefix is BoundaryPrefix.B:
-                    histogram[token.ne.category.value] += 1
-    return histogram
+    return getattr(sum(map(document_counts, documents), CorpusCounts()), layer)
 
 
 def load_manifest(text: str) -> dict[str, str]:

@@ -197,16 +197,6 @@ def validate_token_tags(sentence: Sentence, sentence_idx: int = 0) -> list[LintI
     return issues
 
 
-def lint_sentence(sentence: Sentence, sentence_idx: int = 0) -> list[LintIssue]:
-    issues = (
-        validate_ne_sequence(sentence, sentence_idx)
-        + validate_clause_sequence(sentence, sentence_idx)
-        + validate_token_tags(sentence, sentence_idx)
-    )
-    issues.sort(key=_sort_key)
-    return issues
-
-
 def _sort_key(issue: LintIssue):
     return (
         issue.sentence if issue.sentence is not None else -1,
@@ -222,6 +212,8 @@ def lint_document(doc: Document, extra: Optional[list[LintIssue]] = None) -> Lin
     """
     issues: list[LintIssue] = list(extra) if extra else []
     for idx, sentence in enumerate(doc.sentences):
-        issues.extend(lint_sentence(sentence, idx))
+        issues += validate_ne_sequence(sentence, idx)
+        issues += validate_clause_sequence(sentence, idx)
+        issues += validate_token_tags(sentence, idx)
     issues.sort(key=_sort_key)
     return LintReport(tuple(issues))

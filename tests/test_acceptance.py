@@ -5,6 +5,7 @@ the full corpus and is skipped unless LST20_DIR points at it (optionally
 LST20_MANIFEST at a document-id/genre table).
 """
 
+import json
 import os
 import random
 import time
@@ -22,11 +23,11 @@ from corpus_samples import (
     load_fixture,
     matched_frame_ids,
 )
-from lst20tools import Corpus, corpus_counts, lint_document, read_columnar
+from lst20tools import document_counts, lint_document, read_columnar
+from lst20tools.cli import main
 from lst20tools.format import read_inline, write_columnar, write_inline
 from lst20tools.frames import classify_instance, classify_lexeme, default_frameset
 from lst20tools.segment import aggregate_sentences, detect_clauses, emit_clause_labels
-from lst20tools.stats import genre_histogram, load_manifest, tag_frequency
 from lst20tools.validate import validate_ne_sequence
 from oracles import bieo_accepts, frame_match_exists
 from test_frames import _random_frame
@@ -134,21 +135,19 @@ def test_frame_matcher_oracle():
 
 def test_stats_counts():
     started = time.perf_counter()
-    phone = corpus_counts(Corpus((load_fixture("phone_call.txt"),)))
+    phone = document_counts(load_fixture("phone_call.txt"))
     assert phone.sentences == 3
     assert phone.clauses == 4
     assert phone.named_entities == 0
 
-    glimpse = corpus_counts(Corpus((load_fixture("glimpse.txt"),)))
+    glimpse = document_counts(load_fixture("glimpse.txt"))
     assert glimpse.documents == 1
     assert glimpse.sentences == 3
     assert glimpse.clauses == 5
     assert glimpse.named_entities == 4
     assert glimpse.tokens == 27
     assert glimpse.words == 24
-    assert tag_frequency(Corpus((load_fixture("glimpse.txt"),)), "ne") == {
-        "ORG": 1, "DTM": 1, "DES": 1, "PER": 1,
-    }
+    assert glimpse.ne == {"ORG": 1, "DTM": 1, "DES": 1, "PER": 1}
     _announce("stats-counts", started)
 
 
@@ -156,38 +155,30 @@ def test_stats_counts():
     "LST20_DIR" not in os.environ,
     reason="full-corpus check needs LST20_DIR pointing at the released data",
 )
-def test_full_corpus_counts():
+def test_full_corpus_counts(capsys):
     started = time.perf_counter()
     root = Path(os.environ["LST20_DIR"])
     files = sorted(p for p in root.rglob("*.txt") if p.is_file())
     assert files, f"no .txt files under {root}"
 
-    from lst20tools.stats import CorpusCounts, document_counts
+    from lst20tools.stats import CorpusCounts
 
     totals = CorpusCounts()
-    pos_bins = set()
     for path in files:
         doc = read_columnar(path.read_text(encoding="utf-8"), path.stem)
-        totals = totals + document_counts(doc)
-        for sentence in doc.sentences:
-            for token in sentence.tokens:
-                pos_bins.add(token.pos.value)
+        totals += document_counts(doc)
 
     assert totals.documents == 3745
     assert totals.sentences == 74180
     assert totals.clauses == 248962
     assert totals.named_entities == 288020
     assert abs(totals.words - 3164864) <= 0.005 * 3164864
-    assert len(pos_bins) <= 16
+    assert len(totals.pos) <= 16
 
     manifest_path = os.environ.get("LST20_MANIFEST")
     if manifest_path:
-        genres = load_manifest(Path(manifest_path).read_text(encoding="utf-8"))
-        from lst20tools.format import Document
-
-        tagged = Corpus(
-            tuple(Document(p.stem, (), genre=genres.get(p.stem)) for p in files)
-        )
-        assert len(genre_histogram(tagged)) == 15
+        argv = ["stats", "--json", "--manifest", manifest_path, *map(str, files)]
+        assert main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["genres"]) == 15
     assert time.perf_counter() - started < 60.0
     _announce("full-corpus", started)

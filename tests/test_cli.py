@@ -335,6 +335,22 @@ class TestStatsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"]["words"] == payload["counts"]["tokens"]
 
+    def test_counts_the_lines_it_skips(self, tmp_path, capsys):
+        path = tmp_path / "draft.txt"
+        path.write_text("ก\tVV\tB_PER\tB_CLS\nbroken line\nข\tQQ\tO\tO\n", encoding="utf-8")
+        assert main(["stats", "--json", str(path)]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["format_errors"] == 2
+        assert payload["counts"] == {
+            "documents": 1, "sentences": 1, "clauses": 1,
+            "named_entities": 1, "words": 1, "tokens": 1,
+        }
+        assert payload["pos"] == {"VV": 1} and payload["ne"] == {"PER": 1}
+        assert captured.err == ""
+        assert main(["stats", str(path)]) == 0
+        assert "\ntokens\t1\nformat_errors\t2\n" in capsys.readouterr().out
+
 
 class TestFramesCommand:
     def test_dump_lists_builtin_frames(self, capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 import corpus_samples
 from corpus_samples import toks
 from lst20tools import PosTag, Token, space_token
-from lst20tools.schema import ClauseLabel
+from lst20tools.schema import ClauseLabel, parse_ne_label
 from lst20tools.segment import (
     ClauseSpan,
     ConfigError,
@@ -20,8 +21,8 @@ from lst20tools.segment import (
     load_marker_lexicon,
     segment_paragraphs,
 )
-from lst20tools.validate import Severity, validate_clause_sequence
-from lst20tools.format import Sentence, relabel_clauses
+from lst20tools.validate import Severity, lint_document, validate_clause_sequence
+from lst20tools.format import Document, Sentence, relabel_clauses
 from oracles import r2_space_splits
 
 
@@ -346,9 +347,14 @@ class TestPipeline:
                     assert i in covered, (rows, spans)
 
 
-# Markers from the default lexicon ("ว่า", "เช่น", "นะ") mixed with plain words.
+# Markers from the default lexicon ("ว่า", "เช่น", "นะ") mixed with plain words,
+# and spaces outside and inside a named entity.
 _R2_TOKENS = st.one_of(
-    st.builds(space_token, st.sampled_from([PosTag.PU, PosTag.VV])),
+    st.builds(
+        space_token,
+        st.sampled_from([PosTag.PU, PosTag.VV]),
+        st.sampled_from([parse_ne_label("O"), parse_ne_label("I_LOC")]),
+    ),
     st.builds(
         Token,
         st.sampled_from(["ว่า", "เช่น", "นะ", "กิน", "บ้าน"]),
@@ -364,3 +370,39 @@ def test_r2_space_splits_match_quadratic_reference(tokens):
     assert _split_spaces(tokens, lexicon.clause_markers) == r2_space_splits(
         tokens, lexicon.clause_markers
     )
+
+
+_MARKER_WORDS = (("ว่า", PosTag.CC), ("ซึ่ง", PosTag.CC), ("เช่น", PosTag.CC), ("นะ", PosTag.PA))
+
+
+def _ne_issues(sentences):
+    report = lint_document(Document("d", tuple(sentences)))
+    return [issue for issue in report.issues if issue.layer == "NE"]
+
+
+def _entity_tokens(sentences):
+    return [(t.surface, t.ne) for s in sentences for t in s.tokens if str(t.ne) != "O"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_segmenting_keeps_named_entities_whole(rng):
+    """NE-clean paragraphs come out NE-clean, with every token that carries
+    an NE label kept, in order. Markers are planted outside entities only:
+    a connector inside a name can still open a clause there."""
+    doc = corpus_samples.random_document(rng, max_sentences=6, max_tokens=30)
+    paragraphs = []
+    for sentence in doc.sentences:
+        tokens = []
+        for token in sentence.tokens:
+            if not token.is_space and str(token.ne) == "O" and rng.random() < 0.2:
+                surface, pos = rng.choice(_MARKER_WORDS)
+                token = replace(token, surface=surface, pos=pos)
+            elif not token.is_space and rng.random() < 0.3:
+                token = replace(token, pos=PosTag.VV)
+            tokens.append(token)
+        paragraphs.append(Sentence(tuple(tokens)))
+    assert not _ne_issues(paragraphs)
+    sentences, _ = segment_paragraphs([p.tokens for p in paragraphs])
+    assert not _ne_issues(sentences)
+    assert _entity_tokens(sentences) == _entity_tokens(paragraphs)
