@@ -50,13 +50,10 @@ from .schema import (
     parse_pos_tag,
 )
 from .segment import (
-    ClauseSpan,
     ConfigError,
     MarkerLexicon,
-    SentenceSpan,
     aggregate_sentences,
     detect_clauses,
-    emit_clause_labels,
     load_marker_lexicon,
     segment_paragraphs,
 )

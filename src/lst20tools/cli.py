@@ -8,6 +8,7 @@ stderr; data goes to stdout or the ``--output`` path.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -294,6 +295,7 @@ def _cmd_frames(args) -> int:
     return status
 
 
+@functools.cache  # parsing leaves the parser as it was, so one per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lst20",
@@ -301,10 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, many_inputs=False, inputs_required=True):
-        if inputs_required:
-            nargs = "+" if many_inputs else 1
-            p.add_argument("inputs", nargs=nargs, metavar="PATH")
+    def add_common(p, many_inputs=False):
+        nargs = "+" if many_inputs else 1
+        p.add_argument("inputs", nargs=nargs, metavar="PATH")
         p.add_argument(
             "--from",
             dest="informat",

@@ -11,7 +11,7 @@ is the glyph ``SPACE_GLYPH`` (U+2423).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .schema import (
@@ -384,14 +384,3 @@ def convert(
         return write_columnar(doc)
     layers = inline_layer_count(text) if src_format == FORMAT_INLINE else 4
     return write_inline(sentences, layers)
-
-
-def relabel_clauses(
-    tokens: Sequence[Token], labels: Sequence[ClauseLabel]
-) -> tuple[Token, ...]:
-    """Tokens with the clause layer replaced; other layers untouched."""
-    if len(tokens) != len(labels):
-        raise ValueError("one clause label per token required")
-    return tuple(
-        replace(token, clause=label) for token, label in zip(tokens, labels)
-    )

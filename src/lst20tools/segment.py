@@ -7,11 +7,10 @@ Clause rules, applied per paragraph in priority order:
   contain a verb and a clause marker sits immediately before or after
   the space.
 * R3 clause marker: a CC-tagged subordinate connector or relative
-  pronoun opens a new clause even without a space.
-
-Stretches left without a verb are merged into the following clause
-(or the preceding one at the paragraph edge) so that every emitted
-clause contains at least one verb unless the whole paragraph is verbless.
+  pronoun opens a new clause even without a space, when a verb lies
+  between the last clause edge and the connector and another verb lies
+  after it in the same R2 region. So every clause holds a verb unless its
+  whole region is verbless. A connector inside a named entity opens none.
 
 Sentence rules, applied to each adjacent clause pair, merge rules first:
 
@@ -35,9 +34,9 @@ differing stretches split.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .format import Sentence, Token, relabel_clauses
+from .format import Sentence, Token
 from .schema import BoundaryPrefix, ClauseLabel, PosTag
 
 _SUBORDINATE_CONNECTORS = ("ซึ่ง", "ที่", "ถ้า", "ว่า", "ผู้")
@@ -175,35 +174,6 @@ def load_marker_lexicon(config_text: str = "") -> MarkerLexicon:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ClauseSpan:
-    """Half-open token index range of one clause within its paragraph."""
-
-    start: int
-    end: int
-    has_verb: bool = True
-
-    def __post_init__(self) -> None:
-        if self.start >= self.end:
-            raise ValueError("clause span must be non-empty")
-
-
-@dataclass(frozen=True, slots=True)
-class SentenceSpan:
-    """Half-open range of clause indices forming one sentence."""
-
-    start: int
-    end: int
-
-    def __post_init__(self) -> None:
-        if self.start >= self.end:
-            raise ValueError("sentence span must be non-empty")
-
-
-def _has_verb(tokens: Sequence[Token], start: int, end: int) -> bool:
-    return any(t.pos is PosTag.VV for t in tokens[start:end])
-
-
 def _is_gap(token: Token) -> bool:
     """A space outside every named entity. A space inside one is content:
     no clause edge trims it and R2 never splits at it, so no name loses a token."""
@@ -236,7 +206,7 @@ def _split_spaces(tokens: Sequence[Token], markers: frozenset[str]) -> list[int]
         while j < n and not tokens[j].is_space:
             j += 1
         left_ok = last_verb >= region_start
-        right_ok = _has_verb(tokens, i + 1, j)
+        right_ok = any(t.pos is PosTag.VV for t in tokens[i + 1 : j])
         marker_adjacent = (
             i > 0 and not tokens[i - 1].is_space and tokens[i - 1].surface in markers
         ) or (i + 1 < n and not tokens[i + 1].is_space and tokens[i + 1].surface in markers)
@@ -246,205 +216,138 @@ def _split_spaces(tokens: Sequence[Token], markers: frozenset[str]) -> list[int]
     return splits
 
 
-def _marker_splits(
-    tokens: Sequence[Token], start: int, end: int, connectors: frozenset[str]
-) -> list[int]:
-    """R3 split points inside one region: a new clause opens at each one."""
-    points = []
-    for i in range(start + 1, end):
-        token = tokens[i]
-        if (
-            not token.is_space
-            and token.pos is PosTag.CC
-            and token.surface in connectors
-        ):
-            points.append(i)
-    return points
+def detect_clauses(
+    tokens: Sequence[Token], lexicon: Optional[MarkerLexicon] = None
+) -> list[tuple[int, int]]:
+    """Clause spans of one paragraph as half-open ``(start, end)`` token ranges.
 
-
-def _merge_verbless(chunks: list[tuple[int, int, bool]]) -> list[tuple[int, int, bool]]:
-    """Fold verbless chunks forward into the next one, backward at the edge."""
-    merged: list[tuple[int, int, bool]] = []
-    pending: Optional[tuple[int, int]] = None
-    for start, end, has_verb in chunks:
-        if pending is not None:
-            start = pending[0]
-            pending = None
-        if has_verb:
-            merged.append((start, end, True))
-        else:
-            pending = (start, end)
-    if pending is not None:
-        if merged:
-            last = merged.pop()
-            merged.append((last[0], pending[1], last[2]))
-        else:
-            merged.append((pending[0], pending[1], False))
-    return merged
-
-
-def _segment_paragraph(
-    tokens: Sequence[Token], lexicon: MarkerLexicon
-) -> list[ClauseSpan]:
+    R2 cuts the paragraph into regions, each trimmed of its edge white
+    space. Inside a region, R3 cuts at a subordinate connector when a verb
+    lies between the last cut and the connector and another verb lies
+    after it, so a clause is verbless only when its whole region is. A
+    connector inside a named entity (NE prefix I or E) never cuts.
+    """
     if not tokens:
         raise ValueError("paragraph must contain at least one token")
-    splits = _split_spaces(tokens, lexicon.clause_markers)
-    regions = []
-    start = 0
-    for space_idx in splits:
-        regions.append((start, space_idx))
-        start = space_idx + 1
-    regions.append((start, len(tokens)))
-
-    spans: list[ClauseSpan] = []
-    for reg_start, reg_end in regions:
-        trimmed = _trim(tokens, reg_start, reg_end)
-        if trimmed is None:
+    lexicon = lexicon or MarkerLexicon.default()
+    connectors = lexicon.subordinate_connectors
+    spans: list[tuple[int, int]] = []
+    region_start = 0
+    for region_end in [*_split_spaces(tokens, lexicon.clause_markers), len(tokens)]:
+        region = _trim(tokens, region_start, region_end)
+        region_start = region_end + 1
+        if region is None:
             continue
-        reg_start, reg_end = trimmed
-        points = _marker_splits(
-            tokens, reg_start, reg_end, lexicon.subordinate_connectors
-        )
-        bounds = [reg_start, *points, reg_end]
-        chunks = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            edge = _trim(tokens, lo, hi)
-            if edge is None:
-                continue
-            chunks.append((lo, hi, _has_verb(tokens, lo, hi)))
-        for lo, hi, has_verb in _merge_verbless(chunks):
-            lo, hi = _trim(tokens, lo, hi)
-            spans.append(ClauseSpan(lo, hi, has_verb))
+        cut, end = region
+        last_verb = end - 1  # no cut at or after it: no verb would follow
+        while last_verb > cut and tokens[last_verb].pos is not PosTag.VV:
+            last_verb -= 1
+        verb_since_cut = False
+        for i in range(cut, last_verb):
+            token = tokens[i]
+            if token.pos is PosTag.VV:
+                verb_since_cut = True
+            elif (
+                verb_since_cut
+                and token.pos is PosTag.CC
+                and not token.is_space
+                and token.surface in connectors
+                and token.ne.prefix not in (BoundaryPrefix.I, BoundaryPrefix.E)
+            ):
+                spans.append(_trim(tokens, cut, i))
+                cut = i
+                verb_since_cut = False
+        spans.append((cut, end))
     return spans
 
 
-def detect_clauses(
-    paragraphs: Iterable[Sequence[Token]],
-    lexicon: Optional[MarkerLexicon] = None,
-) -> list[list[ClauseSpan]]:
-    """Clause spans per paragraph over POS-tagged token streams."""
-    lexicon = lexicon or MarkerLexicon.default()
-    return [_segment_paragraph(tokens, lexicon) for tokens in paragraphs]
-
-
-def emit_clause_labels(
-    spans: Sequence[ClauseSpan], tokens: Sequence[Token]
-) -> list[ClauseLabel]:
-    """BIEO clause labels for one paragraph; tokens outside all spans get O."""
-    labels = [ClauseLabel.O] * len(tokens)
-    for span in spans:
-        if span.end - span.start == 1:
-            labels[span.start] = ClauseLabel.B_CLS
-            continue
-        labels[span.start] = ClauseLabel.B_CLS
-        labels[span.end - 1] = ClauseLabel.E_CLS
-        for i in range(span.start + 1, span.end - 1):
-            labels[i] = ClauseLabel.I_CLS
-    return labels
-
-
-def _first_content(tokens: Sequence[Token], span: ClauseSpan) -> Optional[Token]:
-    for token in tokens[span.start : span.end]:
-        if not token.is_space:
-            return token
-    return None
-
-
-def _content(tokens: Sequence[Token], span: ClauseSpan) -> list[Token]:
-    return [t for t in tokens[span.start : span.end] if not t.is_space]
-
-
-def _subject_stretch(tokens: Sequence[Token], span: ClauseSpan) -> tuple[str, ...]:
+def _subject_stretch(content: Sequence[Token]) -> tuple[str, ...]:
     stretch = []
-    for token in _content(tokens, span):
+    for token in content:
         if token.pos in (PosTag.VV, PosTag.AX, PosTag.NG):
             break
         stretch.append(token.surface)
     return tuple(stretch)
 
 
-def _rule_s6(prev, nxt, tokens, lexicon) -> Optional[str]:
-    head = _first_content(tokens, nxt)
-    if head is not None and head.surface in lexicon.list_markers:
+def _rule_s6(prev, nxt, lexicon) -> Optional[str]:
+    if nxt and nxt[0].surface in lexicon.list_markers:
         return "merge"
     return None
 
 
-def _ends_with_report(tokens, span, lexicon) -> bool:
-    content = _content(tokens, span)
+def _ends_with_report(content, lexicon) -> bool:
     if content and content[-1].surface in lexicon.subordinate_connectors:
         content = content[:-1]
     return bool(content) and content[-1].surface in lexicon.reporting_verbs
 
 
-def _rule_s4(prev, nxt, tokens, lexicon) -> Optional[str]:
-    head = _first_content(tokens, nxt)
+def _rule_s4(prev, nxt, lexicon) -> Optional[str]:
     if (
-        head is not None
-        and head.surface in _QUOTE_CHARS
-        and _ends_with_report(tokens, prev, lexicon)
+        nxt
+        and nxt[0].surface in _QUOTE_CHARS
+        and _ends_with_report(prev, lexicon)
     ):
         return "merge"
     return None
 
 
-def _rule_s5(prev, nxt, tokens, lexicon) -> Optional[str]:
-    content = _content(tokens, prev)
+def _rule_s5(prev, nxt, lexicon) -> Optional[str]:
     if (
-        len(content) >= 2
-        and content[-1].surface in lexicon.subordinate_connectors
-        and content[-2].surface in lexicon.reporting_verbs
+        len(prev) >= 2
+        and prev[-1].surface in lexicon.subordinate_connectors
+        and prev[-2].surface in lexicon.reporting_verbs
     ):
         return "merge"
     return None
 
 
-def _rule_s2(prev, nxt, tokens, lexicon) -> Optional[str]:
-    head = _first_content(tokens, nxt)
-    if head is not None and head.surface in lexicon.cohesive_markers:
+def _rule_s2(prev, nxt, lexicon) -> Optional[str]:
+    if nxt and nxt[0].surface in lexicon.cohesive_markers:
         return "split"
     return None
 
 
-def _rule_s7(prev, nxt, tokens, lexicon) -> Optional[str]:
-    content = _content(tokens, prev)
+def _rule_s7(prev, nxt, lexicon) -> Optional[str]:
     if (
-        content
-        and content[-1].pos is PosTag.PA
-        and content[-1].surface in lexicon.particles
+        prev
+        and prev[-1].pos is PosTag.PA
+        and prev[-1].surface in lexicon.particles
     ):
         return "split"
     return None
 
 
-# Merge rules first; S3 decides a pair that none of these decides.
+# Merge rules first; S3 decides a pair that none of these decides. Each rule
+# reads the two clauses' non-space tokens.
 _SENTENCE_RULES = (_rule_s6, _rule_s4, _rule_s5, _rule_s2, _rule_s7)
 
 
-def _decide_pair(prev, nxt, tokens, lexicon, subject_shift) -> str:
+def _decide_pair(prev, nxt, lexicon, subject_shift) -> str:
     for rule in _SENTENCE_RULES:
-        verdict = rule(prev, nxt, tokens, lexicon)
+        verdict = rule(prev, nxt, lexicon)
         if verdict is not None:
             return verdict
     if subject_shift == "always":
         return "split"
     if subject_shift == "never":
         return "merge"
-    left = _subject_stretch(tokens, prev)
-    right = _subject_stretch(tokens, nxt)
+    left = _subject_stretch(prev)
+    right = _subject_stretch(nxt)
     if not right:
         return "merge"  # zero anaphora: subject carried over
     return "merge" if left == right else "split"
 
 
 def aggregate_sentences(
-    clauses: Sequence[ClauseSpan],
+    clauses: Sequence[tuple[int, int]],
     tokens: Sequence[Token],
     lexicon: Optional[MarkerLexicon] = None,
     *,
     subject_shift: str = "heuristic",
-) -> list[SentenceSpan]:
-    """Group one paragraph's clauses into sentences.
+) -> list[tuple[int, int]]:
+    """Group one paragraph's clauses into sentences, returned as half-open
+    ``(start, end)`` ranges of clause indices.
 
     Paragraph boundaries (S1) are enforced by construction: callers pass
     one paragraph's clauses at a time. ``subject_shift`` is the S3
@@ -455,14 +358,17 @@ def aggregate_sentences(
     lexicon = lexicon or MarkerLexicon.default()
     if not clauses:
         return []
+    contents = [
+        [t for t in tokens[lo:hi] if not t.is_space] for lo, hi in clauses
+    ]
     spans = []
     start = 0
     for i in range(len(clauses) - 1):
-        verdict = _decide_pair(clauses[i], clauses[i + 1], tokens, lexicon, subject_shift)
+        verdict = _decide_pair(contents[i], contents[i + 1], lexicon, subject_shift)
         if verdict == "split":
-            spans.append(SentenceSpan(start, i + 1))
+            spans.append((start, i + 1))
             start = i + 1
-    spans.append(SentenceSpan(start, len(clauses)))
+    spans.append((start, len(clauses)))
     return spans
 
 
@@ -484,15 +390,22 @@ def segment_paragraphs(
     paragraph_starts: list[int] = []
     for tokens in paragraphs:
         paragraph_starts.append(len(sentences))
-        clause_spans = _segment_paragraph(tokens, lexicon)
-        if not clause_spans:
-            continue
-        labels = emit_clause_labels(clause_spans, tokens)
-        relabeled = relabel_clauses(tokens, labels)
-        for span in aggregate_sentences(
-            clause_spans, tokens, lexicon, subject_shift=subject_shift
+        clauses = detect_clauses(tokens, lexicon)
+        labels = [ClauseLabel.O] * len(tokens)
+        for lo, hi in clauses:
+            labels[lo:hi] = [ClauseLabel.I_CLS] * (hi - lo)
+            labels[hi - 1] = ClauseLabel.E_CLS
+            labels[lo] = ClauseLabel.B_CLS  # a one-token clause is a lone B
+        for first, last in aggregate_sentences(
+            clauses, tokens, lexicon, subject_shift=subject_shift
         ):
-            lo = clause_spans[span.start].start
-            hi = clause_spans[span.end - 1].end
-            sentences.append(Sentence(relabeled[lo:hi]))
+            lo, hi = clauses[first][0], clauses[last - 1][1]
+            sentences.append(
+                Sentence(
+                    tuple(
+                        Token(t.surface, t.pos, t.ne, label, t.is_space)
+                        for t, label in zip(tokens[lo:hi], labels[lo:hi])
+                    )
+                )
+            )
     return sentences, paragraph_starts

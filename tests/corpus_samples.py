@@ -17,7 +17,6 @@ from lst20tools import (
     read_columnar,
     space_token,
 )
-from lst20tools.segment import ClauseSpan
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -90,7 +89,7 @@ def phone_call_paragraph():
             ("ควร", "AX"), ("ทำ", "VV"), ("อะไร", "PR"), ("ต่อไป", "AV"),
         ]
     )
-    clauses = [ClauseSpan(0, 7), ClauseSpan(8, 15), ClauseSpan(16, 20), ClauseSpan(21, 29)]
+    clauses = [(0, 7), (8, 15), (16, 20), (21, 29)]
     gold_partition = [(0, 1), (1, 2), (2, 4)]
     return tokens, clauses, gold_partition
 
@@ -107,7 +106,7 @@ def factory_list_paragraph():
             (None, "PU"), ("ฯลฯ", "PU"),
         ]
     )
-    clauses = [ClauseSpan(0, 8), ClauseSpan(9, 19)]
+    clauses = [(0, 8), (9, 19)]
     gold_partition = [(0, 2)]
     return tokens, clauses, gold_partition
 
@@ -123,7 +122,7 @@ def meeting_particle_paragraph():
             ("เตรียม", "VV"), ("เอกสาร", "NN"),
         ]
     )
-    clauses = [ClauseSpan(0, 6), ClauseSpan(7, 13)]
+    clauses = [(0, 6), (7, 13)]
     gold_partition = [(0, 1), (1, 2)]
     return tokens, clauses, gold_partition
 
@@ -135,7 +134,7 @@ def pm_statement_paragraph():
         space_token() if t.is_space else Token(t.surface, t.pos)
         for t in doc.sentences[0].tokens
     ]
-    clauses = [ClauseSpan(0, 4), ClauseSpan(5, 14)]
+    clauses = [(0, 4), (5, 14)]
     gold_partition = [(0, 2)]
     return tokens, clauses, gold_partition
 
@@ -153,7 +152,7 @@ def briefing_paragraph():
             ("เมื่อ", "PS"), ("ต้น", "NN"), ("ปี", "NN"),
         ]
     )
-    clauses = [ClauseSpan(0, 4), ClauseSpan(5, 12), ClauseSpan(13, 20)]
+    clauses = [(0, 4), (5, 12), (13, 20)]
     gold_partition = [(0, 3)]
     return tokens, clauses, gold_partition
 

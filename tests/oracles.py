@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they verify: boundary-label
 legality is decided by a regular expression, frame matching by exhaustive
 enumeration of slot lengths, its witness alignment by recursive
-backtracking, entity spans and counts by regex span extraction, and
-corpus counts straight off the tab-split rows of a columnar file.
+backtracking, entity spans and counts by regex span extraction,
+corpus counts straight off the tab-split rows of a columnar file, and
+clause spans by cutting at every connector and merging verbless chunks.
 """
 
 from __future__ import annotations
@@ -113,6 +114,62 @@ def r2_space_splits(tokens: Sequence[Token], markers: frozenset[str]) -> list[in
             splits.append(i)
             region_start = i + 1
     return splits
+
+
+def clause_spans(
+    tokens: Sequence[Token], markers: frozenset[str], connectors: frozenset[str]
+) -> list[tuple[int, int]]:
+    """Clause spans of one paragraph by the rules' chunk-and-merge reading.
+
+    R2 regions lie between the ``r2_space_splits`` points, each trimmed of
+    the spaces outside names at its edges. R3 chunks a region at every
+    CC-tagged connector after its first token, except one inside a name (NE
+    prefix I or E). A chunk without a verb is folded into the next one, or
+    into the previous one at the region end, and every span is trimmed.
+    """
+
+    def is_gap(token: Token) -> bool:
+        return token.is_space and str(token.ne) == "O"
+
+    def trim(start: int, end: int) -> Optional[tuple[int, int]]:
+        while start < end and is_gap(tokens[start]):
+            start += 1
+        while end > start and is_gap(tokens[end - 1]):
+            end -= 1
+        return (start, end) if start < end else None
+
+    def has_verb(start: int, end: int) -> bool:
+        return any(t.pos is PosTag.VV for t in tokens[start:end])
+
+    def opens_clause(token: Token) -> bool:
+        return (
+            not token.is_space
+            and token.pos is PosTag.CC
+            and token.surface in connectors
+            and str(token.ne)[:2] not in ("I_", "E_")
+        )
+
+    splits = r2_space_splits(tokens, markers)
+    spans = []
+    for start, end in zip([0] + [i + 1 for i in splits], splits + [len(tokens)]):
+        region = trim(start, end)
+        if region is None:
+            continue
+        start, end = region
+        bounds = [start] + [i for i in range(start + 1, end) if opens_clause(tokens[i])] + [end]
+        merged: list[tuple[int, int]] = []
+        pending = None  # start of the verbless chunks waiting for a verb
+        for lo, hi in zip(bounds, bounds[1:]):
+            lo = lo if pending is None else pending
+            pending = None
+            if has_verb(lo, hi):
+                merged.append((lo, hi))
+            else:
+                pending = lo
+        if pending is not None:
+            merged = merged[:-1] + [(merged[-1][0] if merged else pending, end)]
+        spans.extend(trim(lo, hi) for lo, hi in merged)
+    return spans
 
 
 def frame_match_exists(

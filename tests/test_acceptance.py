@@ -27,9 +27,9 @@ from lst20tools import document_counts, lint_document, read_columnar
 from lst20tools.cli import main
 from lst20tools.format import read_inline, write_columnar, write_inline
 from lst20tools.frames import classify_instance, classify_lexeme, default_frameset
-from lst20tools.segment import aggregate_sentences, detect_clauses, emit_clause_labels
+from lst20tools.segment import aggregate_sentences, detect_clauses
 from lst20tools.validate import validate_ne_sequence
-from oracles import bieo_accepts, frame_match_exists
+from oracles import bieo_accepts, bieo_spans, frame_match_exists
 from test_frames import _random_frame
 
 
@@ -88,8 +88,7 @@ def test_round_trip_random_documents():
 def test_segmentation_gold_reproduction():
     started = time.perf_counter()
     tokens, gold_labels = corpus_samples.disease_report_paragraph()
-    (spans,) = detect_clauses([tokens])
-    assert emit_clause_labels(spans, tokens) == gold_labels
+    assert detect_clauses(tokens) == bieo_spans([label.value for label in gold_labels])
 
     for paragraph in (
         corpus_samples.phone_call_paragraph,
@@ -97,8 +96,7 @@ def test_segmentation_gold_reproduction():
         corpus_samples.meeting_particle_paragraph,
     ):
         tokens, clauses, gold_partition = paragraph()
-        spans = aggregate_sentences(clauses, tokens)
-        assert [(s.start, s.end) for s in spans] == gold_partition
+        assert aggregate_sentences(clauses, tokens) == gold_partition
     _announce("segmentation-gold", started)
 
 

@@ -292,6 +292,16 @@ class TestSegmentCommand:
             "draft.inline: sentence 0, token 1: inconsistent or missing annotation layers\n"
         )
 
+    def test_connector_inside_a_name_opens_no_sentence(self, tmp_path, capsys):
+        # ว่า closes a DTM entity: a clause opened there would let a sentence
+        # break leave B_DTM alone and E_DTM orphaned.
+        source = tmp_path / "named.inline"
+        source.write_text("//VV/B_DTM/O | ว่า/CC/E_DTM/B_CLS | ?/VV/O/O ||\n", encoding="utf-8")
+        assert main(["segment", "--from", "inline", "--to", "inline", str(source)]) == 0
+        assert capsys.readouterr().out == (
+            "//VV/B_DTM/B_CLS | ว่า/CC/E_DTM/I_CLS | ?/VV/O/E_CLS ||\n"
+        )
+
     def test_subject_shift_flag(self, tmp_path, capsys):
         tokens, _, _ = corpus_samples.phone_call_paragraph()
         rows = [

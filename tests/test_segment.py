@@ -10,20 +10,17 @@ from corpus_samples import toks
 from lst20tools import PosTag, Token, space_token
 from lst20tools.schema import ClauseLabel, parse_ne_label
 from lst20tools.segment import (
-    ClauseSpan,
     ConfigError,
     MarkerLexicon,
-    SentenceSpan,
     aggregate_sentences,
     detect_clauses,
-    emit_clause_labels,
     _split_spaces,
     load_marker_lexicon,
     segment_paragraphs,
 )
 from lst20tools.validate import Severity, lint_document, validate_clause_sequence
-from lst20tools.format import Document, Sentence, relabel_clauses
-from oracles import r2_space_splits
+from lst20tools.format import Document, Sentence
+from oracles import bieo_spans, clause_spans, r2_space_splits
 
 
 class TestLexicon:
@@ -83,22 +80,19 @@ class TestDetectClauses:
                 ("ไก่", "NN"), ("ติด", "VV"), ("เชื้อ", "NN"),
             ]
         )
-        (spans,) = detect_clauses([tokens])
-        assert [(s.start, s.end) for s in spans] == [(0, 6), (7, 14)]
+        assert detect_clauses(tokens) == [(0, 6), (7, 14)]
 
     def test_space_without_marker_does_not_split(self):
         tokens = toks(
             [("ก", "NN"), ("กิน", "VV"), (None, "PU"), ("ข", "NN"), ("นอน", "VV")]
         )
-        (spans,) = detect_clauses([tokens])
-        assert [(s.start, s.end) for s in spans] == [(0, 5)]
+        assert detect_clauses(tokens) == [(0, 5)]
 
     def test_space_without_flanking_verbs_does_not_split(self):
         tokens = toks(
             [("ก", "NN"), ("ว่า", "CC"), (None, "PU"), ("ข", "NN"), ("กิน", "VV")]
         )
-        (spans,) = detect_clauses([tokens])
-        assert [(s.start, s.end) for s in spans] == [(0, 5)]
+        assert detect_clauses(tokens) == [(0, 5)]
 
     def test_connector_opens_clause_without_space(self):
         tokens = toks(
@@ -108,70 +102,74 @@ class TestDetectClauses:
                 ("แถลง", "VV"), ("ข่าว", "NN"),
             ]
         )
-        (spans,) = detect_clauses([tokens])
-        assert [(s.start, s.end) for s in spans] == [(0, 3), (3, 9)]
+        assert detect_clauses(tokens) == [(0, 3), (3, 9)]
 
     def test_no_rule_fires_one_clause(self):
         tokens = toks([("ก", "NN"), ("กิน", "VV"), ("ข้าว", "NN")])
-        (spans,) = detect_clauses([tokens])
-        assert [(s.start, s.end) for s in spans] == [(0, 3)]
+        assert detect_clauses(tokens) == [(0, 3)]
 
     def test_connector_needs_cc_tag(self):
         # ผู้ as a noun must not trigger the marker rule
         tokens = toks([("ผู้", "NN"), ("กิน", "VV"), ("ข้าว", "NN")])
-        (spans,) = detect_clauses([tokens])
-        assert len(spans) == 1
+        assert len(detect_clauses(tokens)) == 1
 
     def test_verbless_lead_merges_forward(self):
         tokens = toks([("ผู้", "NN"), ("ที่", "CC"), ("กิน", "VV")])
-        (spans,) = detect_clauses([tokens])
-        assert [(s.start, s.end, s.has_verb) for s in spans] == [(0, 3, True)]
+        assert detect_clauses(tokens) == [(0, 3)]
 
     def test_trailing_connector_merges_back(self):
         tokens = toks([("เขา", "PR"), ("ทราบ", "VV"), ("ว่า", "CC")])
-        (spans,) = detect_clauses([tokens])
-        assert [(s.start, s.end) for s in spans] == [(0, 3)]
+        assert detect_clauses(tokens) == [(0, 3)]
 
     def test_verbless_paragraph_is_one_clause(self):
         tokens = toks([("(", "PU"), ("1", "NU"), (")", "PU")])
-        (spans,) = detect_clauses([tokens])
-        assert [(s.start, s.end, s.has_verb) for s in spans] == [(0, 3, False)]
+        assert detect_clauses(tokens) == [(0, 3)]
 
     def test_gold_clause_spans(self):
         tokens, _ = corpus_samples.disease_report_paragraph()
-        (spans,) = detect_clauses([tokens])
-        assert [(s.start, s.end) for s in spans] == [(0, 6), (7, 13), (14, 25), (25, 31)]
+        assert detect_clauses(tokens) == [(0, 6), (7, 13), (14, 25), (25, 31)]
 
     def test_empty_paragraph_rejected(self):
         with pytest.raises(ValueError):
-            detect_clauses([[]])
+            detect_clauses([])
+
+
+def _clause_column(sentences):
+    return [[t.clause.value for t in s.tokens] for s in sentences]
 
 
 class TestEmitClauseLabels:
+    """The BIEO clause labels ``segment_paragraphs`` writes."""
+
     def test_single_token_span(self):
-        tokens = toks([("กิน", "VV")])
-        labels = emit_clause_labels([ClauseSpan(0, 1)], tokens)
-        assert labels == [ClauseLabel.B_CLS]
+        sentences, _ = segment_paragraphs([toks([("กิน", "VV")])])
+        assert _clause_column(sentences) == [["B_CLS"]]
 
     def test_two_spans_with_outside_space(self):
+        # R2 splits at the space after the connector; S3 finds the same
+        # subject on both sides and keeps one sentence.
         tokens = toks(
-            [("ก", "NN"), ("กิน", "VV"), (None, "PU"), ("ข", "NN"), ("นอน", "VV")]
+            [
+                ("เขา", "PR"), ("กิน", "VV"), ("ว่า", "CC"),
+                (None, "PU"),
+                ("เขา", "PR"), ("นอน", "VV"),
+            ]
         )
-        labels = emit_clause_labels([ClauseSpan(0, 2), ClauseSpan(3, 5)], tokens)
-        assert [l.value for l in labels] == ["B_CLS", "E_CLS", "O", "B_CLS", "E_CLS"]
+        sentences, _ = segment_paragraphs([tokens])
+        assert _clause_column(sentences) == [
+            ["B_CLS", "I_CLS", "E_CLS", "O", "B_CLS", "E_CLS"]
+        ]
 
     def test_gold_label_column(self):
         tokens, gold = corpus_samples.disease_report_paragraph()
-        (spans,) = detect_clauses([tokens])
-        assert emit_clause_labels(spans, tokens) == gold
+        assert detect_clauses(tokens) == bieo_spans([label.value for label in gold])
 
     def test_emitted_labels_always_validate(self):
         tokens, _ = corpus_samples.disease_report_paragraph()
-        (spans,) = detect_clauses([tokens])
-        labels = emit_clause_labels(spans, tokens)
-        sentence = Sentence(relabel_clauses(tokens, labels))
+        sentences, _ = segment_paragraphs([tokens])
         errors = [
             i
+            for sentence in sentences
             for i in validate_clause_sequence(sentence)
             if i.severity is Severity.ERROR
         ]
@@ -181,28 +179,23 @@ class TestEmitClauseLabels:
 class TestAggregateSentences:
     def test_subject_shift_splits_and_zero_anaphora_merges(self):
         tokens, clauses, gold = corpus_samples.phone_call_paragraph()
-        spans = aggregate_sentences(clauses, tokens)
-        assert [(s.start, s.end) for s in spans] == gold
+        assert aggregate_sentences(clauses, tokens) == gold
 
     def test_item_list_merges(self):
         tokens, clauses, gold = corpus_samples.factory_list_paragraph()
-        spans = aggregate_sentences(clauses, tokens)
-        assert [(s.start, s.end) for s in spans] == gold
+        assert aggregate_sentences(clauses, tokens) == gold
 
     def test_final_particle_splits(self):
         tokens, clauses, gold = corpus_samples.meeting_particle_paragraph()
-        spans = aggregate_sentences(clauses, tokens)
-        assert [(s.start, s.end) for s in spans] == gold
+        assert aggregate_sentences(clauses, tokens) == gold
 
     def test_direct_speech_merges(self):
         tokens, clauses, gold = corpus_samples.pm_statement_paragraph()
-        spans = aggregate_sentences(clauses, tokens)
-        assert [(s.start, s.end) for s in spans] == gold
+        assert aggregate_sentences(clauses, tokens) == gold
 
     def test_indirect_speech_merges(self):
         tokens, clauses, gold = corpus_samples.briefing_paragraph()
-        spans = aggregate_sentences(clauses, tokens)
-        assert [(s.start, s.end) for s in spans] == gold
+        assert aggregate_sentences(clauses, tokens) == gold
 
     def test_topic_shift_splits(self):
         tokens = toks(
@@ -212,7 +205,7 @@ class TestAggregateSentences:
                 ("อย่างไรก็ตาม", "CC"), ("เขา", "PR"), ("หิว", "VV"),
             ]
         )
-        clauses = [ClauseSpan(0, 3), ClauseSpan(4, 7)]
+        clauses = [(0, 3), (4, 7)]
         spans = aggregate_sentences(clauses, tokens)
         assert len(spans) == 2
 
@@ -238,8 +231,8 @@ class TestAggregateSentences:
                 ("ดังนั้น", "CC"), ("เรา", "PR"), ("นอน", "VV"),
             ]
         )
-        clauses = [ClauseSpan(0, 3), ClauseSpan(4, 7)]
-        assert aggregate_sentences(clauses, tokens, lexicon) == [SentenceSpan(0, 2)]
+        clauses = [(0, 3), (4, 7)]
+        assert aggregate_sentences(clauses, tokens, lexicon) == [(0, 2)]
 
     def test_empty_clause_list(self):
         assert aggregate_sentences([], []) == []
@@ -252,7 +245,7 @@ class TestAggregateSentences:
                 ("เขา", "PR"), ("นอน", "VV"),
             ]
         )
-        clauses = [ClauseSpan(0, 3), ClauseSpan(4, 6)]
+        clauses = [(0, 3), (4, 6)]
         assert len(aggregate_sentences(clauses, tokens)) == 1
 
 
@@ -274,7 +267,7 @@ class TestCohesiveMonotonicity:
                         tokens.append(Token(rng.choice(surfaces), rng.choice(
                             [PosTag.NN, PosTag.PR, PosTag.AJ, PosTag.CC]
                         )))
-                clause_list.append(ClauseSpan(pos, pos + length))
+                clause_list.append((pos, pos + length))
                 pos += length
             base = MarkerLexicon.default()
             bigger = load_marker_lexicon("[cohesive_markers]\nแต่\nดังนั้น\nเขา\n")
@@ -304,12 +297,14 @@ class TestPipeline:
     def test_aggregating_gold_clauses_matches_gold_file(self):
         gold = corpus_samples.load_fixture("phone_call.txt")
         tokens, clauses, _ = corpus_samples.phone_call_paragraph()
-        labels = emit_clause_labels(clauses, tokens)
-        relabeled = relabel_clauses(tokens, labels)
-        spans = aggregate_sentences(clauses, tokens)
+        labels = [ClauseLabel.O] * len(tokens)
+        for lo, hi in clauses:
+            labels[lo:hi] = [ClauseLabel.I_CLS] * (hi - lo)
+            labels[lo], labels[hi - 1] = ClauseLabel.B_CLS, ClauseLabel.E_CLS
+        relabeled = [replace(t, clause=label) for t, label in zip(tokens, labels)]
         rebuilt = tuple(
-            Sentence(relabeled[clauses[s.start].start : clauses[s.end - 1].end])
-            for s in spans
+            Sentence(relabeled[clauses[first][0] : clauses[last - 1][1]])
+            for first, last in aggregate_sentences(clauses, tokens)
         )
         assert rebuilt == gold.sentences
 
@@ -335,11 +330,11 @@ class TestPipeline:
                 else:
                     rows.append((f"w{rng.randint(0, 5)}", rng.choice(pos_pool)))
             tokens = toks(rows)
-            (spans,) = detect_clauses([tokens])
+            spans = detect_clauses(tokens)
             covered = set()
-            for span in spans:
-                assert span.start < span.end
-                for i in range(span.start, span.end):
+            for lo, hi in spans:
+                assert lo < hi
+                for i in range(lo, hi):
                     assert i not in covered
                     covered.add(i)
             for i, token in enumerate(tokens):
@@ -372,6 +367,29 @@ def test_r2_space_splits_match_quadratic_reference(tokens):
     )
 
 
+# Connectors, other markers and verbs anywhere, in and out of names, with
+# NE labels in any order: the guard reads only a token's own NE prefix.
+_NE = st.sampled_from([parse_ne_label(x) for x in ("O", "B_LOC", "I_LOC", "E_LOC")])
+_R3_TOKENS = st.one_of(
+    st.builds(space_token, st.sampled_from([PosTag.PU, PosTag.VV]), _NE),
+    st.builds(
+        Token,
+        st.sampled_from(["ว่า", "ซึ่ง", "ที่", "เช่น", "นะ", "กิน", "บ้าน"]),
+        st.sampled_from([PosTag.VV, PosTag.NN, PosTag.CC, PosTag.PA]),
+        _NE,
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_R3_TOKENS, min_size=1, max_size=40))
+def test_detect_clauses_matches_chunk_and_merge_oracle(tokens):
+    lexicon = MarkerLexicon.default()
+    assert detect_clauses(tokens) == clause_spans(
+        tokens, lexicon.clause_markers, lexicon.subordinate_connectors
+    )
+
+
 _MARKER_WORDS = (("ว่า", PosTag.CC), ("ซึ่ง", PosTag.CC), ("เช่น", PosTag.CC), ("นะ", PosTag.PA))
 
 
@@ -388,14 +406,14 @@ def _entity_tokens(sentences):
 @given(st.randoms(use_true_random=False))
 def test_segmenting_keeps_named_entities_whole(rng):
     """NE-clean paragraphs come out NE-clean, with every token that carries
-    an NE label kept, in order. Markers are planted outside entities only:
-    a connector inside a name can still open a clause there."""
+    an NE label kept, in order. Markers are planted anywhere, entities
+    included: a connector inside a name never opens a clause there."""
     doc = corpus_samples.random_document(rng, max_sentences=6, max_tokens=30)
     paragraphs = []
     for sentence in doc.sentences:
         tokens = []
         for token in sentence.tokens:
-            if not token.is_space and str(token.ne) == "O" and rng.random() < 0.2:
+            if not token.is_space and rng.random() < 0.2:
                 surface, pos = rng.choice(_MARKER_WORDS)
                 token = replace(token, surface=surface, pos=pos)
             elif not token.is_space and rng.random() < 0.3:
