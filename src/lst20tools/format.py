@@ -138,11 +138,14 @@ def read_columnar(
 
     In strict mode (``errors=None``) the first bad line raises
     :class:`LineError`. Passing a list switches to permissive mode: bad
-    lines are skipped and their errors appended to the list.
+    lines are skipped and their errors appended to the list. Within one
+    call, equal lines give one :class:`Token` object, which is safe as tokens
+    are frozen; no identity is promised across calls.
     """
     text = text.removeprefix(_BOM)
     sentences: list[Sentence] = []
     current: list[Token] = []
+    parsed: dict[str, Token] = {}  # raw line -> its token; bad lines never enter
 
     def flush() -> None:
         if current:
@@ -150,35 +153,38 @@ def read_columnar(
             current.clear()
 
     for line_no, raw in enumerate(text.split("\n"), start=1):
+        token = parsed.get(raw)
+        if token is not None:
+            current.append(token)
+            continue
         line = raw[:-1] if raw.endswith("\r") else raw
         if line == "":
             flush()
             continue
         fields = line.split("\t")
         if len(fields) != 4:
-            _fail(
-                LineError(
-                    line_no,
-                    f"expected 4 tab-separated fields, got {len(fields)}",
-                ),
-                errors,
-            )
+            reason = f"expected 4 tab-separated fields, got {len(fields)}"
+            _fail(LineError(line_no, reason), errors)
             continue
         word, pos_text, ne_text, clause_text = fields
         if word == "":
             _fail(LineError(line_no, "empty word field"), errors)
             continue
         try:
-            pos = parse_pos_tag(pos_text)
-            ne = parse_ne_label(ne_text)
-            clause = parse_clause_label(clause_text)
-        except (UnknownTag, MalformedLabel) as exc:
-            _fail(LineError(line_no, str(exc)), errors)
+            pos, ne = POS_TAGS[pos_text], NE_LABELS[ne_text]
+            clause = CLAUSE_LABELS[clause_text]
+        except KeyError:
+            try:  # the parsers raise for the first bad column, with its message
+                parse_pos_tag(pos_text)
+                parse_ne_label(ne_text)
+                parse_clause_label(clause_text)
+            except (UnknownTag, MalformedLabel) as exc:
+                _fail(LineError(line_no, str(exc)), errors)
             continue
-        if word == COLUMNAR_SPACE:
-            current.append(Token(SPACE_GLYPH, pos, ne, clause, is_space=True))
-        else:
-            current.append(Token(word, pos, ne, clause))
+        is_space = word == COLUMNAR_SPACE
+        token = Token(SPACE_GLYPH if is_space else word, pos, ne, clause, is_space)
+        current.append(token)
+        parsed[raw] = token
     flush()
     return Document(doc_id, tuple(sentences))
 
@@ -276,9 +282,13 @@ def read_inline(
     ``SPACE_GLYPH`` chunk is accepted at any arity as a white-space token.
     Strict/permissive modes work as in :func:`read_columnar`; in permissive
     mode a malformed sentence is skipped whole, never silently truncated.
+    Within one call, equal chunks give one Token object, safe as tokens are
+    frozen; no identity is promised across calls.
     """
     text = text.removeprefix(_BOM)
     sentences: list[Sentence] = []
+    # Tagsets are disjoint, so a chunk other than the glyph fits one layer count.
+    parsed: dict[str, Token] = {SPACE_GLYPH: _BARE_SPACE}
     for sent_idx, chunks in enumerate(_split_sentences(text)):
         mask = _sentence_mask(chunks)
         if not mask:
@@ -291,25 +301,23 @@ def read_inline(
         arity = mask.bit_length() - 1
         tokens: list[Token] = []
         for tok_idx, chunk in enumerate(chunks):
-            if chunk == SPACE_GLYPH:
-                tokens.append(_BARE_SPACE)
-                continue
-            # Every chunk fits this arity, so the lookups below cannot miss.
-            parts = chunk.rsplit("/", arity - 1)
-            surface = parts[0]
-            try:
-                tokens.append(
-                    Token(
+            token = parsed.get(chunk)
+            if token is None:
+                # Every chunk fits this arity, so the lookups below cannot miss.
+                parts = chunk.rsplit("/", arity - 1)
+                surface = parts[0]
+                try:
+                    token = parsed[chunk] = Token(
                         surface,
                         POS_TAGS[parts[1]],
                         NE_LABELS[parts[2]] if arity >= 3 else NE_OUTSIDE,
                         CLAUSE_LABELS[parts[3]] if arity == 4 else ClauseLabel.O,
                         is_space=surface == SPACE_GLYPH,
                     )
-                )
-            except ValueError as exc:
-                _fail(TokenError(sent_idx, tok_idx, str(exc)), errors)
-                break
+                except ValueError as exc:
+                    _fail(TokenError(sent_idx, tok_idx, str(exc)), errors)
+                    break
+            tokens.append(token)
         else:
             sentences.append(Sentence(tuple(tokens)))
     return sentences
@@ -330,8 +338,8 @@ def write_inline(sentences: Iterable[Sentence], layers: int = 4) -> str:
     """Serialize sentences in inline notation, one sentence per line.
 
     ``layers`` selects how many annotation layers are emitted (2, 3 or 4).
-    Surfaces containing ``|`` and non-space surfaces equal to the space
-    glyph are rejected: both would be misread on the way back in.
+    Surfaces containing ``|`` or starting with white space, and non-space
+    surfaces equal to the space glyph, are rejected: they would not read back.
     """
     if layers not in _ARITIES:
         raise ValueError("layers must be 2, 3 or 4")
@@ -342,6 +350,10 @@ def write_inline(sentences: Iterable[Sentence], layers: int = 4) -> str:
             surface = SPACE_GLYPH if token.is_space else token.surface
             if "|" in surface:
                 raise WriteError("surface containing '|' is not representable inline")
+            if surface.lstrip() != surface:  # the reader would strip it off the chunk
+                raise WriteError(
+                    f"surface {surface!r} starting with white space is not representable inline"
+                )
             if not token.is_space and surface == SPACE_GLYPH:
                 raise WriteError(
                     f"literal {SPACE_GLYPH!r} surface is not representable inline"

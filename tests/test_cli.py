@@ -227,6 +227,15 @@ class TestConvertCommand:
         bad.write_text("broken\n", encoding="utf-8")
         assert main(["convert", "--to", "inline", "--strict", str(bad)]) == 1
 
+    def test_surface_starting_with_white_space_is_refused(self, tmp_path, capsys):
+        source = tmp_path / "lead.txt"
+        source.write_text(" a\tNN\tO\tO\n", encoding="utf-8")
+        out = tmp_path / "lead.inline"
+        assert main(["convert", "--to", "inline", str(source), "-o", str(out)]) == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("lead.txt: surface ' a' starting with white space")
+        assert not out.exists()
+
     def test_stdout_by_default(self, fixture_copy, capsys):
         source = fixture_copy("phone_call.txt")
         assert main(["convert", "--to", "inline", str(source)]) == 0

@@ -218,6 +218,17 @@ class TestWriteInline:
         with pytest.raises(WriteError):
             write_inline([sentence], 2)
 
+    @pytest.mark.parametrize("surface", [" a", " ", "\u3000ก"])
+    def test_leading_white_space_in_surface_rejected(self, surface):
+        # The reader strips every chunk, so " a" would read back as "a".
+        sentence = Sentence((Token(surface, PosTag.NN),))
+        with pytest.raises(WriteError, match="white space"):
+            write_inline([sentence], 2)
+
+    def test_trailing_white_space_in_surface_round_trips(self):
+        sentence = Sentence((Token("a ", PosTag.NN),))
+        assert read_inline(write_inline([sentence], 2)) == [sentence]
+
     def test_glyph_surface_on_word_token_rejected(self):
         sentence = Sentence((Token(SPACE_GLYPH, PosTag.NN),))
         with pytest.raises(WriteError):
@@ -403,6 +414,8 @@ _COLUMNAR_LINES = [
     "a\tNN\tB_XYZ\tO",
     "a\tNN\tO\tO\tO",
     "a\tNN\tO\tb_cls",
+    "ก\tNN\tO\tO\r",
+    "a\tQQ\tO\tO\r",
 ]
 
 
@@ -413,6 +426,16 @@ def test_permissive_columnar_accounts_for_every_line(lines):
     doc = read_columnar("\n".join(lines), "d", errors=errors)
     parsed = sum(len(sentence) for sentence in doc.sentences)
     assert parsed + len(errors) == sum(1 for line in lines if line)
+    # Each line reads as it does alone, and each bad line is reported under
+    # its own number, however often it repeats.
+    alone_tokens, alone_errors = [], []
+    for line_no, line in enumerate(lines, start=1):
+        line_errors = []
+        alone = read_columnar(line, "d", errors=line_errors)
+        alone_tokens += [token for sentence in alone.sentences for token in sentence]
+        alone_errors += [(line_no, error.reason) for error in line_errors]
+    assert [token for sentence in doc.sentences for token in sentence] == alone_tokens
+    assert [(error.line_no, error.reason) for error in errors] == alone_errors
 
 
 _INLINE_PIECES = [
@@ -446,3 +469,28 @@ def test_permissive_inline_accounts_for_every_sentence(pieces):
         if any(chunk.strip() for chunk in block.split("|"))
     ]
     assert len(sentences) + len(errors) == len(blocks)
+    # Each sentence reads as its block does alone. The reader strips one
+    # leading BOM, so prefixing one reads the block verbatim.
+    alone = [read_inline(BOM + block, errors=[]) for block in blocks]
+    assert sentences == [sentence for block in alone for sentence in block]
+
+
+def _columnar_sentences(text):
+    return read_columnar(text, "d").sentences
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (_columnar_sentences, "ก\tNN\tO\tO\nข\tVV\tO\tO\n\nก\tNN\tO\tO\n"),
+        (read_inline, "ก/NN | ข/VV ||\nก/NN ||\n"),
+    ],
+    ids=["columnar", "inline"],
+)
+def test_equal_lines_share_one_token(read, text):
+    first, again = read(text), read(text)
+    # One call builds one token per distinct line or chunk ...
+    assert first[1].tokens[0] is first[0].tokens[0]
+    # ... and shares none with another call.
+    assert again[0].tokens[0] == first[0].tokens[0]
+    assert again[0].tokens[0] is not first[0].tokens[0]
