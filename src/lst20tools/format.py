@@ -194,6 +194,7 @@ def write_columnar(doc: Document) -> str:
 
     An empty document yields the empty string; otherwise sentences are
     separated by exactly one empty line and the output ends with a newline.
+    A first surface starting with U+FEFF is rejected: the reader strips it.
     """
     blocks = []
     for sentence in doc.sentences:
@@ -209,12 +210,19 @@ def write_columnar(doc: Document) -> str:
             else:
                 word = token.surface
             lines.append(
-                "\t".join(
-                    (word, token.pos.value, str(token.ne), token.clause.value)
-                )
+                "\t".join((word, token.pos.text, token.ne.text, token.clause.text))
             )
         blocks.append("\n".join(lines) + "\n")
-    return "\n".join(blocks)
+    return _refuse_leading_bom("\n".join(blocks))
+
+
+def _refuse_leading_bom(text: str) -> str:
+    """``text``, unless both readers would strip its first character."""
+    if text.startswith(_BOM):
+        raise WriteError(
+            "first surface starting with U+FEFF is not representable: readers strip it"
+        )
+    return text
 
 
 _ARITIES = (2, 3, 4)
@@ -287,26 +295,24 @@ def read_inline(
     """
     text = text.removeprefix(_BOM)
     sentences: list[Sentence] = []
-    # Tagsets are disjoint, so a chunk other than the glyph fits one layer count.
-    parsed: dict[str, Token] = {SPACE_GLYPH: _BARE_SPACE}
+    # One memo per layer count, as a chunk fits at most one: tagsets are
+    # disjoint, and only the bare glyph, seeded here, fits every count.
+    memos = {arity: {SPACE_GLYPH: _BARE_SPACE} for arity in _ARITIES}
     for sent_idx, chunks in enumerate(_split_sentences(text)):
-        mask = _sentence_mask(chunks)
-        if not mask:
-            bad = next((i for i, c in enumerate(chunks) if not _arity_mask(c)), 0)
-            _fail(
-                TokenError(sent_idx, bad, "inconsistent or missing annotation layers"),
-                errors,
-            )
+        # So the first chunk other than the glyph fixes the sentence's count.
+        first = next((chunk for chunk in chunks if chunk != SPACE_GLYPH), SPACE_GLYPH)
+        arity = _arity_mask(first).bit_length() - 1
+        if arity < 0:
+            _fail(_inline_error(sent_idx, chunks, 0, None), errors)
             continue
-        arity = mask.bit_length() - 1
+        parsed = memos[arity]
         tokens: list[Token] = []
         for tok_idx, chunk in enumerate(chunks):
             token = parsed.get(chunk)
             if token is None:
-                # Every chunk fits this arity, so the lookups below cannot miss.
                 parts = chunk.rsplit("/", arity - 1)
                 surface = parts[0]
-                try:
+                try:  # a lookup misses when the chunk does not fit this count
                     token = parsed[chunk] = Token(
                         surface,
                         POS_TAGS[parts[1]],
@@ -314,13 +320,24 @@ def read_inline(
                         CLAUSE_LABELS[parts[3]] if arity == 4 else ClauseLabel.O,
                         is_space=surface == SPACE_GLYPH,
                     )
-                except ValueError as exc:
-                    _fail(TokenError(sent_idx, tok_idx, str(exc)), errors)
+                except (LookupError, ValueError) as exc:
+                    _fail(_inline_error(sent_idx, chunks, tok_idx, exc), errors)
                     break
             tokens.append(token)
         else:
             sentences.append(Sentence(tuple(tokens)))
     return sentences
+
+
+def _inline_error(
+    sent_idx: int, chunks: Sequence[str], tok_idx: int, exc: Optional[Exception]
+) -> TokenError:
+    """The error of a sentence that failed at chunk ``tok_idx`` with ``exc``: a
+    layer-count mismatch if any, else every chunk fits and ``exc`` is the first."""
+    if not _sentence_mask(chunks):
+        bad = next((i for i, c in enumerate(chunks) if not _arity_mask(c)), 0)
+        return TokenError(sent_idx, bad, "inconsistent or missing annotation layers")
+    return TokenError(sent_idx, tok_idx, str(exc))
 
 
 def inline_layer_count(text: str) -> int:
@@ -338,8 +355,9 @@ def write_inline(sentences: Iterable[Sentence], layers: int = 4) -> str:
     """Serialize sentences in inline notation, one sentence per line.
 
     ``layers`` selects how many annotation layers are emitted (2, 3 or 4).
-    Surfaces containing ``|`` or starting with white space, and non-space
-    surfaces equal to the space glyph, are rejected: they would not read back.
+    Surfaces containing ``|`` or starting with white space, non-space
+    surfaces equal to the space glyph, and a first surface starting with
+    U+FEFF are rejected: they would not read back.
     """
     if layers not in _ARITIES:
         raise ValueError("layers must be 2, 3 or 4")
@@ -358,14 +376,14 @@ def write_inline(sentences: Iterable[Sentence], layers: int = 4) -> str:
                 raise WriteError(
                     f"literal {SPACE_GLYPH!r} surface is not representable inline"
                 )
-            parts = [surface, token.pos.value]
+            parts = [surface, token.pos.text]
             if layers >= 3:
-                parts.append(str(token.ne))
+                parts.append(token.ne.text)
             if layers == 4:
-                parts.append(token.clause.value)
+                parts.append(token.clause.text)
             chunks.append("/".join(parts))
         lines.append(" | ".join(chunks) + " ||")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _refuse_leading_bom("\n".join(lines) + ("\n" if lines else ""))
 
 
 def convert(

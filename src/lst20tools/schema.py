@@ -8,7 +8,7 @@ caller's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -25,7 +25,18 @@ class UnknownCategory(MalformedLabel):
     """A well-shaped boundary label whose category is not in the tagset."""
 
 
-class PosTag(Enum):
+class _TextEnum(Enum):
+    """An enum whose members also carry their value as ``text``, a plain
+    attribute: ``value`` is an enum property, far slower to read."""
+
+    def __init__(self, value: str) -> None:
+        self.text = value
+
+    def __str__(self) -> str:
+        return self.text
+
+
+class PosTag(_TextEnum):
     """The sixteen part-of-speech tags."""
 
     AJ = "AJ"  # adjective
@@ -45,11 +56,8 @@ class PosTag(Enum):
     VV = "VV"  # verb
     XX = "XX"  # others / unknown
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class NeCategory(Enum):
+class NeCategory(_TextEnum):
     """The ten named-entity categories."""
 
     TTL = "TTL"  # title
@@ -63,26 +71,22 @@ class NeCategory(Enum):
     NUM = "NUM"  # number
     TRM = "TRM"  # terminology
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class BoundaryPrefix(Enum):
+class BoundaryPrefix(_TextEnum):
     B = "B"
     I = "I"
     E = "E"
     O = "O"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True, slots=True)
 class NeLabel:
-    """A named-entity boundary label: ``O`` carries no category, B/I/E must."""
+    """A named-entity boundary label: ``O`` carries no category, B/I/E must.
+    ``text``, the label string, is built once here, not per token written."""
 
     prefix: BoundaryPrefix
     category: Optional[NeCategory] = None
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.prefix is BoundaryPrefix.O:
@@ -90,19 +94,19 @@ class NeLabel:
                 raise MalformedLabel("O label must not carry a category")
         elif self.category is None:
             raise MalformedLabel(f"{self.prefix} label requires a category")
+        text = "O" if self.category is None else f"{self.prefix.text}_{self.category.text}"
+        object.__setattr__(self, "text", text)
 
     def __str__(self) -> str:
-        if self.prefix is BoundaryPrefix.O:
-            return "O"
-        return f"{self.prefix.value}_{self.category.value}"
+        return self.text
 
 
 NE_OUTSIDE = NeLabel(BoundaryPrefix.O)
 
 
-class ClauseLabel(Enum):
-    """A clause boundary label; like :class:`NeLabel` it has ``prefix`` and
-    ``category``, the latter always None (the one category is CLS)."""
+class ClauseLabel(_TextEnum):
+    """A clause boundary label; like :class:`NeLabel` it has ``prefix``,
+    ``category`` (always None: the one category is CLS) and ``text``."""
 
     B_CLS = "B_CLS"
     I_CLS = "I_CLS"
@@ -110,18 +114,16 @@ class ClauseLabel(Enum):
     O = "O"
 
     def __init__(self, value: str) -> None:
+        super().__init__(value)
         self.prefix = BoundaryPrefix(value[0])
         self.category = None
-
-    def __str__(self) -> str:
-        return self.value
 
 
 # Every label string the readers accept, mapped once to its parsed value:
 # parsing is one dict lookup, and equal labels are the same object.
-POS_TAGS: dict[str, PosTag] = {tag.value: tag for tag in PosTag}
+POS_TAGS: dict[str, PosTag] = {tag.text: tag for tag in PosTag}
 NE_LABELS: dict[str, NeLabel] = {
-    str(label): label
+    label.text: label
     for label in (
         NE_OUTSIDE,
         *(
@@ -131,7 +133,7 @@ NE_LABELS: dict[str, NeLabel] = {
         ),
     )
 }
-CLAUSE_LABELS: dict[str, ClauseLabel] = {label.value: label for label in ClauseLabel}
+CLAUSE_LABELS: dict[str, ClauseLabel] = {label.text: label for label in ClauseLabel}
 
 
 def parse_pos_tag(text: str) -> PosTag:

@@ -63,11 +63,11 @@ def document_counts(doc: Document, include_spaces: bool = False) -> CorpusCounts
         sentences += 1
         for token in sentence.tokens:
             tokens += 1
-            pos[token.pos.value] += 1
+            pos[token.pos.text] += 1
             if include_spaces or not token.is_space:
                 words += 1
             if token.ne.prefix is BoundaryPrefix.B:
-                ne[token.ne.category.value] += 1
+                ne[token.ne.category.text] += 1
             if token.clause is ClauseLabel.B_CLS:
                 clauses += 1
     return CorpusCounts(1, sentences, clauses, sum(ne.values()), words, tokens, pos, ne)

@@ -4,8 +4,10 @@ These deliberately avoid the code paths they verify: boundary-label
 legality is decided by a regular expression, frame matching by exhaustive
 enumeration of slot lengths, its witness alignment by recursive
 backtracking, entity spans and counts by regex span extraction,
-corpus counts straight off the tab-split rows of a columnar file, and
-clause spans by cutting at every connector and merging verbless chunks.
+corpus counts straight off the tab-split rows of a columnar file,
+clause spans by cutting at every connector and merging verbless chunks,
+and inline parsing by masking every chunk of a sentence before building
+any token.
 """
 
 from __future__ import annotations
@@ -15,9 +17,24 @@ from collections import Counter
 from itertools import product
 from typing import Optional, Sequence
 
-from lst20tools.format import Token
+from lst20tools.format import (
+    SPACE_GLYPH,
+    Sentence,
+    Token,
+    TokenError,
+    _arity_mask,
+    _sentence_mask,
+    _split_sentences,
+)
 from lst20tools.frames import FramePattern, FrameSlot, SlotKind
-from lst20tools.schema import PosTag
+from lst20tools.schema import (
+    CLAUSE_LABELS,
+    NE_LABELS,
+    NE_OUTSIDE,
+    POS_TAGS,
+    ClauseLabel,
+    PosTag,
+)
 
 
 def _encode(labels: Sequence[str]) -> tuple[str, list[str]]:
@@ -234,3 +251,52 @@ def frame_witness(
 
     alignment = cover(frame.slots, 0)
     return None if alignment is None else tuple(alignment)
+
+
+def read_inline_two_pass(
+    text: str, errors: Optional[list[TokenError]] = None
+) -> list[Sentence]:
+    """Inline parsing in two passes per sentence, with no memo.
+
+    The first pass masks every chunk with the layer counts it fits; a
+    sentence whose chunks share none is a layer-count mismatch, located at
+    the first chunk that fits no count. The second pass builds each token
+    at the sentence's count and stops at the first that raises. Strict and
+    permissive modes follow :func:`lst20tools.format.read_inline`.
+    """
+    sentences = []
+    for sent_idx, chunks in enumerate(_split_sentences(text.removeprefix("\ufeff"))):
+        failure = None
+        mask = _sentence_mask(chunks)
+        if not mask:
+            bad = next((i for i, c in enumerate(chunks) if not _arity_mask(c)), 0)
+            failure = TokenError(sent_idx, bad, "inconsistent or missing annotation layers")
+        else:
+            arity = mask.bit_length() - 1
+            tokens = []
+            for tok_idx, chunk in enumerate(chunks):
+                if chunk == SPACE_GLYPH:  # the bare glyph: a space at any count
+                    tokens.append(Token(SPACE_GLYPH, PosTag.PU, is_space=True))
+                    continue
+                # Every chunk fits this count, so the lookups below cannot miss.
+                parts = chunk.rsplit("/", arity - 1)
+                try:
+                    tokens.append(
+                        Token(
+                            parts[0],
+                            POS_TAGS[parts[1]],
+                            NE_LABELS[parts[2]] if arity >= 3 else NE_OUTSIDE,
+                            CLAUSE_LABELS[parts[3]] if arity == 4 else ClauseLabel.O,
+                            is_space=parts[0] == SPACE_GLYPH,
+                        )
+                    )
+                except ValueError as exc:
+                    failure = TokenError(sent_idx, tok_idx, str(exc))
+                    break
+        if failure is None:
+            sentences.append(Sentence(tuple(tokens)))
+        elif errors is None:
+            raise failure
+        else:
+            errors.append(failure)
+    return sentences

@@ -236,6 +236,26 @@ class TestConvertCommand:
         assert stderr.startswith("lead.txt: surface ' a' starting with white space")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, to",
+        [("\ufeff\ufeffab\tNN\tO\tO\n", "inline"), ("\ufeff\ufeffab/NN ||\n", "columnar")],
+        ids=["to-inline", "to-columnar"],
+    )
+    def test_surface_starting_with_byte_order_mark_is_refused(
+        self, tmp_path, capsys, text, to
+    ):
+        # The reader strips the first mark; the second would be lost on the
+        # way back, since the output would start with it.
+        source = tmp_path / "bom.txt"
+        source.write_text(text, encoding="utf-8")
+        out = tmp_path / "bom.out"
+        src = "columnar" if to == "inline" else "inline"
+        argv = ["convert", "--from", src, "--to", to, str(source), "-o", str(out)]
+        assert main(argv) == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("bom.txt: first surface starting with U+FEFF")
+        assert not out.exists()
+
     def test_stdout_by_default(self, fixture_copy, capsys):
         source = fixture_copy("phone_call.txt")
         assert main(["convert", "--to", "inline", str(source)]) == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus_samples
+from oracles import read_inline_two_pass
 from lst20tools import (
     ClauseLabel,
     Document,
@@ -134,6 +135,20 @@ class TestWriteColumnar:
         text = write_columnar(phone_call_doc)
         assert read_columnar(text, phone_call_doc.doc_id) == phone_call_doc
 
+    @pytest.mark.parametrize("surface", [BOM + "ab", BOM])
+    def test_leading_byte_order_mark_is_unrepresentable(self, surface):
+        # The reader strips one leading BOM, so it would read back "ab", or
+        # reject an empty word field.
+        doc = Document("d", (Sentence((Token(surface, PosTag.NN),)),))
+        with pytest.raises(WriteError, match="U\\+FEFF"):
+            write_columnar(doc)
+
+    def test_byte_order_mark_after_the_start_round_trips(self):
+        doc = Document(
+            "d", (Sentence((Token("a", PosTag.NN), Token(BOM + "b", PosTag.NN))),)
+        )
+        assert read_columnar(write_columnar(doc), "d") == doc
+
 
 class TestReadInline:
     def test_three_layer_sentence(self):
@@ -233,6 +248,19 @@ class TestWriteInline:
         sentence = Sentence((Token(SPACE_GLYPH, PosTag.NN),))
         with pytest.raises(WriteError):
             write_inline([sentence], 2)
+
+    @pytest.mark.parametrize("surface", [BOM + "ab", BOM])
+    def test_leading_byte_order_mark_is_unrepresentable(self, surface):
+        sentence = Sentence((Token(surface, PosTag.NN),))
+        with pytest.raises(WriteError, match="U\\+FEFF"):
+            write_inline([sentence], 2)
+
+    def test_byte_order_mark_after_the_start_round_trips(self):
+        sentences = [
+            Sentence((Token("a", PosTag.NN),)),
+            Sentence((Token(BOM + "b", PosTag.NN),)),
+        ]
+        assert read_inline(write_inline(sentences, 2)) == sentences
 
     def test_read_inverts_write(self, phone_call_doc):
         text = write_inline(phone_call_doc.sentences, 4)
@@ -469,10 +497,88 @@ def test_permissive_inline_accounts_for_every_sentence(pieces):
         if any(chunk.strip() for chunk in block.split("|"))
     ]
     assert len(sentences) + len(errors) == len(blocks)
-    # Each sentence reads as its block does alone. The reader strips one
-    # leading BOM, so prefixing one reads the block verbatim.
-    alone = [read_inline(BOM + block, errors=[]) for block in blocks]
-    assert sentences == [sentence for block in alone for sentence in block]
+    # Each sentence reads as its block does alone, and each error is the
+    # block's own, under the block's index. The reader strips one leading
+    # BOM, so prefixing one reads the block verbatim.
+    alone_sentences, alone_errors = [], []
+    for index, block in enumerate(blocks):
+        block_errors = []
+        alone_sentences += read_inline(BOM + block, errors=block_errors)
+        alone_errors += [(index, error.token, error.reason) for error in block_errors]
+    assert sentences == alone_sentences
+    assert [(error.sentence, error.token, error.reason) for error in errors] == alone_errors
+
+
+# One word at every layer count, drawn often, so that a chunk seen at one
+# count comes back inside a sentence of another; and bad surfaces at each.
+_LAYERED_CHUNKS = ["a/NN", "a/NN/O", "a/NN/O/O"]
+_LAYERED_PIECES = _INLINE_PIECES + [
+    "a/VV/B_PER/B_CLS",
+    "a\tb/NN/O",
+    "a\tb/NN/O/O",
+    "/NN/O",
+    "/NN/O/O",
+    "x/NN/O/B_CLS/O",
+]
+
+
+def _read_either_way(read, text, errors):
+    try:
+        sentences = read(text, errors=errors)
+    except TokenError as error:
+        return "raised", (error.sentence, error.token, error.reason)
+    found = [(error.sentence, error.token, error.reason) for error in errors or []]
+    return sentences, found
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.sampled_from(_LAYERED_CHUNKS),
+                st.sampled_from(_LAYERED_PIECES),
+                st.text(max_size=4),
+            ),
+            st.sampled_from(["", " | ", " | ", " ||\n"]),
+        ),
+        max_size=30,
+    ),
+    st.booleans(),
+)
+def test_read_inline_matches_two_pass_reference(pieces, strict):
+    # Most pieces are followed by a separator, so that whole chunks recur.
+    text = "".join(piece + separator for piece, separator in pieces)
+    got = _read_either_way(read_inline, text, None if strict else [])
+    assert got == _read_either_way(read_inline_two_pass, text, None if strict else [])
+
+
+@pytest.mark.parametrize(
+    "text, token",
+    [("c/NN | a\tb/NN | d/NN/O ||", 0), ("c/NN | a\tb/NN | d/QQ ||", 2)],
+    ids=["counts-differ", "fits-no-count"],
+)
+def test_mismatch_after_a_raising_token_is_reported(text, token):
+    # Token 1 has a tab in its surface, but the layer counts do not agree:
+    # the sentence reports the mismatch, at the first chunk that fits no
+    # count, or at 0 when each fits one.
+    with pytest.raises(TokenError) as caught:
+        read_inline(text)
+    error = caught.value
+    assert (error.sentence, error.token, error.reason) == (
+        0, token, "inconsistent or missing annotation layers",
+    )
+
+
+def test_chunk_read_at_three_layers_does_not_fit_four():
+    errors = []
+    text = "a/NN/O ||\nb/VV/O/O | a/NN/O ||\na/NN/O/O ||\n"
+    sentences = read_inline(text, errors=errors)
+    assert [(error.sentence, error.reason) for error in errors] == [
+        (1, "inconsistent or missing annotation layers"),
+    ]
+    assert [[token.surface for token in s] for s in sentences] == [["a"], ["a"]]
+    assert sentences[0].tokens[0] == sentences[1].tokens[0]
 
 
 def _columnar_sentences(text):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -5,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lst20tools.schema import (
+    CLAUSE_LABELS,
+    NE_LABELS,
     NE_OUTSIDE,
+    POS_TAGS,
     BoundaryPrefix,
     ClauseLabel,
     MalformedLabel,
@@ -109,6 +113,43 @@ class TestParsing:
             NeLabel(BoundaryPrefix.O, NeCategory.ORG)
         with pytest.raises(MalformedLabel):
             NeLabel(BoundaryPrefix.B, None)
+
+
+class TestLabelText:
+    """Every label carries its string as ``text``, equal to ``str(label)``."""
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            POS_TAGS,
+            NE_LABELS,
+            CLAUSE_LABELS,
+            {category.value: category for category in NeCategory},
+        ],
+        ids=["pos", "ne", "clause", "ne-category"],
+    )
+    def test_text_is_the_table_key(self, table):
+        for key, label in table.items():
+            assert label.text == str(label) == key
+
+    def test_built_label_equals_the_interned_one(self):
+        label = NeLabel(BoundaryPrefix.B, NeCategory.PER)
+        assert label.text == "B_PER"
+        assert label == NE_LABELS["B_PER"]
+        assert hash(label) == hash(NE_LABELS["B_PER"])
+
+    def test_replace_recomputes_text(self):
+        label = replace(NE_LABELS["B_PER"], category=NeCategory.ORG)
+        assert label.text == "B_ORG"
+        assert replace(label, prefix=BoundaryPrefix.E).text == "E_ORG"
+
+    def test_text_is_in_neither_repr_nor_equality(self):
+        label = NeLabel(BoundaryPrefix.I, NeCategory.LOC)
+        assert "text" not in repr(label)
+        assert "I_LOC" not in repr(label)
+        object.__setattr__(label, "text", "changed")
+        assert label == NE_LABELS["I_LOC"]
+        assert hash(label) == hash(NE_LABELS["I_LOC"])
 
 
 def lab(text):
