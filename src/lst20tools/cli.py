@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -130,7 +131,11 @@ def _open_output(args, inputs: Sequence[Path]):
     if args.output is None:
         return sys.stdout
     out = Path(args.output)
-    if any(out.resolve() == p.resolve() for p in inputs):
+    try:
+        target = out.stat()
+    except FileNotFoundError:  # a path that does not exist is no input
+        target = None
+    if target is not None and any(os.path.samestat(target, p.stat()) for p in inputs):
         raise ValueError(f"refusing to overwrite input path {out}")
     return open(out, "w", encoding="utf-8", newline="")
 
@@ -208,10 +213,13 @@ def _cmd_segment(args) -> int:
         paragraphs, lexicon, subject_shift=args.subject_shift
     )
     result = Document(path.stem, tuple(sentences))
-    if args.outformat == FORMAT_COLUMNAR:
-        output = fmt.write_columnar(result)
-    else:
-        output = fmt.write_inline(result.sentences, layers=4)
+    try:
+        if args.outformat == FORMAT_COLUMNAR:
+            output = fmt.write_columnar(result)
+        else:
+            output = fmt.write_inline(result.sentences, layers=4)
+    except fmt.FormatError as exc:
+        raise _BadInput(f"{path.name}: {exc}") from None
     _write(_open_output(args, inputs), output)
     return status
 

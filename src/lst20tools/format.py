@@ -65,7 +65,7 @@ class WriteError(FormatError):
     """A token that cannot be represented in the requested serialization."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Token:
     """One annotated word: surface text plus its POS, NE and clause labels."""
 
@@ -75,15 +75,27 @@ class Token:
     clause: ClauseLabel = ClauseLabel.O
     is_space: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.surface:
+    # Every command builds a Token per line it reads; writing the slots
+    # directly skips the generated frozen __init__'s object.__setattr__ calls.
+    def __init__(self, surface, pos, ne=NE_OUTSIDE, clause=ClauseLabel.O, is_space=False):
+        if not surface:
             raise ValueError("token surface must be non-empty")
-        if "\t" in self.surface or "\n" in self.surface:
+        if "\t" in surface or "\n" in surface:
             raise ValueError("token surface must not contain tab or newline")
-        if self.is_space and self.surface != SPACE_GLYPH:
+        if is_space and surface != SPACE_GLYPH:
             raise ValueError(
                 f"space tokens use the canonical surface {SPACE_GLYPH!r}"
             )
+        _set_surface(self, surface)
+        _set_pos(self, pos)
+        _set_ne(self, ne)
+        _set_clause(self, clause)
+        _set_is_space(self, is_space)
+
+
+_set_surface, _set_pos, _set_ne, _set_clause, _set_is_space = (
+    Token.__dict__[name].__set__ for name in Token.__slots__
+)
 
 
 def space_token(

@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +223,23 @@ class TestConvertCommand:
         source = fixture_copy("glimpse.txt")
         assert main(["convert", "--to", "inline", str(source), "-o", str(source)]) == 2
 
+    @pytest.mark.parametrize("link", [Path.symlink_to, Path.hardlink_to], ids=["symlink", "hardlink"])
+    def test_refuses_a_link_to_the_input(self, fixture_copy, tmp_path, capsys, link):
+        source = fixture_copy("glimpse.txt")
+        before = source.read_bytes()
+        out = tmp_path / "alias.txt"
+        link(out, source)
+        assert main(["convert", "--to", "inline", str(source), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"lst20: refusing to overwrite input path {out}\n"
+        assert source.read_bytes() == before
+
+    def test_writes_a_fresh_output_path(self, fixture_copy, tmp_path, capsys):
+        source = fixture_copy("glimpse.txt")
+        out = tmp_path / "fresh.inline"
+        assert main(["convert", "--to", "inline", str(source), "-o", str(out)]) == 0
+        assert main(["convert", "--to", "inline", str(source)]) == 0
+        assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+
     def test_bad_input_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("broken\n", encoding="utf-8")
@@ -321,6 +339,24 @@ class TestSegmentCommand:
             "draft.inline: sentence 0, token 1: inconsistent or missing annotation layers\n"
         )
 
+    @pytest.mark.parametrize(
+        "text, to, reason",
+        [
+            ("a|b\tVV\tO\tO\n", "inline", "surface containing '|'"),
+            ("\ufeff\ufeffab\tVV\tO\tO\n", "columnar", "first surface starting with U+FEFF"),
+        ],
+        ids=["bar-to-inline", "two-marks"],
+    )
+    def test_names_the_input_when_the_writer_refuses(
+        self, tmp_path, capsys, text, to, reason
+    ):
+        source = tmp_path / "odd.txt"
+        source.write_text(text, encoding="utf-8")
+        out = tmp_path / "odd.out"
+        assert main(["segment", "--to", to, str(source), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"odd.txt: {reason}")
+        assert not out.exists()
+
     def test_connector_inside_a_name_opens_no_sentence(self, tmp_path, capsys):
         # ว่า closes a DTM entity: a clause opened there would let a sentence
         # break leave B_DTM alone and E_DTM orphaned.
@@ -397,6 +433,12 @@ class TestFramesCommand:
         out = capsys.readouterr().out
         assert "NN.1: _ VV (AV)" in out
         assert len(out.strip().split("\n")) == 18
+
+    def test_dump_to_an_output_path(self, tmp_path, capsys):
+        out = tmp_path / "frames.cfg"
+        assert main(["frames", "dump", "-o", str(out)]) == 0
+        assert main(["frames", "dump"]) == 0
+        assert out.read_text(encoding="utf-8") == capsys.readouterr().out
 
     def test_check_reports_frames_and_classes(self, tmp_path, capsys):
         rows = [

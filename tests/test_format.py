@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from dataclasses import replace
 
@@ -54,6 +57,38 @@ class TestToken:
         assert space_token().surface == SPACE_GLYPH
         with pytest.raises(ValueError):
             Token("x", PosTag.PU, is_space=True)
+
+    def test_fields_are_frozen(self):
+        token = Token("a", PosTag.NN)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            token.surface = "b"
+
+    def test_replace_runs_the_constructor_checks(self):
+        token = Token("a", PosTag.NN)
+        with pytest.raises(ValueError, match="^token surface must be non-empty$"):
+            replace(token, surface="")
+        assert replace(token, surface="b") == Token("b", PosTag.NN)
+
+    def test_keyword_construction_equals_positional(self):
+        ne = NE_LABELS["B_PER"]
+        assert Token(
+            surface=SPACE_GLYPH, pos=PosTag.PU, ne=ne, clause=ClauseLabel.I_CLS, is_space=True
+        ) == Token(SPACE_GLYPH, PosTag.PU, ne, ClauseLabel.I_CLS, True)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips_to_an_equal_token(self, clone):
+        token = Token("a", PosTag.NN, NE_LABELS["E_LOC"], ClauseLabel.E_CLS)
+        cloned = clone(token)
+        assert cloned == token
+        assert hash(cloned) == hash(token)
+
+    def test_slots_follow_the_field_order(self):
+        # format.py binds one slot setter per name in __slots__, in order.
+        assert Token.__slots__ == tuple(f.name for f in dataclasses.fields(Token))
 
     def test_sentence_must_be_non_empty(self):
         with pytest.raises(ValueError):
