@@ -8,6 +8,7 @@ stderr; data goes to stdout or the ``--output`` path.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -127,51 +128,58 @@ def _print_format_issues(path: Path, errors: Sequence[fmt.FormatError]) -> int:
     return EXIT_ISSUES if errors else EXIT_OK
 
 
-def _open_output(args, inputs: Sequence[Path]):
+def _open_output(args, inputs: Sequence[Path], config: Optional[str] = None):
+    """The ``--output`` file, or stdout, as a context manager; refuses a path
+    that is one of the ``inputs`` or the ``config`` file the command read."""
     if args.output is None:
-        return sys.stdout
+        return contextlib.nullcontext(sys.stdout)
     out = Path(args.output)
     try:
         target = out.stat()
     except FileNotFoundError:  # a path that does not exist is no input
         target = None
-    if target is not None and any(os.path.samestat(target, p.stat()) for p in inputs):
+    read = [*inputs, Path(config)] if config else inputs
+    if target is not None and any(os.path.samestat(target, p.stat()) for p in read):
         raise ValueError(f"refusing to overwrite input path {out}")
     return open(out, "w", encoding="utf-8", newline="")
 
 
-def _write(out, text: str) -> None:
-    out.write(text)
-    if out is not sys.stdout:
-        out.close()
+def _write(output, text: str) -> None:
+    with output as out:
+        out.write(text)
 
 
 def _cmd_validate(args) -> int:
     inputs = _expand_inputs(args.inputs)
     had_errors = False
-    chunks = []
-    json_entries = []
-    for path in inputs:
-        try:
-            doc, errors = _read_document(path, args.informat, args.strict)
-        except _BadInput as exc:
-            print(exc, file=sys.stderr)
-            had_errors = True
-            continue
+    sep = "[\n"  # what --json writes before the next file's entries
+
+    def lint(path: Path) -> None:
+        # One file's read, lint and write, so nothing of it is alive while
+        # the next file is read.
+        nonlocal had_errors, sep
+        doc, errors = _read_document(path, args.informat, args.strict)
         report = validate_mod.lint_document(doc, extra=[_format_issue(e) for e in errors])
-        if report.error_count:
-            had_errors = True
-        if args.json:
-            for entry in report.to_dicts():
+        had_errors |= report.error_count > 0
+        if not args.json:
+            out.write(format_report(report, path.name))
+        elif entries := report.to_dicts():
+            for entry in entries:
                 entry["file"] = path.name
-                json_entries.append(entry)
-        else:
-            chunks.append(format_report(report, path.name))
-    if args.json:
-        output = json.dumps(json_entries, ensure_ascii=False, indent=2) + "\n"
-    else:
-        output = "".join(chunks)
-    _write(_open_output(args, inputs), output)
+            # json.dumps of a list, less its "[\n" and "\n]", is its entries
+            # indented as they are in the dump of every file's entries.
+            out.write(sep + json.dumps(entries, ensure_ascii=False, indent=2)[2:-2])
+            sep = ",\n"
+
+    with _open_output(args, inputs) as out:
+        for path in inputs:
+            try:
+                lint(path)
+            except _BadInput as exc:
+                print(exc, file=sys.stderr)
+                had_errors = True
+        if args.json:
+            out.write("[]\n" if sep == "[\n" else "\n]\n")
     return EXIT_ISSUES if had_errors else EXIT_OK
 
 
@@ -220,8 +228,14 @@ def _cmd_segment(args) -> int:
             output = fmt.write_inline(result.sentences, layers=4)
     except fmt.FormatError as exc:
         raise _BadInput(f"{path.name}: {exc}") from None
-    _write(_open_output(args, inputs), output)
+    _write(_open_output(args, inputs, args.lexicon), output)
     return status
+
+
+def _count_file(path: Path, args) -> tuple[stats_mod.CorpusCounts, int]:
+    """One file's counts and format-error count; its Document goes on return."""
+    doc, errors = _read_document(path, args.informat, args.strict)
+    return stats_mod.document_counts(doc, args.include_spaces), len(errors)
 
 
 def _cmd_stats(args) -> int:
@@ -235,14 +249,14 @@ def _cmd_stats(args) -> int:
     skipped = False
     for path in inputs:
         try:
-            doc, errors = _read_document(path, args.informat, args.strict)
+            counts, errors = _count_file(path, args)
         except _BadInput as exc:
             print(exc, file=sys.stderr)
             skipped = True
             continue
-        totals += stats_mod.document_counts(doc, args.include_spaces)
+        totals += counts
         genre_hist[genres.get(path.name) or genres.get(path.stem) or "unknown"] += 1
-        format_errors += len(errors)
+        format_errors += errors
     if args.json:
         payload = {
             "counts": totals.to_dict(),
@@ -259,7 +273,7 @@ def _cmd_stats(args) -> int:
             for key, count in sorted(hist.items()):
                 lines.append(f"{title}:{key}\t{count}")
         output = "\n".join(lines) + "\n"
-    _write(_open_output(args, inputs), output)
+    _write(_open_output(args, inputs, args.manifest), output)
     return EXIT_ISSUES if skipped else EXIT_OK
 
 
@@ -272,7 +286,7 @@ def _load_frameset(args) -> frames_mod.FrameSet:
 def _cmd_frames(args) -> int:
     frameset = _load_frameset(args)
     if args.frames_command == "dump":
-        _write(_open_output(args, []), frames_mod.dump_frameset(frameset))
+        _write(_open_output(args, [], args.frames), frames_mod.dump_frameset(frameset))
         return EXIT_OK
     # frames check
     inputs = _expand_inputs(args.inputs)
@@ -299,7 +313,7 @@ def _cmd_frames(args) -> int:
     if not lines:
         lines.append(f"no occurrences of {args.word!r}")
     lines.append("classes: " + (" ".join(sorted(classes)) if classes else "-"))
-    _write(_open_output(args, inputs), "\n".join(lines) + "\n")
+    _write(_open_output(args, inputs, args.frames), "\n".join(lines) + "\n")
     return status
 
 

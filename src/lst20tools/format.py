@@ -12,6 +12,7 @@ is the glyph ``SPACE_GLYPH`` (U+2423).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .schema import (
@@ -143,6 +144,19 @@ def _fail(exc: FormatError, errors: Optional[list]) -> None:
     errors.append(exc)
 
 
+_CHUNK_CHARS = 2048
+
+
+def _line_chunks(text: str) -> Iterator[list[str]]:
+    """The lines of ``text``, split about ``_CHUNK_CHARS`` characters at a
+    time, so that a reader holds no more of them than one chunk's."""
+    start = 0
+    while (end := text.find("\n", start + _CHUNK_CHARS)) >= 0:
+        yield text[start:end].split("\n")
+        start = end + 1
+    yield text[start:].split("\n")
+
+
 def read_columnar(
     text: str, doc_id: str = "doc", *, errors: Optional[list[LineError]] = None
 ) -> Document:
@@ -164,7 +178,7 @@ def read_columnar(
             sentences.append(Sentence(tuple(current)))
             current.clear()
 
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    for line_no, raw in enumerate(chain.from_iterable(_line_chunks(text)), start=1):
         token = parsed.get(raw)
         if token is not None:
             current.append(token)

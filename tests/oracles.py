@@ -6,8 +6,9 @@ enumeration of slot lengths, its witness alignment by recursive
 backtracking, entity spans and counts by regex span extraction,
 corpus counts straight off the tab-split rows of a columnar file,
 clause spans by cutting at every connector and merging verbless chunks,
-and inline parsing by masking every chunk of a sentence before building
-any token.
+inline parsing by masking every chunk of a sentence before building
+any token, and columnar parsing one line at a time over the whole file's
+lines.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Optional, Sequence
 
 from lst20tools.format import (
     SPACE_GLYPH,
+    LineError,
     Sentence,
     Token,
     TokenError,
@@ -34,6 +36,9 @@ from lst20tools.schema import (
     POS_TAGS,
     ClauseLabel,
     PosTag,
+    parse_clause_label,
+    parse_ne_label,
+    parse_pos_tag,
 )
 
 
@@ -299,4 +304,47 @@ def read_inline_two_pass(
             raise failure
         else:
             errors.append(failure)
+    return sentences
+
+
+def read_columnar_lines(
+    text: str, errors: Optional[list[LineError]] = None
+) -> list[Sentence]:
+    """Columnar parsing one line at a time, with no memo.
+
+    Splits the whole text into lines up front and parses every line on its
+    own, its labels through the schema's parse functions. Strict and
+    permissive modes follow :func:`lst20tools.format.read_columnar`.
+    """
+    sentences, current = [], []
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
+        line = raw.removesuffix("\r")
+        if not line:
+            if current:
+                sentences.append(Sentence(tuple(current)))
+            current = []
+            continue
+        fields = line.split("\t")
+        try:
+            if len(fields) != 4:
+                raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
+            word, pos, ne, clause = fields
+            if not word:
+                raise ValueError("empty word field")
+            current.append(
+                Token(
+                    SPACE_GLYPH if word == "_" else word,
+                    parse_pos_tag(pos),
+                    parse_ne_label(ne),
+                    parse_clause_label(clause),
+                    is_space=word == "_",
+                )
+            )
+        except ValueError as exc:  # the schema's UnknownTag and MalformedLabel too
+            failure = LineError(line_no, str(exc))
+            if errors is None:
+                raise failure from None
+            errors.append(failure)
+    if current:
+        sentences.append(Sentence(tuple(current)))
     return sentences

@@ -1,11 +1,15 @@
+import gc
+import hashlib
 import json
+import random
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import corpus_samples
-from lst20tools import LintReport, lint_document
+from lst20tools import Document, LintReport, lint_document, read_columnar, write_columnar
 from lst20tools.cli import format_report, main
 
 
@@ -27,8 +31,6 @@ class TestFormatReport:
         text = corpus_samples.fixture_text("glimpse.txt").replace(
             "B_ORG", "I_ORG", 1
         )
-        from lst20tools import read_columnar
-
         report = lint_document(read_columnar(text, "mutated"))
         rendered = format_report(report, filename="mutated.txt")
         assert "mutated.txt:1:2: error NE_ORPHAN_I" in rendered
@@ -173,6 +175,43 @@ class TestBadConfigFile:
         captured = capsys.readouterr()
         assert captured.err == f"lst20: conf.txt: line 1: {reason}\n"
         assert captured.out == ""
+
+
+class TestOutputGuardCoversConfig:
+    """-o naming the --lexicon, --manifest or --frames file the command read
+    is refused like -o naming an input, and the file is left as it was."""
+
+    @pytest.mark.parametrize(
+        "argv,content",
+        [
+            (["segment", "--lexicon"], "[subordinate_connectors]\nเพราะ\n"),
+            (["stats", "--manifest"], "a\tnews\n"),
+            (["frames", "check", "--word", "ก", "--frames"], "X.1: _ VV\n"),
+            (["frames", "dump", "--frames"], "X.1: _ VV\n"),
+        ],
+        ids=["lexicon", "manifest", "frames-check", "frames-dump"],
+    )
+    def test_refuses_to_overwrite_the_config(self, tmp_path, argv, content, capsys):
+        good = tmp_path / "a.txt"
+        good.write_text("ก\tVV\tO\tB_CLS\n", encoding="utf-8")
+        config = tmp_path / "conf.txt"
+        config.write_text(content, encoding="utf-8")
+        before = config.read_bytes()
+        inputs = [] if argv[:2] == ["frames", "dump"] else [str(good)]
+        assert main([*argv, str(config), *inputs, "-o", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"lst20: refusing to overwrite input path {config}\n"
+        assert captured.out == ""
+        assert config.read_bytes() == before
+
+    def test_validate_refuses_before_reading_any_input(self, tmp_path, capsys):
+        # b.txt is not UTF-8: reading it would be reported on stderr.
+        (tmp_path / "a.txt").write_text("ก\tVV\tO\tB_CLS\n", encoding="utf-8")
+        (tmp_path / "b.txt").write_bytes(b"\xff\tNN\tO\tO\n")
+        out = tmp_path / "a.txt"
+        assert main(["validate", str(tmp_path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"lst20: refusing to overwrite input path {out}\n"
+        assert out.read_text(encoding="utf-8") == "ก\tVV\tO\tB_CLS\n"
 
 
 class TestByteOrderMark:
@@ -495,3 +534,131 @@ def test_output_files_use_lf_newlines(fixture_copy, tmp_path):
     out = tmp_path / "out.txt"
     assert main(["convert", "--to", "inline", str(source), "-o", str(out)]) == 0
     assert b"\r" not in out.read_bytes()
+
+
+def _lst20_sized_text(rng: random.Random) -> str:
+    """One document of about a thousand tokens, as an LST20 file holds."""
+    return write_columnar(
+        Document("d", tuple(corpus_samples.random_sentence(rng) for _ in range(48)))
+    )
+
+
+def _release_shard(directory: Path) -> Path:
+    """Four LST20-sized documents, the third a draft with a line that does
+    not parse and a line with an unknown POS tag."""
+    rng = random.Random(12)
+    directory.mkdir()
+    for k in range(4):
+        lines = _lst20_sized_text(rng).split("\n")
+        if k == 2:
+            lines[3] = "broken line"
+            word, _, ne, clause = lines[10].split("\t")
+            lines[10] = "\t".join((word, "QQ", ne, clause))
+        (directory / f"D{k:05d}.txt").write_text("\n".join(lines), encoding="utf-8")
+    return directory
+
+
+class TestValidateWritesAsItGoes:
+    """validate writes each file's report once it has linted that file. The
+    bytes are those of one json.dumps over every file's entries, or of the
+    files' format_report texts one after another."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        status = main(argv)
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    def _one_shot(self, paths, capsys):
+        """The --json output, from each file validated alone."""
+        entries = []
+        for path in paths:
+            entries += json.loads(self._run(["validate", "--json", str(path)], capsys)[1])
+        return json.dumps(entries, ensure_ascii=False, indent=2) + "\n"
+
+    def test_no_issues_is_an_empty_list(self, tmp_path, capsys):
+        path = tmp_path / "clean.txt"
+        path.write_text("ก\tVV\tO\tB_CLS\nข\tNN\tO\tE_CLS\n", encoding="utf-8")
+        assert self._run(["validate", "--json", str(path)], capsys) == (0, "[]\n", "")
+
+    def test_one_file(self, tmp_path, capsys):
+        path = _release_shard(tmp_path / "shard") / "D00002.txt"
+        errors = []
+        text = path.read_text(encoding="utf-8")
+        # The draft's two bad lines are FORMAT_LINE issues, listed first.
+        report = lint_document(read_columnar(text, "d", errors=errors))
+        assert len(errors) == 2 and report.issues
+        status, out, _ = self._run(["validate", "--json", str(path)], capsys)
+        payload = json.loads(out)
+        assert [entry["code"] for entry in payload[:2]] == ["FORMAT_LINE"] * 2
+        entries = [{**entry, "file": path.name} for entry in report.to_dicts()]
+        assert payload[2:] == entries
+        assert out == json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+        assert status == 1
+
+    def test_several_files(self, tmp_path, capsys):
+        shard = _release_shard(tmp_path / "shard")
+        shutil.copy(corpus_samples.FIXTURE_DIR / "glimpse.txt", shard / "D00001b.txt")
+        paths = sorted(shard.iterdir())
+        expected = self._one_shot(paths, capsys)
+        assert self._run(["validate", "--json", str(shard)], capsys) == (1, expected, "")
+        text = "".join(self._run(["validate", str(p)], capsys)[1] for p in paths)
+        assert self._run(["validate", str(shard)], capsys) == (1, text, "")
+
+    def test_undecodable_file_in_the_middle(self, tmp_path, capsys):
+        shard = _release_shard(tmp_path / "shard")
+        (shard / "D00001b.txt").write_bytes(b"\xff\tNN\tO\tO\n")
+        good = [p for p in sorted(shard.iterdir()) if p.name != "D00001b.txt"]
+        expected = self._one_shot(good, capsys)
+        status, out, err = self._run(["validate", "--json", str(shard)], capsys)
+        assert (status, out) == (1, expected)
+        assert err.startswith("D00001b.txt: 'utf-8' codec can't decode")
+        text = "".join(self._run(["validate", str(p)], capsys)[1] for p in good)
+        assert self._run(["validate", str(shard)], capsys)[:2] == (1, text)
+
+    def test_text_is_the_files_reports(self, tmp_path, capsys):
+        path = tmp_path / "a.txt"
+        path.write_text(_lst20_sized_text(random.Random(3)), encoding="utf-8")
+        report = lint_document(read_columnar(path.read_text(encoding="utf-8"), "a"))
+        assert self._run(["validate", str(path)], capsys)[1] == format_report(report, "a.txt")
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["validate", "--json"], "ea9c39ed807f98d0f67b98395d1f4e2233b1b99a986a8fe74a381d92693e9e86"),
+            (["validate"], "467ecd18396cfb9759b124845b8fcf6efa22cf38b45d46a94017cab6586df5a2"),
+        ],
+        ids=["json", "text"],
+    )
+    def test_release_shard_bytes_are_pinned(self, tmp_path, argv, digest):
+        # Pinned from the one-shot writer: writing as it goes changes no byte.
+        shard = _release_shard(tmp_path / "shard")
+        out = tmp_path / "out"
+        assert main([*argv, str(shard), "-o", str(out)]) == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _heap_peak(argv) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        main(argv)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", [["validate", "--json"], ["stats", "--json"]])
+def test_heap_peak_follows_the_largest_file_not_the_file_count(tmp_path, command):
+    text = _lst20_sized_text(random.Random(5))
+    one, two = tmp_path / "one", tmp_path / "two"
+    for directory, names in ((one, ["a.txt"]), (two, ["a.txt", "b.txt"])):
+        directory.mkdir()
+        for name in names:
+            (directory / name).write_text(text, encoding="utf-8")
+    out = str(tmp_path / "out")
+    main([*command, str(one), "-o", out])  # one-time lazy set-up
+    single = _heap_peak([*command, str(one), "-o", out])
+    double = _heap_peak([*command, str(two), "-o", out])
+    assert double <= 1.15 * single, (single, double)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus_samples
-from oracles import read_inline_two_pass
+from oracles import read_columnar_lines, read_inline_two_pass
 from lst20tools import (
     ClauseLabel,
     Document,
@@ -26,6 +26,7 @@ from lst20tools import (
     write_columnar,
     write_inline,
 )
+from lst20tools import format as format_module
 from lst20tools.format import SPACE_GLYPH, inline_layer_count
 from lst20tools.schema import (
     CLAUSE_LABELS,
@@ -499,6 +500,66 @@ def test_permissive_columnar_accounts_for_every_line(lines):
         alone_errors += [(line_no, error.reason) for error in line_errors]
     assert [token for sentence in doc.sentences for token in sentence] == alone_tokens
     assert [(error.line_no, error.reason) for error in errors] == alone_errors
+
+
+_READER_LINES = [
+    "ก\tNN\tO\tO",
+    "_\tPU\tB_PER\tI_CLS",
+    "http://x.th/a\tNN\tO\tB_CLS",
+    "",
+    "\r",
+    "no tabs here",
+    "a\tQQ\tO\tO",
+    "\tNN\tO\tO",
+    "a\tNN\tB_XYZ\tO",
+    "a\tNN\tX_PER\tO",
+    "a\tNN\tO\tO\tO",
+    "a\tNN\tO\tb_cls",
+]
+
+
+@st.composite
+def columnar_texts(draw):
+    """Good, bad and blank lines with LF or CRLF endings, runs of 1-4 blank
+    lines, an optional leading BOM and 0-3 trailing newlines."""
+    runs = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(_READER_LINES), st.sampled_from(["", "\r"])),
+                st.lists(st.sampled_from(["", "\r"]), min_size=1, max_size=4),
+            ),
+            max_size=25,
+        )
+    )
+    lines = []
+    for run in runs:
+        lines += ["".join(run)] if isinstance(run, tuple) else run
+    bom = draw(st.sampled_from(["", BOM]))
+    return bom + "\n".join(lines) + "\n" * draw(st.integers(0, 3))
+
+
+def _read_columnar_either_way(read, text, errors):
+    try:
+        sentences = list(read(text, errors=errors))
+    except LineError as error:
+        return "raised", (error.line_no, str(error))
+    return sentences, [(error.line_no, str(error)) for error in errors or []]
+
+
+@settings(max_examples=300, deadline=None)
+@given(columnar_texts(), st.booleans(), st.integers(0, 40))
+def test_read_columnar_matches_line_at_a_time_reference(text, strict, chunk_chars):
+    # The reader splits a text into lines a chunk at a time; chunks this
+    # small put chunk edges next to every kind of line. Permissive mode
+    # gives the same sentences and located errors as the reference, strict
+    # mode the same first error or the same sentences.
+    def chunked(text, errors):
+        return read_columnar(text, "d", errors=errors).sentences
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
+        got = _read_columnar_either_way(chunked, text, None if strict else [])
+    assert got == _read_columnar_either_way(read_columnar_lines, text, None if strict else [])
 
 
 _INLINE_PIECES = [
