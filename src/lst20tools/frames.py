@@ -17,11 +17,12 @@ plus VV.6, adjective and adverb require any one of their frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .schema import PosTag, UnknownTag, parse_pos_tag
+from .schema import PosTag
 
 
 class FrameSpecError(ValueError):
@@ -52,13 +53,24 @@ class FrameSlot:
 class FramePattern:
     frame_id: str
     slots: tuple[FrameSlot, ...]
+    #: The fewest and the most tokens the slots before the hole can cover,
+    #: then the same after it; "most" is inf when a phrase is on that side.
+    window: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        holes = sum(1 for s in self.slots if s.kind is SlotKind.HOLE)
+        holes = 0
+        fewest, most = [0, 0], [0, 0]
+        for slot in self.slots:
+            if slot.kind is SlotKind.HOLE:
+                holes += 1
+            else:
+                fewest[holes > 0] += not slot.optional
+                most[holes > 0] += math.inf if slot.kind is SlotKind.PHRASE else 1
         if holes != 1:
             raise FrameSpecError(
                 f"frame {self.frame_id or '<anonymous>'} needs exactly one hole, got {holes}"
             )
+        object.__setattr__(self, "window", (fewest[0], most[0], fewest[1], most[1]))
 
     def spec(self) -> str:
         return " ".join(slot.spec() for slot in self.slots)
@@ -72,32 +84,28 @@ class FrameMatch:
     alignment: tuple[tuple[int, int], ...]
 
 
+#: Every slot a spec item can name, shared by all frames.
+_SLOTS: dict[str, FrameSlot] = {
+    "_": FrameSlot(SlotKind.HOLE),
+    "*": FrameSlot(SlotKind.PHRASE),
+    "*?": FrameSlot(SlotKind.PHRASE, optional=True),
+    **{tag.value: FrameSlot(SlotKind.EXACT, tag) for tag in PosTag},
+    **{f"({tag.value})": FrameSlot(SlotKind.EXACT, tag, optional=True) for tag in PosTag},
+}
+
+
 def compile_frame(spec: str, frame_id: str = "") -> FramePattern:
     """Compile a mini-language string into a pattern."""
     slots = []
     for item in spec.split():
-        if item == "_":
-            slots.append(FrameSlot(SlotKind.HOLE))
-        elif item == "*":
-            slots.append(FrameSlot(SlotKind.PHRASE))
-        elif item == "*?":
-            slots.append(FrameSlot(SlotKind.PHRASE, optional=True))
-        elif item.startswith("(") and item.endswith(")"):
-            slots.append(
-                FrameSlot(SlotKind.EXACT, _tag(item[1:-1], spec), optional=True)
-            )
-        else:
-            slots.append(FrameSlot(SlotKind.EXACT, _tag(item, spec)))
+        try:
+            slots.append(_SLOTS[item])
+        except KeyError:
+            text = item[1:-1] if item.startswith("(") and item.endswith(")") else item
+            raise FrameSpecError(f"unknown tag {text!r} in frame spec {spec!r}") from None
     if not slots:
         raise FrameSpecError("empty frame spec")
     return FramePattern(frame_id, tuple(slots))
-
-
-def _tag(text: str, spec: str) -> PosTag:
-    try:
-        return parse_pos_tag(text)
-    except UnknownTag:
-        raise FrameSpecError(f"unknown tag {text!r} in frame spec {spec!r}") from None
 
 
 def frame_matches(
@@ -112,11 +120,16 @@ def frame_matches(
     ``fits[k]`` holds the positions from which ``slots[k:]`` can cover the
     rest of the sequence, filled right to left; the witness is one walk
     that takes each slot's longest step staying inside the table. Both
-    passes are O(slots x length), with no backtracking.
+    passes are O(slots x length), with no backtracking. A frame whose
+    ``window`` cannot cover the tokens on either side of the candidate is
+    rejected first, reading no tag.
     """
     n = len(pos_sequence)
     if not 0 <= candidate < n:
         raise ValueError("candidate index out of range")
+    fewest, most, fewest_after, most_after = frame.window
+    if not (fewest <= candidate <= most and fewest_after <= n - 1 - candidate <= most_after):
+        return None
     fits: list = [{n}]
     for slot in reversed(frame.slots):
         after = fits[-1]
@@ -218,6 +231,12 @@ def load_frameset(text: str) -> FrameSet:
 
 
 def dump_frameset(frameset: FrameSet) -> str:
+    """``id: spec`` lines; an id that ``load_frameset`` would not read back
+    (empty, padded, or holding ``#``, ``:`` or a line break) is refused."""
+    for frame in frameset.frames:
+        fid = frame.frame_id
+        if not fid or fid != fid.strip() or any(c in fid for c in "#:\r\n"):
+            raise FrameSpecError(f"frame id {fid!r} would not read back")
     return "".join(f"{f.frame_id}: {f.spec()}\n" for f in frameset.frames)
 
 

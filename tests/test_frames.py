@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 
 import pytest
@@ -33,6 +35,14 @@ def tags(*names):
     return [PosTag(n) for n in names]
 
 
+class CountingTags(list):
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
 class TestCompile:
     def test_plain_slots(self):
         pattern = compile_frame("_ VV AV")
@@ -65,6 +75,27 @@ class TestCompile:
     def test_unknown_tag_rejected(self):
         with pytest.raises(FrameSpecError):
             compile_frame("_ QQ")
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("_ QQ", "unknown tag 'QQ' in frame spec '_ QQ'"),
+            ("_ (QQ)", "unknown tag 'QQ' in frame spec '_ (QQ)'"),
+            ("_ (VV", "unknown tag '(VV' in frame spec '_ (VV'"),
+            ("_ ()", "unknown tag '' in frame spec '_ ()'"),
+            ("   ", "empty frame spec"),
+            ("NN VV", "frame <anonymous> needs exactly one hole, got 0"),
+            ("_ _ VV", "frame <anonymous> needs exactly one hole, got 2"),
+        ],
+    )
+    def test_error_messages(self, spec, message):
+        with pytest.raises(FrameSpecError) as info:
+            compile_frame(spec)
+        assert str(info.value) == message
+
+    def test_frames_share_one_slot_per_item(self):
+        first, second = compile_frame("NN (AX) _ *?"), compile_frame("NN (AX) _ *?")
+        assert all(a is b for a, b in zip(first.slots, second.slots))
 
     def test_empty_spec_rejected(self):
         with pytest.raises(FrameSpecError):
@@ -113,18 +144,20 @@ class TestMatcher:
 
     @pytest.mark.parametrize("last", ["NN", "VV"], ids=["miss", "match"])
     def test_matching_reads_each_tag_once_per_slot(self, last):
-        class CountingTags(list):
-            reads = 0
-
-            def __getitem__(self, index):
-                self.reads += 1
-                return super().__getitem__(index)
-
         frame = compile_frame("_ * * * * * VV", "x")
         sequence = CountingTags(tags(*["NN"] * 59, last))
         match = frame_matches(sequence, 0, frame)
         assert (match is not None) == (last == "VV")
         assert sequence.reads <= len(frame.slots) * (len(sequence) + 1)
+
+    @pytest.mark.parametrize(
+        "spec,n,candidate",
+        [("_ VV (AV)", 40, 0), ("NN VV NN CC (AX) (NN) _ *?", 40, 3), ("NN _", 2, 0)],
+    )
+    def test_frame_outside_its_window_reads_no_tag(self, spec, n, candidate):
+        sequence = CountingTags(tags(*["NN"] * n))
+        assert frame_matches(sequence, candidate, compile_frame(spec, "x")) is None
+        assert sequence.reads == 0
 
     def test_candidate_out_of_range(self):
         frame = compile_frame("_", "x")
@@ -176,6 +209,43 @@ class TestClassification:
             previous = classes
 
 
+class TestWindow:
+    def test_builtin_windows(self):
+        windows = {f.frame_id: f.window for f in default_frameset().frames}
+        assert windows == {
+            "NN.1": (0, 0, 1, 2),
+            "NN.2": (2, 2, 0, 1),
+            "NN.3": (3, 3, 0, 1),
+            "NN.4": (0, 0, 2, 2),
+            "VV.1": (1, 2, 0, 1),
+            "VV.2": (0, 1, 1, 2),
+            "VV.3": (0, 1, 2, 3),
+            "VV.4": (2, 3, 0, 2),
+            "VV.5": (1, 1, 1, 3),
+            "VV.6": (4, 6, 0, math.inf),
+            "AJ.1": (1, 2, 1, 1),
+            "AJ.2": (0, 0, 2, 2),
+            "AJ.3": (1, 1, 3, 3),
+            "AJ.4": (2, 2, 2, 2),
+            "AV.1": (2, 3, 0, 0),
+            "AV.2": (0, 0, 3, 3),
+            "AV.3": (0, 0, 3, 3),
+            "AV.4": (3, 3, 0, 0),
+        }
+
+    def test_phrase_before_hole(self):
+        assert compile_frame("* (NN) _ VV").window == (1, math.inf, 1, 1)
+
+    def test_replace_recomputes_and_equality_ignores_window(self):
+        frame = compile_frame("_ VV", "x")
+        wider = dataclasses.replace(frame, slots=compile_frame("_ *").slots)
+        assert wider.window == (0, 0, 1, math.inf)
+        assert "window" not in repr(frame)
+        narrow = dataclasses.replace(frame)
+        object.__setattr__(narrow, "window", (0, 0, 0, 0))
+        assert narrow == frame and hash(narrow) == hash(frame)
+
+
 class TestFrameSet:
     def test_ships_eighteen_frames(self):
         frameset = default_frameset()
@@ -192,6 +262,17 @@ class TestFrameSet:
         text = dump_frameset(frameset)
         again = load_frameset(text)
         assert again == frameset
+
+    @pytest.mark.parametrize("frame_id", ["A#1", "A:1", " A", "", "A ", "A\nB", "A\rB"])
+    def test_dump_refuses_an_id_that_would_not_read_back(self, frame_id):
+        frameset = FrameSet((compile_frame("_ VV", frame_id),))
+        with pytest.raises(FrameSpecError) as info:
+            dump_frameset(frameset)
+        assert repr(frame_id) in str(info.value)
+
+    def test_dump_keeps_an_inner_space(self):
+        frameset = FrameSet((compile_frame("_ VV", "A B"),))
+        assert load_frameset(dump_frameset(frameset)) == frameset
 
     def test_load_rejects_missing_colon(self):
         with pytest.raises(FrameSpecError):
@@ -241,6 +322,24 @@ def test_matcher_agrees_with_enumeration_oracle_sample():
         )
         witness = frame_witness(frame, sequence, candidate)
         assert (match and match.alignment) == witness, (
+            frame.spec(), [t.value for t in sequence], candidate
+        )
+
+
+def test_window_rejection_agrees_with_witness_oracle():
+    # Up to 14 tokens: past every phrase-free frame's window, with the
+    # candidate at either end as well as anywhere between. Tags come mostly
+    # from the frame's own slots, so that many usages match.
+    rng = random.Random(29)
+    frames = list(default_frameset().frames) + [_random_frame(rng) for _ in range(60)]
+    for _ in range(2000):
+        frame = rng.choice(frames)
+        pool = [s.tag for s in frame.slots if s.tag] + [rng.choice(ALL_TAGS)]
+        n = rng.randint(1, 14)
+        sequence = [rng.choice(pool) for _ in range(n)]
+        candidate = rng.choice([0, n - 1, rng.randrange(n)])
+        match = frame_matches(sequence, candidate, frame)
+        assert (match and match.alignment) == frame_witness(frame, sequence, candidate), (
             frame.spec(), [t.value for t in sequence], candidate
         )
 
