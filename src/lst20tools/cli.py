@@ -53,9 +53,9 @@ def _expand_inputs(paths: Sequence[str]) -> list[Path]:
     for name in paths:
         path = Path(name)
         if path.is_dir():
-            files.extend(
-                sorted(p for p in path.iterdir() if p.is_file()),
-            )
+            # A subdirectory is kept, so that reading it reports it: inputs
+            # are not searched recursively.
+            files.extend(sorted(p for p in path.iterdir() if p.is_file() or p.is_dir()))
         elif path.is_file():
             files.append(path)
         else:
@@ -64,7 +64,8 @@ def _expand_inputs(paths: Sequence[str]) -> list[Path]:
 
 
 class _BadInput(Exception):
-    """An input file that is not UTF-8 or, under ``--strict``, does not parse.
+    """An input file that is not UTF-8 or, under ``--strict``, does not parse,
+    or a subdirectory of a directory input.
 
     Reported as ``name: reason`` with exit 1; validate and stats go on.
     """
@@ -76,6 +77,8 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _BadInput(f"{path.name}: {exc}") from None
+    except IsADirectoryError:
+        raise _BadInput(f"{path.name}: is a directory; subdirectories are not read") from None
 
 
 def _load_config(name: str, parse):

@@ -12,7 +12,7 @@ is the glyph ``SPACE_GLYPH`` (U+2423).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .schema import (
@@ -78,6 +78,8 @@ class Token:
 
     # Every command builds a Token per line it reads; writing the slots
     # directly skips the generated frozen __init__'s object.__setattr__ calls.
+    # read_columnar writes them itself, without the checks its line format
+    # already guarantees; a test fails if it bypasses one added here.
     def __init__(self, surface, pos, ne=NE_OUTSIDE, clause=ClauseLabel.O, is_space=False):
         if not surface:
             raise ValueError("token surface must be non-empty")
@@ -97,6 +99,7 @@ class Token:
 _set_surface, _set_pos, _set_ne, _set_clause, _set_is_space = (
     Token.__dict__[name].__set__ for name in Token.__slots__
 )
+_new_token = object.__new__  # a Token with no slot set, for read_columnar
 
 
 def space_token(
@@ -108,6 +111,15 @@ def space_token(
 
 
 _BARE_SPACE = space_token()
+
+# Every valid "POS\tNE\tCLS" tail of a columnar line, mapped to its interned
+# labels: a token line's tags are one lookup, or two with a CRLF ending.
+_TAG_COLUMNS: dict[str, tuple[PosTag, NeLabel, ClauseLabel]] = dict(
+    zip(
+        map("\t".join, product(POS_TAGS, NE_LABELS, CLAUSE_LABELS)),
+        product(POS_TAGS.values(), NE_LABELS.values(), CLAUSE_LABELS.values()),
+    )
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,39 +192,45 @@ def read_columnar(
 
     for line_no, raw in enumerate(chain.from_iterable(_line_chunks(text)), start=1):
         token = parsed.get(raw)
-        if token is not None:
-            current.append(token)
-            continue
-        line = raw[:-1] if raw.endswith("\r") else raw
-        if line == "":
-            flush()
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            reason = f"expected 4 tab-separated fields, got {len(fields)}"
-            _fail(LineError(line_no, reason), errors)
-            continue
-        word, pos_text, ne_text, clause_text = fields
-        if word == "":
-            _fail(LineError(line_no, "empty word field"), errors)
-            continue
-        try:
-            pos, ne = POS_TAGS[pos_text], NE_LABELS[ne_text]
-            clause = CLAUSE_LABELS[clause_text]
-        except KeyError:
-            try:  # the parsers raise for the first bad column, with its message
-                parse_pos_tag(pos_text)
-                parse_ne_label(ne_text)
-                parse_clause_label(clause_text)
-            except (UnknownTag, MalformedLabel) as exc:
-                _fail(LineError(line_no, str(exc)), errors)
-            continue
-        is_space = word == COLUMNAR_SPACE
-        token = Token(SPACE_GLYPH if is_space else word, pos, ne, clause, is_space)
+        if token is None:
+            word, _, tags = raw.partition("\t")
+            labels = _TAG_COLUMNS.get(tags) or _TAG_COLUMNS.get(tags.removesuffix("\r"))
+            if labels is None or not word:
+                if raw in ("", "\r"):
+                    flush()
+                else:
+                    _fail(_line_error(line_no, raw), errors)
+                continue
+            # The line format already guarantees what Token() would check:
+            # a non-empty word, no tab or newline in it, the glyph for "_".
+            is_space = word == COLUMNAR_SPACE
+            token = parsed[raw] = _new_token(Token)
+            _set_surface(token, SPACE_GLYPH if is_space else word)
+            _set_pos(token, labels[0])
+            _set_ne(token, labels[1])
+            _set_clause(token, labels[2])
+            _set_is_space(token, is_space)
         current.append(token)
-        parsed[raw] = token
     flush()
     return Document(doc_id, tuple(sentences))
+
+
+def _line_error(line_no: int, raw: str) -> LineError:
+    """The error of a line that is not blank and missed ``_TAG_COLUMNS`` or
+    has an empty word: its field count, its word, or its first bad column."""
+    fields = raw.removesuffix("\r").split("\t")
+    if len(fields) != 4:
+        return LineError(line_no, f"expected 4 tab-separated fields, got {len(fields)}")
+    word, pos_text, ne_text, clause_text = fields
+    if word == "":
+        return LineError(line_no, "empty word field")
+    try:  # the parsers raise for the first bad column, with its message
+        parse_pos_tag(pos_text)
+        parse_ne_label(ne_text)
+        parse_clause_label(clause_text)
+    except (UnknownTag, MalformedLabel) as exc:
+        return LineError(line_no, str(exc))
+    raise AssertionError(f"line {line_no} has valid tags but missed _TAG_COLUMNS")
 
 
 def write_columnar(doc: Document) -> str:

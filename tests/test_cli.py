@@ -121,6 +121,29 @@ class TestBadInputFile:
         assert captured.err.startswith("b.txt: 'utf-8' codec can't decode")
         assert json.loads(captured.out)["counts"]["documents"] == 1
 
+    @pytest.fixture
+    def nest(self, tmp_path):
+        """A directory holding a clean file and a subdirectory whose one file,
+        if it were read, would be a FORMAT_LINE error."""
+        (tmp_path / "train").mkdir()
+        (tmp_path / "train" / "a.txt").write_text("ก\tNN\tO\tQQ\n", encoding="utf-8")
+        (tmp_path / "b.txt").write_text("ก\tVV\tO\tB_CLS\n", encoding="utf-8")
+        return tmp_path
+
+    def test_validate_reports_a_subdirectory(self, nest, capsys):
+        assert main(["validate", "--json", str(nest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "train: is a directory; subdirectories are not read\n"
+        # b.txt's one-token clause is a CLS_SINGLETON warning; a.txt is not read.
+        assert [entry["file"] for entry in json.loads(captured.out)] == ["b.txt"]
+
+    def test_stats_reports_a_subdirectory(self, nest, capsys):
+        assert main(["stats", "--json", str(nest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "train: is a directory; subdirectories are not read\n"
+        payload = json.loads(captured.out)
+        assert payload["counts"]["documents"] == 1 and payload["format_errors"] == 0
+
     def test_strict_stats_skips_a_file_that_does_not_parse(self, pair, capsys):
         good, bad = pair
         bad.write_text("broken\n", encoding="utf-8")

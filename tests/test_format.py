@@ -515,6 +515,13 @@ _READER_LINES = [
     "a\tNN\tX_PER\tO",
     "a\tNN\tO\tO\tO",
     "a\tNN\tO\tb_cls",
+    "a\tNN\tO\tO\r",  # with a CRLF ending it ends in two CRs: still an error
+    "\r\tNN\tO\tO",  # the word is a lone CR
+    "_\tQQ\tO\tO",
+    "_\tNN\tO\tO",
+    f"{SPACE_GLYPH}\tNN\tO\tO",  # a literal glyph word, not a space
+    "a\t\t\t",
+    "a\tNN\tO",
 ]
 
 
@@ -560,6 +567,39 @@ def test_read_columnar_matches_line_at_a_time_reference(text, strict, chunk_char
         patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
         got = _read_columnar_either_way(chunked, text, None if strict else [])
     assert got == _read_columnar_either_way(read_columnar_lines, text, None if strict else [])
+
+
+def _assert_tokens_as_if_constructed(text):
+    """Every token ``read_columnar`` builds equals, and hashes as, the one
+    ``Token()`` builds from its fields; ``replace`` works on it; and equal
+    lines of the call give one object."""
+    errors = []
+    doc = read_columnar(text, "d", errors=errors)
+    bad = {error.line_no for error in errors}
+    lines = [
+        raw
+        for line_no, raw in enumerate(text.removeprefix(BOM).split("\n"), start=1)
+        if line_no not in bad and raw not in ("", "\r")
+    ]
+    tokens = [token for sentence in doc.sentences for token in sentence]
+    assert len(tokens) == len(lines)
+    first = {}
+    for raw, token in zip(lines, tokens):
+        built = Token(token.surface, token.pos, token.ne, token.clause, token.is_space)
+        assert built == token and hash(built) == hash(token)
+        assert replace(token, clause=ClauseLabel.O).clause is ClauseLabel.O
+        assert first.setdefault(raw, token) is token
+
+
+@settings(max_examples=200, deadline=None)
+@given(columnar_texts())
+def test_read_tokens_are_as_if_constructed(text):
+    _assert_tokens_as_if_constructed(text)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in corpus_samples.FIXTURE_DIR.glob("*.txt")))
+def test_fixture_tokens_are_as_if_constructed(name):
+    _assert_tokens_as_if_constructed(corpus_samples.fixture_text(name))
 
 
 _INLINE_PIECES = [

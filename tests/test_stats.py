@@ -15,7 +15,7 @@ from lst20tools.stats import (
     tag_frequency,
 )
 from oracles import column_counts, count_entity_spans
-from lst20tools.schema import PosTag
+from lst20tools.schema import ClauseLabel, PosTag, parse_ne_label
 
 
 class TestCorpusCounts:
@@ -80,6 +80,25 @@ class TestCorpusCounts:
             assert counts.to_dict() == expected
             assert counts.pos == pos
             assert counts.ne == ne
+
+    @pytest.mark.parametrize("include_spaces", [False, True])
+    @pytest.mark.parametrize(
+        "sentences",
+        [
+            [[space_token(ne=parse_ne_label("B_PER")), tok("ก", "NN")]],
+            [[space_token(clause=ClauseLabel.B_CLS), tok("ก", "VV", clause="E_CLS")]],
+            [],
+            [[tok("ก", "NN", "B_PER", "B_CLS")], [tok("ข", "VV")]],
+        ],
+        ids=["space-with-B_PER", "space-with-B_CLS", "no-sentences", "one-token-sentences"],
+    )
+    def test_edge_cases_match_column_oracle(self, sentences, include_spaces):
+        doc = Document("d", tuple(Sentence(tuple(tokens)) for tokens in sentences))
+        counts = document_counts(doc, include_spaces)
+        expected, pos, ne = column_counts(write_columnar(doc), include_spaces)
+        assert counts.to_dict() == expected
+        assert counts.pos == pos
+        assert counts.ne == ne
 
 
 class TestGenreHistogram:
