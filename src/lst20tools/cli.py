@@ -12,6 +12,7 @@ import contextlib
 import functools
 import json
 import os
+import stat
 import sys
 from collections import Counter
 from pathlib import Path
@@ -53,9 +54,10 @@ def _expand_inputs(paths: Sequence[str]) -> list[Path]:
     for name in paths:
         path = Path(name)
         if path.is_dir():
-            # A subdirectory is kept, so that reading it reports it: inputs
-            # are not searched recursively.
-            files.extend(sorted(p for p in path.iterdir() if p.is_file() or p.is_dir()))
+            # Every entry is kept, so that reading one that is not a regular
+            # file (a subdirectory, a dangling link, a FIFO) reports it:
+            # inputs are not searched recursively.
+            files.extend(sorted(path.iterdir()))
         elif path.is_file():
             files.append(path)
         else:
@@ -65,20 +67,27 @@ def _expand_inputs(paths: Sequence[str]) -> list[Path]:
 
 class _BadInput(Exception):
     """An input file that is not UTF-8 or, under ``--strict``, does not parse,
-    or a subdirectory of a directory input.
+    or an entry of a directory input that is not a regular file.
 
     Reported as ``name: reason`` with exit 1; validate and stats go on.
     """
 
 
 def _read_text(path: Path) -> str:
-    """Every input file is read here, so every command names one that is not UTF-8."""
+    """Every input file is read here, so every command names one that is not
+    UTF-8. Only a regular file is opened: reading a FIFO or device may block."""
+    try:
+        mode = path.stat().st_mode
+    except OSError as exc:  # a dangling symbolic link, or a link loop
+        raise _BadInput(f"{path.name}: {exc.strerror}") from None
+    if stat.S_ISDIR(mode):
+        raise _BadInput(f"{path.name}: is a directory; subdirectories are not read")
+    if not stat.S_ISREG(mode):
+        raise _BadInput(f"{path.name}: not a regular file")
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _BadInput(f"{path.name}: {exc}") from None
-    except IsADirectoryError:
-        raise _BadInput(f"{path.name}: is a directory; subdirectories are not read") from None
 
 
 def _load_config(name: str, parse):
@@ -95,7 +104,10 @@ def _load_config(name: str, parse):
 
 def _read_document(path: Path, informat: str, strict: bool):
     """Parse one input file; returns (Document, the readers' LineError/TokenError list)."""
-    text = _read_text(path)
+    return _parse_document(_read_text(path), path, informat, strict)
+
+
+def _parse_document(text: str, path: Path, informat: str, strict: bool):
     errors: Optional[list] = None if strict else []
     try:
         if informat == FORMAT_COLUMNAR:
@@ -142,9 +154,16 @@ def _open_output(args, inputs: Sequence[Path], config: Optional[str] = None):
     except FileNotFoundError:  # a path that does not exist is no input
         target = None
     read = [*inputs, Path(config)] if config else inputs
-    if target is not None and any(os.path.samestat(target, p.stat()) for p in read):
+    if target is not None and any(_same_file(target, p) for p in read):
         raise ValueError(f"refusing to overwrite input path {out}")
     return open(out, "w", encoding="utf-8", newline="")
+
+
+def _same_file(target: os.stat_result, path: Path) -> bool:
+    try:
+        return os.path.samestat(target, path.stat())
+    except OSError:  # a dangling link is reported when it is read
+        return False
 
 
 def _write(output, text: str) -> None:
@@ -236,8 +255,14 @@ def _cmd_segment(args) -> int:
 
 
 def _count_file(path: Path, args) -> tuple[stats_mod.CorpusCounts, int]:
-    """One file's counts and format-error count; its Document goes on return."""
-    doc, errors = _read_document(path, args.informat, args.strict)
+    """One file's counts and format-error count. A clean columnar file is
+    counted from its lines; any other is read into a Document, gone on return."""
+    text = _read_text(path)
+    if args.informat == FORMAT_COLUMNAR:
+        tally = fmt.tally_columnar(text)
+        if tally is not None:
+            return stats_mod.tally_counts(tally, args.include_spaces), 0
+    doc, errors = _parse_document(text, path, args.informat, args.strict)
     return stats_mod.document_counts(doc, args.include_spaces), len(errors)
 
 

@@ -5,6 +5,11 @@ words); pass ``include_spaces=True`` to count them in. Named entities and
 clauses are counted by their B-labels, which by BIEO legality is the
 number of spans. Each count and histogram of a document is one C-level
 pass over its tokens, so no Python code runs per token.
+
+A clean columnar file needs no document: :func:`tally_counts` turns the
+line tally of :func:`format.tally_columnar` into the same counts, with one
+Python step per distinct tag triple. Any other input is read into a
+:class:`Document` and counted by :func:`document_counts`, the reference.
 """
 
 from __future__ import annotations
@@ -71,6 +76,24 @@ def document_counts(doc: Document, include_spaces: bool = False) -> CorpusCounts
     return CorpusCounts(
         1, len(doc.sentences), clauses, sum(ne.values()), words, len(tokens), pos, ne
     )
+
+
+def tally_counts(tally, include_spaces: bool = False) -> CorpusCounts:
+    """:func:`document_counts` of the document ``format.tally_columnar``
+    tallied as ``(sentences, spaces, tokens per label triple)``."""
+    sentences, spaces, labels = tally
+    pos: Counter = Counter()
+    ne: Counter = Counter()
+    clauses = 0
+    for (pos_tag, ne_label, clause), n in labels:
+        pos[pos_tag.text] += n
+        if ne_label.text.startswith("B_"):
+            ne[ne_label.text[2:]] += n
+        if clause is ClauseLabel.B_CLS:
+            clauses += n
+    tokens = sum(n for _, n in labels)
+    words = tokens if include_spaces else tokens - spaces
+    return CorpusCounts(1, sentences, clauses, sum(ne.values()), words, tokens, pos, ne)
 
 
 def tag_frequency(documents: Iterable[Document], layer: str) -> Counter:

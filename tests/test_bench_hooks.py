@@ -62,6 +62,9 @@ def test_every_hook_records_its_work_through_the_cli(tmp_path, capsys):
         ["convert", "--from", "inline", "--to", "columnar", inline, "-o", str(tmp_path / "back.txt")],
         ["segment", glimpse, "-o", str(tmp_path / "seg.txt")],
         ["stats", "--json", str(fixtures)],
+        # A clean columnar file is counted from its lines; inline input still
+        # goes through stats.document_counts.
+        ["stats", "--from", "inline", inline, "-o", str(tmp_path / "stats.txt")],
         ["frames", "check", glimpse, "--word", "ไม่", "-o", str(tmp_path / "frames.txt")],
     ]
     tracer = Recorder()

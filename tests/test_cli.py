@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import os
 import random
 import shutil
 import tracemalloc
@@ -143,6 +144,49 @@ class TestBadInputFile:
         assert captured.err == "train: is a directory; subdirectories are not read\n"
         payload = json.loads(captured.out)
         assert payload["counts"]["documents"] == 1 and payload["format_errors"] == 0
+
+    @pytest.fixture
+    def odd(self, tmp_path):
+        """A directory holding a clean file, a dangling symbolic link and a
+        FIFO, which would block a reader that opened it."""
+        odd = tmp_path / "in"
+        odd.mkdir()
+        (odd / "a.txt").write_text("ก\tVV\tO\tB_CLS\n", encoding="utf-8")
+        os.symlink("missing.txt", odd / "b.txt")
+        os.mkfifo(odd / "c.fifo")
+        return odd
+
+    _ODD_ERR = "b.txt: No such file or directory\nc.fifo: not a regular file\n"
+
+    def test_validate_reports_a_dangling_link_and_a_fifo(self, odd, capsys):
+        out = odd.parent / "out.json"
+        out.write_text("")  # so -o compares its identity with each input's
+        assert main(["validate", "--json", str(odd), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == self._ODD_ERR
+        assert [entry["file"] for entry in json.loads(out.read_text())] == ["a.txt"]
+
+    def test_stats_reports_a_dangling_link_and_a_fifo(self, odd, capsys):
+        assert main(["stats", "--json", str(odd)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == self._ODD_ERR
+        assert json.loads(captured.out)["counts"]["documents"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["convert", "--to", "inline"], ["segment"], ["frames", "check", "--word", "ก"]],
+    )
+    def test_single_input_commands_count_every_entry(self, tmp_path, argv, capsys):
+        (tmp_path / "a.txt").write_text("ก\tVV\tO\tB_CLS\n", encoding="utf-8")
+        os.mkfifo(tmp_path / "c.fifo")
+        assert main([*argv, str(tmp_path)]) == 2
+        assert capsys.readouterr().err.endswith("takes exactly one input file\n")
+        (tmp_path / "a.txt").unlink()
+        assert main([*argv, str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "c.fifo: not a regular file\n"
+
+    def test_dangling_link_given_directly_is_a_usage_error(self, odd, capsys):
+        assert main(["stats", str(odd / "b.txt")]) == 2
+        assert capsys.readouterr().err.startswith("lst20: no such file or directory")
 
     def test_strict_stats_skips_a_file_that_does_not_parse(self, pair, capsys):
         good, bad = pair

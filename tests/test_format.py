@@ -526,14 +526,15 @@ _READER_LINES = [
 
 
 @st.composite
-def columnar_texts(draw):
+def columnar_texts(draw, lines=_READER_LINES, endings=("", "\r")):
     """Good, bad and blank lines with LF or CRLF endings, runs of 1-4 blank
-    lines, an optional leading BOM and 0-3 trailing newlines."""
+    lines, an optional leading BOM and 0-3 trailing newlines; or only the
+    given ``lines`` and ``endings``."""
     runs = draw(
         st.lists(
             st.one_of(
-                st.tuples(st.sampled_from(_READER_LINES), st.sampled_from(["", "\r"])),
-                st.lists(st.sampled_from(["", "\r"]), min_size=1, max_size=4),
+                st.tuples(st.sampled_from(lines), st.sampled_from(endings)),
+                st.lists(st.sampled_from(endings), min_size=1, max_size=4),
             ),
             max_size=25,
         )

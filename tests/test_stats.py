@@ -3,18 +3,24 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import corpus_samples
 from corpus_samples import load_fixture, tok
-from lst20tools import Document, Sentence, space_token, write_columnar
+from lst20tools import Document, Sentence, read_columnar, space_token, write_columnar
+from lst20tools import format as format_module
 from lst20tools.cli import main
+from lst20tools.format import SPACE_GLYPH, tally_columnar
 from lst20tools.stats import (
     CorpusCounts,
     document_counts,
     load_manifest,
     tag_frequency,
+    tally_counts,
 )
 from oracles import column_counts, count_entity_spans
+from test_format import _READER_LINES, columnar_texts
 from lst20tools.schema import ClauseLabel, PosTag, parse_ne_label
 
 
@@ -172,3 +178,104 @@ def test_space_tokens_do_not_count_as_words():
     sentence = Sentence((tok("ก", "NN"), space_token(), tok("ข", "NN")))
     counts = document_counts(Document("d", (sentence,)))
     assert counts.words == 2 and counts.tokens == 3
+
+
+# A clean columnar file is counted from its lines (format.tally_columnar and
+# stats.tally_counts); any other is read into a Document and counted by
+# document_counts, the reference these tests hold the line tally to.
+
+
+def _assert_tally_is_the_reference(text):
+    """The tally is declined exactly when the reader reports an error or a
+    line ends in CR, and otherwise gives the reference's counts."""
+    errors = []
+    doc = read_columnar(text, "d", errors=errors)
+    tally = tally_columnar(text)
+    carriage_return = any(line.endswith("\r") for line in text.split("\n"))
+    assert (tally is None) == (bool(errors) or carriage_return)
+    if tally is not None:
+        for include_spaces in (False, True):
+            assert tally_counts(tally, include_spaces) == document_counts(doc, include_spaces)
+
+
+def _assert_stats_as_the_reference_path(path, capsys):
+    """``stats`` gives the same output bytes, stderr and exit code as it does
+    with the line tally switched off, so that every file takes the reference
+    path."""
+    out = path.with_suffix(".out")
+    for argv in (["--json"], ["--json", "--include-spaces"], ["--strict"]):
+        runs = []
+        for tally in (tally_columnar, lambda text: None):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(format_module, "tally_columnar", tally)
+                code = main(["stats", *argv, str(path), "-o", str(out)])
+            runs.append((out.read_bytes(), capsys.readouterr().err, code))
+        assert runs[0] == runs[1], argv
+
+
+# The reader's lines that read as they stand, so that a text of them alone
+# is clean: without these, few texts drawn would be.
+_CLEAN_LINES = [line for line in _READER_LINES if tally_columnar(line) and not line.endswith("\r")]
+_TEXTS = st.one_of(columnar_texts(), columnar_texts(_CLEAN_LINES, endings=("",)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS, st.integers(0, 40))
+def test_tally_matches_document_counts(text, chunk_chars):
+    # Chunks this small put chunk edges next to blank lines and blank runs.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
+        _assert_tally_is_the_reference(text)
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_TEXTS)
+def test_stats_output_matches_the_reference_path(tmp_path, capsys, text):
+    path = tmp_path / "d.txt"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_stats_as_the_reference_path(path, capsys)
+
+
+_HAND_CASES = {
+    "empty": "",
+    "only blank lines": "\n\n\n",
+    "space word": "ก\tNN\tO\tB_CLS\n_\tPU\tO\tI_CLS\nข\tVV\tO\tE_CLS\n\n_\tPU\tB_PER\tO\n",
+    "glyph word": f"{SPACE_GLYPH}\tNN\tO\tO\n",
+    "empty word": "ก\tNN\tO\tO\n\tNN\tO\tO\n",
+    "3 fields": "ก\tNN\tO\n",
+    "5 fields": "ก\tNN\tO\tO\tO\n",
+    "bad tag": "ก\tQQ\tO\tO\n",
+}
+
+
+@pytest.mark.parametrize("text", _HAND_CASES.values(), ids=_HAND_CASES.keys())
+def test_hand_cases_match_the_reference_path(tmp_path, capsys, text):
+    _assert_tally_is_the_reference(text)
+    path = tmp_path / "d.txt"
+    path.write_text(text, encoding="utf-8")
+    _assert_stats_as_the_reference_path(path, capsys)
+
+
+def test_space_word_counts_as_a_word_only_when_asked():
+    tally = tally_columnar(_HAND_CASES["space word"])
+    assert tally_counts(tally).words == 2 and tally_counts(tally, True).words == 4
+    assert tally_counts(tally_columnar(_HAND_CASES["glyph word"])).words == 1
+
+
+def test_clean_files_are_counted_without_reading_a_document(tmp_path, monkeypatch, capsys):
+    # Every fixture is clean, so no stats call may fall back to the reader.
+    names = sorted(path.name for path in corpus_samples.FIXTURE_DIR.glob("*.txt"))
+    expected = sum(map(document_counts, map(load_fixture, names)), CorpusCounts())
+    for name in names:
+        (tmp_path / name).write_text(corpus_samples.fixture_text(name), encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a clean file was read into a Document")
+
+    monkeypatch.setattr(format_module, "read_columnar", refuse)
+    assert main(["stats", "--json", str(tmp_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["counts"] == expected.to_dict() and payload["pos"] == dict(expected.pos)
+    assert payload["ne"] == dict(expected.ne) and payload["format_errors"] == 0
