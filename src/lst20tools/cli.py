@@ -49,6 +49,21 @@ def format_report(report: LintReport, filename: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
+# json.dumps(indent=2) runs json's pure-Python encoder. With no indent the C
+# encoder runs, and with this item separator it writes a flat dict's fields as
+# indent=2 writes those of an entry of a list.
+_encode_fields = json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": ")).encode
+
+
+def _json_entries(entries: list[dict]) -> str:
+    """``json.dumps(entries, ensure_ascii=False, indent=2)[2:-2]`` of a
+    non-empty list of flat dicts, the same text. json escapes a newline inside
+    a string, so every newline of the encoded text is in a separator, and the
+    separators after a "}" are those between two entries."""
+    body = _encode_fields(entries)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+    return f"  {{\n    {body}\n  }}"
+
+
 def _expand_inputs(paths: Sequence[str]) -> list[Path]:
     files: list[Path] = []
     for name in paths:
@@ -58,7 +73,7 @@ def _expand_inputs(paths: Sequence[str]) -> list[Path]:
             # file (a subdirectory, a dangling link, a FIFO) reports it:
             # inputs are not searched recursively.
             files.extend(sorted(path.iterdir()))
-        elif path.is_file():
+        elif path.exists():  # reading reports a FIFO or device unopened
             files.append(path)
         else:
             raise FileNotFoundError(f"no such file or directory: {name}")
@@ -75,7 +90,9 @@ class _BadInput(Exception):
 
 def _read_text(path: Path) -> str:
     """Every input file is read here, so every command names one that is not
-    UTF-8. Only a regular file is opened: reading a FIFO or device may block."""
+    UTF-8. Only a regular file is opened: reading a FIFO or device may block.
+    Line ends are left as they are, for the readers' own rules: a CR is a
+    line end only before LF."""
     try:
         mode = path.stat().st_mode
     except OSError as exc:  # a dangling symbolic link, or a link loop
@@ -85,7 +102,8 @@ def _read_text(path: Path) -> str:
     if not stat.S_ISREG(mode):
         raise _BadInput(f"{path.name}: not a regular file")
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise _BadInput(f"{path.name}: {exc}") from None
 
@@ -188,9 +206,7 @@ def _cmd_validate(args) -> int:
         elif entries := report.to_dicts():
             for entry in entries:
                 entry["file"] = path.name
-            # json.dumps of a list, less its "[\n" and "\n]", is its entries
-            # indented as they are in the dump of every file's entries.
-            out.write(sep + json.dumps(entries, ensure_ascii=False, indent=2)[2:-2])
+            out.write(sep + _json_entries(entries))
             sep = ",\n"
 
     with _open_output(args, inputs) as out:

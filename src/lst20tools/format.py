@@ -221,14 +221,18 @@ def tally_columnar(text: str) -> Optional[tuple[int, int, list]]:
     its sentence count, its white-space token count and one
     ``((pos, ne, clause), tokens)`` pair per distinct tag triple.
 
-    None unless every line is empty or a token line read as it stands (a
-    non-empty word and a ``_TAG_COLUMNS`` tail): a bad line, an empty word or
-    a line ending in CR leaves the file to ``read_columnar``. One Python
-    step runs per distinct line and one per distinct tag triple, none per line.
+    None unless every line is blank or a token line (a non-empty word and a
+    ``_TAG_COLUMNS`` tail), each less one CR at its end as ``read_columnar``
+    reads it: a bad line or an empty word leaves the file to ``read_columnar``.
+    One Python step runs per distinct line and one per distinct tag triple,
+    none per line.
     """
+    text = text.removeprefix(_BOM)
+    if "\r" in text:  # a scan several times faster than replace's
+        text = text.replace("\r\n", "\n").removesuffix("\r")
     lines: Counter = Counter()
     sentences = last = 0  # a sentence ends at a non-empty line before an empty one
-    for chunk in _line_chunks(text.removeprefix(_BOM)):
+    for chunk in _line_chunks(text):
         lines.update(chunk)
         flags = bytes(map(bool, chunk))
         sentences += flags.count(b"\x01\x00") + (last > flags[0])

@@ -200,17 +200,25 @@ def scan_boundaries(
     spans: list[tuple[int, int]] = []
     open_prefix = open_category = None  # B or I and its category while a span is open
     start = None  # index of the open span's B while the span is well-formed
+    quiet = None  # the label of the last step that changed nothing, while it holds
     i = -1
     for i, label in enumerate(labels):
+        # This loop runs once per token of every sentence linted. An O outside
+        # a span and an I inside its own cannot break a rule, and so skip the
+        # step call; once taken, a repeat of the same label object is skipped
+        # with one test.
+        if label is quiet:
+            continue
         prefix = label.prefix
-        # The two steps that cannot break a rule skip the step call: this
-        # loop runs once per token of every sentence linted.
         if open_prefix is None:
             if prefix is _O:
+                quiet = label
                 continue
         elif prefix is _I and label.category is open_category:
             open_prefix = _I
+            quiet = label
             continue
+        quiet = None
         rule = _boundary_step(open_prefix, open_category, label)
         if rule == "CAT_MISMATCH":
             message = f"category changes from {open_category} to {label.category} mid-span"

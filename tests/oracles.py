@@ -7,13 +7,15 @@ backtracking, entity spans and counts by regex span extraction,
 corpus counts straight off the tab-split rows of a columnar file,
 clause spans by cutting at every connector and merging verbless chunks,
 inline parsing by masking every chunk of a sentence before building
-any token, and columnar parsing one line at a time over the whole file's
-lines.
+any token, columnar parsing one line at a time over the whole file's
+lines, and linting by the regular expression per layer plus every token
+rule tested on each token and each adjacent pair on its own.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from collections import Counter
 from itertools import product
 from typing import Optional, Sequence
@@ -348,3 +350,53 @@ def read_columnar_lines(
     if current:
         sentences.append(Sentence(tuple(current)))
     return sentences
+
+
+_URL_HEADS = ("http://", "https://", "www.")
+_PRINTABLE_ASCII = frozenset(map(chr, range(0x21, 0x7F)))
+_URL_TAIL = frozenset(string.ascii_letters + string.digits + "/._~%?#=&+-")
+_PUNCTUATION = frozenset(string.punctuation)
+
+
+def lint_oracle(sentences: Sequence[Sentence]) -> set[tuple[int, Optional[int], str]]:
+    """What the linter decides, as ``(sentence, token, code)`` triples.
+
+    A BIEO layer that the regular language rejects gives one
+    ``(sentence, None, "NE")`` or ``(sentence, None, "CLS")``: which rule
+    and where is the automaton's choice, not the language's. The clause
+    warnings come from the regex spans of a legal clause layer. The token
+    rules are tested on every token and on every adjacent pair, each on
+    its own, with no state carried between pairs.
+    """
+    found: set[tuple[int, Optional[int], str]] = set()
+    for s, sentence in enumerate(sentences):
+        tokens = sentence.tokens
+        if not bieo_accepts([str(t.ne) for t in tokens]):
+            found.add((s, None, "NE"))
+        clauses = [str(t.clause) for t in tokens]
+        if not bieo_accepts(clauses):
+            found.add((s, None, "CLS"))
+        else:
+            for start, end in bieo_spans(clauses):
+                if end - start == 1:
+                    found.add((s, start, "CLS_SINGLETON"))
+                if all(t.pos is not PosTag.VV for t in tokens[start:end]):
+                    found.add((s, start, "CLS_NO_VERB"))
+        for i, token in enumerate(tokens):
+            if token.is_space and token.pos is not PosTag.PU:
+                found.add((s, i, "SPACE_NOT_PU"))
+            if not token.is_space and any(c.isspace() for c in token.surface):
+                found.add((s, i, "FORMAT_SPACE_IN_SURFACE"))
+        for i in range(len(tokens) - 1):
+            cur, nxt = tokens[i], tokens[i + 1]
+            if cur.is_space or nxt.is_space:
+                continue
+            if (
+                cur.surface.startswith(_URL_HEADS)
+                and set(cur.surface) <= _PRINTABLE_ASCII
+                and set(nxt.surface) <= _URL_TAIL
+            ):
+                found.add((s, i, "URL_SPLIT"))
+            if cur.surface in _PUNCTUATION and nxt.surface in _PUNCTUATION:
+                found.add((s, i + 1, "PUNCT_RUN_SPLIT"))
+    return found

@@ -10,8 +10,19 @@ from pathlib import Path
 import pytest
 
 import corpus_samples
-from lst20tools import Document, LintReport, lint_document, read_columnar, write_columnar
-from lst20tools.cli import format_report, main
+from lst20tools import (
+    Document,
+    LineError,
+    LintIssue,
+    LintReport,
+    Severity,
+    TokenError,
+    lint_document,
+    read_columnar,
+    read_inline,
+    write_columnar,
+)
+from lst20tools.cli import _format_issue, _json_entries, format_report, main
 
 
 @pytest.fixture
@@ -182,6 +193,33 @@ class TestBadInputFile:
         assert capsys.readouterr().err.endswith("takes exactly one input file\n")
         (tmp_path / "a.txt").unlink()
         assert main([*argv, str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "c.fifo: not a regular file\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    def test_fifo_given_directly_is_not_a_regular_file(self, tmp_path, command, capsys):
+        """Named directly, a FIFO is reported as it is inside a directory,
+        and never opened; the other inputs are still read."""
+        (tmp_path / "a.txt").write_text("ก\tVV\tO\tB_CLS\n", encoding="utf-8")
+        os.mkfifo(tmp_path / "c.fifo")
+        argv = [command, "--json", str(tmp_path / "c.fifo"), str(tmp_path / "a.txt")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "c.fifo: not a regular file\n"
+        payload = json.loads(captured.out)
+        if command == "validate":
+            assert [entry["file"] for entry in payload] == ["a.txt"]
+        else:
+            assert payload["counts"]["documents"] == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    @pytest.mark.parametrize(
+        "argv",
+        [["convert", "--to", "inline"], ["segment"], ["frames", "check", "--word", "ก"]],
+    )
+    def test_single_input_commands_report_a_fifo_given_directly(self, tmp_path, argv, capsys):
+        os.mkfifo(tmp_path / "c.fifo")
+        assert main([*argv, str(tmp_path / "c.fifo")]) == 1
         assert capsys.readouterr().err == "c.fifo: not a regular file\n"
 
     def test_dangling_link_given_directly_is_a_usage_error(self, odd, capsys):
@@ -729,3 +767,122 @@ def test_heap_peak_follows_the_largest_file_not_the_file_count(tmp_path, command
     single = _heap_peak([*command, str(one), "-o", out])
     double = _heap_peak([*command, str(two), "-o", out])
     assert double <= 1.15 * single, (single, double)
+
+
+class TestLineEnds:
+    """Input files are read with their line ends as they are, so the readers'
+    rules are the only line rules: CRLF ends a line, and a CR anywhere else
+    is a character of its line."""
+
+    def _validate(self, tmp_path, data: bytes, capsys, *options):
+        path = tmp_path / "a.txt"
+        path.write_bytes(data)
+        status = main(["validate", "--json", *options, str(path)])
+        return status, json.loads(capsys.readouterr().out)
+
+    def test_crlf_reads_as_lf(self, tmp_path, capsys):
+        text = "ก\tNN\tO\tB_CLS\nข\tNN\tO\tE_CLS\n\n!\tPU\tO\tO\n!\tPU\tO\tO\n"
+        lf = self._validate(tmp_path, text.encode(), capsys)
+        assert lf[1] and self._validate(tmp_path, text.replace("\n", "\r\n").encode(), capsys) == lf
+
+    def test_cr_inside_a_word_is_part_of_it(self, tmp_path, capsys):
+        data = b"a\rb\tNN\tO\tO\nc\tNN\tO\tO\n"
+        status, payload = self._validate(tmp_path, data, capsys)
+        report = lint_document(read_columnar(data.decode()))
+        assert (status, payload) == (0, [{**e, "file": "a.txt"} for e in report.to_dicts()])
+        assert [(e["code"], e["sentence"], e["token"]) for e in payload] == [
+            ("FORMAT_SPACE_IN_SURFACE", 0, 0)
+        ]
+
+    def test_bare_cr_line_ends_are_one_bad_line(self, tmp_path, capsys):
+        """A file whose lines end in a lone CR is one line, reported at line
+        1 with its field count; nothing of it is dropped silently."""
+        data = b"a\tNN\tO\tO\rb\tVV\tO\tO\r\rc\tNN\tO\tO\r"
+        status, payload = self._validate(tmp_path, data, capsys)
+        assert status == 1
+        assert [(e["code"], e["message"]) for e in payload] == [
+            ("FORMAT_LINE", "line 1: expected 4 tab-separated fields, got 10")
+        ]
+        assert main(["convert", "--to", "inline", str(tmp_path / "a.txt")]) == 1
+        assert capsys.readouterr().err == "a.txt: line 1: expected 4 tab-separated fields, got 10\n"
+
+
+#: One columnar sentence per lint code, a line with a bad tag and a line
+#: that does not parse: every code the columnar reader and the linter give.
+_EVERY_CODE_COLUMNAR = "\n\n".join(
+    "\n".join(sentence)
+    for sentence in (
+        ["a\tNN\tI_ORG\tO"],
+        ["a\tNN\tE_ORG\tO"],
+        ["a\tNN\tB_PER\tO", "b\tNN\tE_ORG\tO"],
+        ["a\tNN\tB_ORG\tO", "b\tNN\tI_ORG\tO"],
+        ["a\tVV\tO\tI_CLS"],
+        ["a\tVV\tO\tE_CLS"],
+        ["a\tVV\tO\tB_CLS", "b\tVV\tO\tI_CLS"],
+        ["a\tNN\tO\tB_CLS"],
+        ["_\tNN\tO\tO"],
+        ["ก\u00a0ข\tNN\tO\tO"],
+        ["http://x.th/a\tNN\tO\tO", ".html\tNN\tO\tO"],
+        ["!\tPU\tO\tO", "!\tPU\tO\tO"],
+        ['a\tQ"\\\x01ก\tO\tO', "broken line"],
+    )
+) + "\n"
+
+#: Odd in JSON: a quote, a backslash, a control character, Thai text, and
+#: a newline between braces, as the separator between two entries has one.
+_ODD = '"q" \\ \x01 ก },\n    {'
+
+
+class TestJsonBytes:
+    """validate --json is byte for byte ``json.dumps(entries,
+    ensure_ascii=False, indent=2)`` of every issue's ``to_dict()`` plus its
+    ``"file"``, whatever characters the messages and file names hold."""
+
+    @staticmethod
+    def _dumps(issues, name):
+        entries = [{**issue.to_dict(), "file": name} for issue in issues]
+        return json.dumps(entries, ensure_ascii=False, indent=2)
+
+    def test_every_code(self):
+        errors = []
+        report = lint_document(read_columnar(_EVERY_CODE_COLUMNAR, errors=errors))
+        issues = [
+            *map(_format_issue, errors),
+            _format_issue(LineError(7, _ODD)),
+            _format_issue(TokenError(2, 3, _ODD)),
+            LintIssue(Severity.ERROR, "CLS_CAT_MISMATCH", _ODD, 4, 0, "CLS"),
+            *report.issues,
+        ]
+        assert {issue.code for issue in issues} == {
+            *(f"{layer}_{rule}" for layer in ("NE", "CLS")
+              for rule in ("ORPHAN_I", "ORPHAN_E", "CAT_MISMATCH", "UNTERMINATED")),
+            "CLS_SINGLETON", "CLS_NO_VERB", "SPACE_NOT_PU", "FORMAT_SPACE_IN_SURFACE",
+            "URL_SPLIT", "PUNCT_RUN_SPLIT", "FORMAT_LINE", "FORMAT_TOKEN",
+        }
+        for name in ("a.txt", _ODD):
+            entries = [{**issue.to_dict(), "file": name} for issue in issues]
+            assert _json_entries(entries) == self._dumps(issues, name)[2:-2]
+
+    @pytest.mark.parametrize(
+        "informat,text",
+        [
+            ("columnar", _EVERY_CODE_COLUMNAR),
+            ("inline", 'ก/NN/O/O | b/Q"\\ก/O/O || ค/NN/I_ORG/O ||'),
+        ],
+    )
+    def test_through_the_command(self, tmp_path, informat, text, capsys):
+        path = tmp_path / f"{_ODD}.txt"
+        path.write_text(text, encoding="utf-8")
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        errors = []
+        if informat == "columnar":
+            doc = read_columnar(text, errors=errors)
+        else:
+            doc = Document("d", tuple(read_inline(text, errors=errors)))
+        report = lint_document(doc, extra=[_format_issue(e) for e in errors])
+        argv = ["validate", "--json", "--from", informat]
+        assert main([*argv, str(empty)]) == 0
+        assert capsys.readouterr().out == "[]\n"
+        assert main([*argv, str(path), str(empty)]) == 1
+        assert capsys.readouterr().out == self._dumps(report.issues, path.name) + "\n"

@@ -186,13 +186,12 @@ def test_space_tokens_do_not_count_as_words():
 
 
 def _assert_tally_is_the_reference(text):
-    """The tally is declined exactly when the reader reports an error or a
-    line ends in CR, and otherwise gives the reference's counts."""
+    """The tally is declined exactly when the reader reports an error, and
+    otherwise gives the reference's counts."""
     errors = []
     doc = read_columnar(text, "d", errors=errors)
     tally = tally_columnar(text)
-    carriage_return = any(line.endswith("\r") for line in text.split("\n"))
-    assert (tally is None) == (bool(errors) or carriage_return)
+    assert (tally is None) == bool(errors)
     if tally is not None:
         for include_spaces in (False, True):
             assert tally_counts(tally, include_spaces) == document_counts(doc, include_spaces)
@@ -213,9 +212,9 @@ def _assert_stats_as_the_reference_path(path, capsys):
         assert runs[0] == runs[1], argv
 
 
-# The reader's lines that read as they stand, so that a text of them alone
-# is clean: without these, few texts drawn would be.
-_CLEAN_LINES = [line for line in _READER_LINES if tally_columnar(line) and not line.endswith("\r")]
+# The reader's lines that the tally takes, so that a text of them alone is
+# clean: without these, few texts drawn would be.
+_CLEAN_LINES = [line for line in _READER_LINES if tally_columnar(line)]
 _TEXTS = st.one_of(columnar_texts(), columnar_texts(_CLEAN_LINES, endings=("",)))
 
 
@@ -247,7 +246,16 @@ _HAND_CASES = {
     "3 fields": "ก\tNN\tO\n",
     "5 fields": "ก\tNN\tO\tO\tO\n",
     "bad tag": "ก\tQQ\tO\tO\n",
+    "CRLF": "ก\tNN\tO\tB_CLS\r\n_\tPU\tO\tE_CLS\r\n\r\nข\tVV\tO\tO\r",
+    "CR in a space word": "_\r\tPU\tO\tO\n",
+    "two CRs at a line end": "ก\tNN\tO\tO\r\r\n",
 }
+
+
+def test_a_crlf_file_is_tallied_as_its_lf_file():
+    lf = _HAND_CASES["space word"]
+    tally = tally_columnar(lf)
+    assert tally is not None and tally_columnar(lf.replace("\n", "\r\n")) == tally
 
 
 @pytest.mark.parametrize("text", _HAND_CASES.values(), ids=_HAND_CASES.keys())

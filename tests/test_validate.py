@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import product
 
 import pytest
@@ -8,14 +9,16 @@ from hypothesis import strategies as st
 import corpus_samples
 from corpus_samples import GOLD_FIXTURES, load_fixture, tok
 from lst20tools import Document, Sentence, Token, lint_document, space_token
-from lst20tools.schema import PosTag
+from lst20tools.schema import PosTag, parse_clause_label, parse_ne_label
 from lst20tools.validate import (
+    LAYER_CLS,
+    LAYER_NE,
     Severity,
     validate_clause_sequence,
     validate_ne_sequence,
     validate_token_tags,
 )
-from oracles import bieo_accepts
+from oracles import bieo_accepts, lint_oracle
 
 
 def ne_sentence(*labels):
@@ -212,3 +215,111 @@ class TestLintDocument:
             set(entry) == {"severity", "code", "message", "sentence", "token", "layer"}
             for entry in payload
         )
+
+
+def _oracle_view(report) -> set:
+    """The report in :func:`lint_oracle`'s terms: a BIEO layer's errors as
+    one ``(sentence, None, layer)``, and no clause warnings for a broken
+    clause layer, whose spans the oracle does not define."""
+    layers = (LAYER_NE, LAYER_CLS)
+    errors = {
+        (i.sentence, None, i.layer)
+        for i in report.issues
+        if i.severity is Severity.ERROR and i.layer in layers
+    }
+    broken = {s for s, _, layer in errors if layer == LAYER_CLS}
+    rest = [
+        (i.sentence, i.token, i.code)
+        for i in report.issues
+        if not (i.layer in layers and (i.severity is Severity.ERROR or i.sentence in broken))
+    ]
+    assert len(rest) == len(set(rest)), rest
+    return errors | set(rest)
+
+
+def _agrees_with_oracle(doc):
+    report = lint_document(doc)
+    assert list(report.issues) == sorted(report.issues, key=lambda i: (i.sentence, i.token, i.code))
+    assert _oracle_view(report) == lint_oracle(doc.sentences)
+
+
+#: Surfaces for the token rules: URL heads and tails, heads in another case,
+#: punctuation (``_`` as a word too), white space inside a word, and words
+#: that start next to h and w.
+_LINT_SURFACES = (
+    "http://x.th/a", "https://x.th", "www.x.th", "http://", "HTTP://x.th", "Www.x",
+    ".html", "/a?b=1", "a", "h", "w", "wow", "i", "x", "!", "?", ".", "_", "ๆ",
+    "a b", "a\u00a0b", "\u3000", "ก", "กิน", "ข ค",
+)
+_NE_ALPHABET = ("O", "B_ORG", "I_ORG", "E_ORG", "B_PER", "E_PER")
+_CLAUSE_ALPHABET = ("O", "B_CLS", "I_CLS", "E_CLS")
+
+
+@st.composite
+def lint_tokens(draw):
+    pos = draw(st.sampled_from(list(PosTag)))
+    ne = parse_ne_label(draw(st.sampled_from(_NE_ALPHABET)))
+    clause = parse_clause_label(draw(st.sampled_from(_CLAUSE_ALPHABET)))
+    if draw(st.integers(0, 4)) == 0:
+        return space_token(pos, ne, clause)
+    return Token(draw(st.sampled_from(_LINT_SURFACES)), pos, ne, clause)
+
+
+class TestLintOracle:
+    """lint_document against :func:`oracles.lint_oracle`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_documents(self, seed):
+        _agrees_with_oracle(corpus_samples.random_document(random.Random(seed)))
+
+    @pytest.mark.parametrize("name", GOLD_FIXTURES)
+    def test_fixtures(self, name):
+        _agrees_with_oracle(load_fixture(name))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.lists(lint_tokens(), min_size=1, max_size=8), min_size=1, max_size=4))
+    def test_token_rules_and_broken_layers(self, sentences):
+        _agrees_with_oracle(Document("d", tuple(Sentence(tuple(t)) for t in sentences)))
+
+    @pytest.mark.parametrize(
+        "surfaces",
+        [
+            ["http://x.th/a", None, ".html"],
+            ["http://x.th/a", None],
+            [None, ".html"],
+            ["!", None, "!"],
+            ["!", None],
+            [None, "!"],
+        ],
+        ids=["url-space-tail", "url-space", "space-tail", "punct-space-punct", "punct-space", "space-punct"],
+    )
+    def test_no_pair_rule_spans_a_space(self, surfaces):
+        tokens = [space_token() if s is None else tok(s, "NN") for s in surfaces]
+        assert lint_document(Document("d", (Sentence(tuple(tokens)),))).issues == ()
+
+    @pytest.mark.parametrize("head", ["HTTP://x.th/a", "Http://x.th/a", "WWW.x.th", "xhttp://x"])
+    def test_url_head_is_case_sensitive_and_anchored(self, head):
+        sentence = Sentence((tok(head, "NN"), tok(".html", "NN")))
+        assert validate_token_tags(sentence) == []
+
+    @pytest.mark.parametrize("head", ["http://x.th/a", "https://x.th", "www.x.th", "http://"])
+    def test_every_url_head_form_is_split(self, head):
+        sentence = Sentence((tok(head, "NN"), tok("/a", "NN")))
+        assert [(i.code, i.token) for i in validate_token_tags(sentence)] == [("URL_SPLIT", 0)]
+
+    def test_lone_verbless_clause_has_both_warnings(self):
+        report = lint_document(Document("d", (cls_sentence([("NN", "B_CLS")]),)))
+        assert [(i.code, i.token) for i in report.issues] == [
+            ("CLS_NO_VERB", 0),
+            ("CLS_SINGLETON", 0),
+        ]
+        assert [i.code for i in validate_clause_sequence(cls_sentence([("NN", "B_CLS")]))] == [
+            "CLS_SINGLETON",
+            "CLS_NO_VERB",
+        ]
+
+    @pytest.mark.parametrize("surface", ["a b", "a\u00a0b", "a\u2028b", "\x1cb", "b\u3000"])
+    def test_any_white_space_in_a_word(self, surface):
+        sentence = Sentence((Token(surface, PosTag.NN),))
+        assert [i.code for i in validate_token_tags(sentence)] == ["FORMAT_SPACE_IN_SURFACE"]
