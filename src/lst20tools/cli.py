@@ -42,7 +42,7 @@ def format_report(report: LintReport, filename: str = "") -> str:
             else "-:-"
         )
         lines.append(
-            f"{prefix}{where}: {issue.severity} {issue.code} [{issue.layer}] {issue.message}"
+            f"{prefix}{where}: {issue.severity.value} {issue.code} [{issue.layer}] {issue.message}"
         )
     summary = f"{report.error_count} errors, {report.warning_count} warnings"
     lines.append(f"{filename}: {summary}" if filename else summary)
@@ -239,10 +239,25 @@ def _cmd_convert(args) -> int:
     return status
 
 
-def _load_lexicon(args) -> segment_mod.MarkerLexicon:
+def _load_lexicon(args) -> Optional[segment_mod.MarkerLexicon]:
+    """The ``--lexicon`` file's lexicon, or None for the default one."""
     if args.lexicon:
         return _load_config(args.lexicon, segment_mod.load_marker_lexicon)
-    return segment_mod.MarkerLexicon.default()
+    return None
+
+
+def _segment_file(path: Path, args) -> tuple[list, int]:
+    """The segmented sentences of one input and its exit status so far. The
+    input document and the lexicon are gone on return, so neither is alive
+    while the output is written."""
+    lexicon = _load_lexicon(args)
+    doc, errors = _read_document(path, args.informat, args.strict)
+    status = _print_format_issues(path, errors)
+    # Each input sentence block (columnar) or line (inline) is one paragraph.
+    sentences, _ = segment_mod.segment_paragraphs(
+        [s.tokens for s in doc.sentences], lexicon, subject_shift=args.subject_shift
+    )
+    return sentences, status
 
 
 def _cmd_segment(args) -> int:
@@ -250,14 +265,7 @@ def _cmd_segment(args) -> int:
     if len(inputs) != 1:
         raise ValueError("segment takes exactly one input file")
     path = inputs[0]
-    lexicon = _load_lexicon(args)
-    doc, errors = _read_document(path, args.informat, args.strict)
-    status = _print_format_issues(path, errors)
-    # Each input sentence block (columnar) or line (inline) is one paragraph.
-    paragraphs = [s.tokens for s in doc.sentences]
-    sentences, _ = segment_mod.segment_paragraphs(
-        paragraphs, lexicon, subject_shift=args.subject_shift
-    )
+    sentences, status = _segment_file(path, args)
     result = Document(path.stem, tuple(sentences))
     try:
         if args.outformat == FORMAT_COLUMNAR:

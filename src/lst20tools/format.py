@@ -80,7 +80,8 @@ class Token:
     # Every command builds a Token per line it reads; writing the slots
     # directly skips the generated frozen __init__'s object.__setattr__ calls.
     # read_columnar writes them itself, without the checks its line format
-    # already guarantees; a test fails if it bypasses one added here.
+    # already guarantees, and so does the segmenter's relabel, whose input
+    # tokens passed them; a test of each fails if it bypasses one added here.
     def __init__(self, surface, pos, ne=NE_OUTSIDE, clause=ClauseLabel.O, is_space=False):
         if not surface:
             raise ValueError("token surface must be non-empty")
@@ -100,7 +101,7 @@ class Token:
 _set_surface, _set_pos, _set_ne, _set_clause, _set_is_space = (
     Token.__dict__[name].__set__ for name in Token.__slots__
 )
-_new_token = object.__new__  # a Token with no slot set, for read_columnar
+_new_token = object.__new__  # a Token with no slot set, for the writes above
 
 
 def space_token(

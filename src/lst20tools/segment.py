@@ -33,10 +33,21 @@ differing stretches split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from itertools import compress, count, filterfalse, repeat
+from operator import attrgetter, is_
 from typing import Optional, Sequence
 
-from .format import Sentence, Token
+from .format import (
+    Sentence,
+    Token,
+    _new_token,
+    _set_clause,
+    _set_is_space,
+    _set_ne,
+    _set_pos,
+    _set_surface,
+)
 from .schema import BoundaryPrefix, ClauseLabel, PosTag
 
 _SUBORDINATE_CONNECTORS = ("ซึ่ง", "ที่", "ถ้า", "ว่า", "ผู้")
@@ -115,6 +126,19 @@ class MarkerLexicon:
     question_adverbs: frozenset[str]
     reporting_verbs: frozenset[str]
     auxiliaries: frozenset[str]
+    # The union of the five clause-marker categories (R2 adjacency test).
+    clause_markers: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "clause_markers",
+            self.subordinate_connectors
+            | self.cohesive_markers
+            | self.list_markers
+            | self.particles
+            | self.question_adverbs,
+        )
 
     @classmethod
     def default(cls) -> "MarkerLexicon":
@@ -128,19 +152,9 @@ class MarkerLexicon:
             auxiliaries=frozenset(_AUXILIARIES),
         )
 
-    @property
-    def clause_markers(self) -> frozenset[str]:
-        """Union of the five clause-marker categories (R2 adjacency test)."""
-        return (
-            self.subordinate_connectors
-            | self.cohesive_markers
-            | self.list_markers
-            | self.particles
-            | self.question_adverbs
-        )
 
-
-_LEXICON_SECTIONS = tuple(field.name for field in fields(MarkerLexicon))
+_LEXICON_SECTIONS = tuple(f.name for f in fields(MarkerLexicon) if f.init)
+_DEFAULT_LEXICON = MarkerLexicon.default()
 
 
 def load_marker_lexicon(config_text: str = "") -> MarkerLexicon:
@@ -165,7 +179,7 @@ def load_marker_lexicon(config_text: str = "") -> MarkerLexicon:
         if section is None:
             raise ConfigError(line_no, "entry before any [category] header")
         extra[section].add(line)
-    base = MarkerLexicon.default()
+    base = _DEFAULT_LEXICON
     return MarkerLexicon(
         **{
             name: getattr(base, name) | frozenset(extra[name])
@@ -190,29 +204,41 @@ def _trim(tokens: Sequence[Token], start: int, end: int) -> Optional[tuple[int, 
     return start, end
 
 
+_POS = attrgetter("pos")
+_IS_SPACE = attrgetter("is_space")
+_VV = PosTag.VV
+
+
+def _where(flags) -> list[int]:
+    """Indices of the true items of ``flags``, in one C-level pass."""
+    return list(compress(count(), flags))
+
+
 def _split_spaces(tokens: Sequence[Token], markers: frozenset[str]) -> list[int]:
-    """Indices of space tokens where R2 separates clauses."""
+    """Indices of space tokens where R2 separates clauses.
+
+    A space outside every name splits when a clause marker touches it, a
+    verb lies between the last split and it, and a verb lies in the run of
+    non-space tokens after it. That run's verb lies in the next region, so
+    after the first split the left test always holds: it asks only whether
+    the paragraph's first verb comes before the space. One Python step runs
+    per space token, and the right test is a C-level ``in`` on a slice of the
+    paragraph's POS list; the runs do not overlap, so each token is scanned
+    at most once.
+    """
+    pos = list(map(_POS, tokens))
+    first_verb = pos.index(_VV) if _VV in pos else len(pos)
+    spaces = _where(map(_IS_SPACE, tokens))
     splits = []
-    region_start = 0
-    last_verb = -1  # index of the latest verb before token i
-    n = len(tokens)
-    for i, token in enumerate(tokens):
-        if i and tokens[i - 1].pos is PosTag.VV:
-            last_verb = i - 1
-        if not _is_gap(token):
+    for i, j in zip(spaces, [*spaces[1:], len(tokens)]):  # j ends i's right run
+        if i <= first_verb or not _is_gap(tokens[i]):
             continue
-        # Right flank: the run of non-space tokens after this space.
-        j = i + 1
-        while j < n and not tokens[j].is_space:
-            j += 1
-        left_ok = last_verb >= region_start
-        right_ok = any(t.pos is PosTag.VV for t in tokens[i + 1 : j])
-        marker_adjacent = (
-            i > 0 and not tokens[i - 1].is_space and tokens[i - 1].surface in markers
-        ) or (i + 1 < n and not tokens[i + 1].is_space and tokens[i + 1].surface in markers)
-        if left_ok and right_ok and marker_adjacent:
+        before = tokens[i - 1]
+        touches_marker = (not before.is_space and before.surface in markers) or (
+            i + 1 < j and tokens[i + 1].surface in markers
+        )
+        if touches_marker and _VV in pos[i + 1 : j]:
             splits.append(i)
-            region_start = i + 1
     return splits
 
 
@@ -226,11 +252,26 @@ def detect_clauses(
     lies between the last cut and the connector and another verb lies
     after it, so a clause is verbless only when its whole region is. A
     connector inside a named entity (NE prefix I or E) never cuts.
+
+    The connectors that may cut are found once per paragraph, and one index
+    moves through them across all regions. A region's last verb is one
+    ``list.index`` on its reversed POS slice, and the verb since the last
+    cut is a C-level ``in`` behind a scan pointer, so the walk is linear in
+    tokens plus connectors, with one Python step per connector.
     """
     if not tokens:
         raise ValueError("paragraph must contain at least one token")
-    lexicon = lexicon or MarkerLexicon.default()
+    lexicon = lexicon or _DEFAULT_LEXICON
     connectors = lexicon.subordinate_connectors
+    pos = list(map(_POS, tokens))
+    candidates = [  # where R3 may cut
+        i
+        for i in _where(map(is_, pos, repeat(PosTag.CC)))
+        if not tokens[i].is_space
+        and tokens[i].surface in connectors
+        and tokens[i].ne.prefix not in (BoundaryPrefix.I, BoundaryPrefix.E)
+    ]
+    k = 0  # candidates[k] is the first one not yet passed
     spans: list[tuple[int, int]] = []
     region_start = 0
     for region_end in [*_split_spaces(tokens, lexicon.clause_markers), len(tokens)]:
@@ -239,24 +280,23 @@ def detect_clauses(
         if region is None:
             continue
         cut, end = region
-        last_verb = end - 1  # no cut at or after it: no verb would follow
-        while last_verb > cut and tokens[last_verb].pos is not PosTag.VV:
-            last_verb -= 1
-        verb_since_cut = False
-        for i in range(cut, last_verb):
-            token = tokens[i]
-            if token.pos is PosTag.VV:
-                verb_since_cut = True
-            elif (
-                verb_since_cut
-                and token.pos is PosTag.CC
-                and not token.is_space
-                and token.surface in connectors
-                and token.ne.prefix not in (BoundaryPrefix.I, BoundaryPrefix.E)
-            ):
-                spans.append(_trim(tokens, cut, i))
-                cut = i
-                verb_since_cut = False
+        while k < len(candidates) and candidates[k] < cut:
+            k += 1
+        if k < len(candidates) and candidates[k] < end:
+            # No cut at or after the region's last verb: no verb would follow.
+            reverse = pos[cut:end][::-1]
+            last_verb = end - 1 - reverse.index(_VV) if _VV in reverse else cut
+            scanned, verb_since_cut = cut, False
+            while k < len(candidates) and candidates[k] < last_verb:
+                i = candidates[k]
+                k += 1
+                if not verb_since_cut:
+                    verb_since_cut = _VV in pos[scanned:i]
+                    scanned = i
+                if verb_since_cut:
+                    spans.append(_trim(tokens, cut, i))
+                    cut = i
+                    verb_since_cut = False
         spans.append((cut, end))
     return spans
 
@@ -355,12 +395,10 @@ def aggregate_sentences(
     """
     if subject_shift not in SUBJECT_SHIFT_STRATEGIES:
         raise ValueError(f"subject_shift must be one of {SUBJECT_SHIFT_STRATEGIES}")
-    lexicon = lexicon or MarkerLexicon.default()
+    lexicon = lexicon or _DEFAULT_LEXICON
     if not clauses:
         return []
-    contents = [
-        [t for t in tokens[lo:hi] if not t.is_space] for lo, hi in clauses
-    ]
+    contents = [list(filterfalse(_IS_SPACE, tokens[lo:hi])) for lo, hi in clauses]
     spans = []
     start = 0
     for i in range(len(clauses) - 1):
@@ -385,7 +423,7 @@ def segment_paragraphs(
     space between clauses of one sentence is kept with clause label O.
     White space with an NE label is part of a name and always kept.
     """
-    lexicon = lexicon or MarkerLexicon.default()
+    lexicon = lexicon or _DEFAULT_LEXICON
     sentences: list[Sentence] = []
     paragraph_starts: list[int] = []
     for tokens in paragraphs:
@@ -400,12 +438,22 @@ def segment_paragraphs(
             clauses, tokens, lexicon, subject_shift=subject_shift
         ):
             lo, hi = clauses[first][0], clauses[last - 1][1]
-            sentences.append(
-                Sentence(
-                    tuple(
-                        Token(t.surface, t.pos, t.ne, label, t.is_space)
-                        for t, label in zip(tokens[lo:hi], labels[lo:hi])
-                    )
-                )
-            )
+            relabelled = map(_relabelled, tokens[lo:hi], labels[lo:hi])
+            sentences.append(Sentence(tuple(relabelled)))
     return sentences, paragraph_starts
+
+
+def _relabelled(token: Token, clause: ClauseLabel) -> Token:
+    """``token`` with clause label ``clause``: itself when it already has it,
+    else a copy whose slots are written directly, as ``read_columnar`` writes
+    them. ``token`` passed Token's checks, and the clause label is none of
+    them."""
+    if token.clause is clause:
+        return token
+    new = _new_token(Token)
+    _set_surface(new, token.surface)
+    _set_pos(new, token.pos)
+    _set_ne(new, token.ne)
+    _set_clause(new, clause)
+    _set_is_space(new, token.is_space)
+    return new

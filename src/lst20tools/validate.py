@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Optional
 
 from .format import Document, Sentence
@@ -51,27 +52,27 @@ class LintIssue:
         }
 
 
+_SEVERITY = attrgetter("severity")
+
+
 @dataclass(frozen=True, slots=True)
 class LintReport:
     issues: tuple[LintIssue, ...]
+    # Counted once, when the report is built, in C-level passes that compare
+    # severities by identity: hashing a Severity runs Enum's Python __hash__.
+    error_count: int = field(init=False, repr=False, compare=False)
+    warning_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "issues", tuple(self.issues))
+        issues = tuple(self.issues)
+        errors = list(map(_SEVERITY, issues)).count(Severity.ERROR)
+        object.__setattr__(self, "issues", issues)
+        object.__setattr__(self, "error_count", errors)
+        object.__setattr__(self, "warning_count", len(issues) - errors)
 
     @property
     def counts(self) -> dict[Severity, int]:
-        tally = {Severity.ERROR: 0, Severity.WARNING: 0}
-        for issue in self.issues:
-            tally[issue.severity] += 1
-        return tally
-
-    @property
-    def error_count(self) -> int:
-        return self.counts[Severity.ERROR]
-
-    @property
-    def warning_count(self) -> int:
-        return self.counts[Severity.WARNING]
+        return {Severity.ERROR: self.error_count, Severity.WARNING: self.warning_count}
 
     def to_dicts(self) -> list[dict]:
         return [issue.to_dict() for issue in self.issues]

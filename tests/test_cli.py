@@ -742,6 +742,29 @@ class TestValidateWritesAsItGoes:
         assert main([*argv, str(shard), "-o", str(out)]) == 1
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["validate", "--json"], "9ad71162e5473ecb86f0df4827e340c16b6280b701f24855164213020166ccd1"),
+            (["validate"], "e2b669061fe388d407e415b9207b64963f1c4a955b75eceea38ec585b523b65a"),
+        ],
+        ids=["json", "text"],
+    )
+    def test_fixture_and_random_corpus_bytes_are_pinned(self, tmp_path, argv, digest):
+        # Pinned from the report that counted severities per read and wrote
+        # each one through Enum.__format__: counting once changes no byte.
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_samples.FIXTURE_DIR, corpus)
+        rng = random.Random(17)
+        for k in range(40):
+            text = write_columnar(corpus_samples.random_document(rng, max_sentences=12))
+            if k % 3 == 0:  # a clause error and an NE error among the warnings
+                text = text.replace("B_CLS", "I_CLS", 1).replace("\tB_", "\tE_", 1)
+            (corpus / f"R{k:03d}.txt").write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([*argv, str(corpus), "-o", str(out)]) == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 def _heap_peak(argv) -> int:
     gc.collect()

@@ -56,6 +56,19 @@ class TestLexicon:
             load_marker_lexicon("\n[verbs]\n")
         assert err.value.line_no == 2
 
+    def test_clause_markers_follow_the_categories_and_are_no_section(self):
+        lex = load_marker_lexicon("[particles]\nจ้ะ\n")
+        assert lex.clause_markers == (
+            lex.subordinate_connectors
+            | lex.cohesive_markers
+            | lex.list_markers
+            | lex.particles
+            | lex.question_adverbs
+        )
+        assert "จ้ะ" in lex.clause_markers
+        with pytest.raises(ConfigError):
+            load_marker_lexicon("[clause_markers]\nจ้ะ\n")
+
     def test_entry_before_section_rejected(self):
         with pytest.raises(ConfigError):
             load_marker_lexicon("ว่า\n")
@@ -390,6 +403,53 @@ def test_detect_clauses_matches_chunk_and_merge_oracle(tokens):
     )
 
 
+# Pieces of long paragraphs: mostly nouns, so verbs are sparse; many
+# connectors, in and out of names; markers next to spaces, so R2 cuts
+# several regions; and spaces inside names next to the spaces R2 cuts at,
+# so a trimmed region can start or end with a name's space.
+_LOC_B, _LOC_I, _LOC_E = (parse_ne_label(x) for x in ("B_LOC", "I_LOC", "E_LOC"))
+_GAP = space_token()
+_LONG_PIECES = (
+    *[(Token("บ้าน", PosTag.NN),)] * 8,
+    (Token("กิน", PosTag.VV),),
+    (Token("ว่า", PosTag.CC),),
+    (Token("ซึ่ง", PosTag.CC),),
+    (Token("ที่", PosTag.CC),),
+    (Token("ที่", PosTag.CC, _LOC_I),),
+    (Token("ซึ่ง", PosTag.CC, _LOC_E),),
+    (Token("ว่า", PosTag.CC), _GAP),
+    (Token("นะ", PosTag.PA), _GAP),
+    (_GAP, Token("เช่น", PosTag.CC)),
+    (_GAP, Token("กิน", PosTag.VV)),
+    (_GAP,),
+    (space_token(PosTag.VV),),
+    (_GAP, space_token(ne=_LOC_B), Token("บ้าน", PosTag.NN, _LOC_E)),
+    (Token("บ้าน", PosTag.NN, _LOC_B), space_token(ne=_LOC_E), _GAP),
+    (space_token(ne=_LOC_I),),
+)
+_LONG_PARAGRAPHS = st.lists(st.sampled_from(_LONG_PIECES), min_size=60, max_size=200).map(
+    lambda pieces: [token for piece in pieces for token in piece]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LONG_PARAGRAPHS)
+def test_r2_space_splits_match_quadratic_reference_on_long_paragraphs(tokens):
+    lexicon = MarkerLexicon.default()
+    assert _split_spaces(tokens, lexicon.clause_markers) == r2_space_splits(
+        tokens, lexicon.clause_markers
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LONG_PARAGRAPHS)
+def test_detect_clauses_matches_chunk_and_merge_oracle_on_long_paragraphs(tokens):
+    lexicon = MarkerLexicon.default()
+    assert detect_clauses(tokens) == clause_spans(
+        tokens, lexicon.clause_markers, lexicon.subordinate_connectors
+    )
+
+
 _MARKER_WORDS = (("ว่า", PosTag.CC), ("ซึ่ง", PosTag.CC), ("เช่น", PosTag.CC), ("นะ", PosTag.PA))
 
 
@@ -424,3 +484,59 @@ def test_segmenting_keeps_named_entities_whole(rng):
     sentences, _ = segment_paragraphs([p.tokens for p in paragraphs])
     assert not _ne_issues(sentences)
     assert _entity_tokens(sentences) == _entity_tokens(paragraphs)
+
+
+def _assert_relabelled_as_if_constructed(paragraphs):
+    """Every token ``segment_paragraphs`` returns equals, and hashes as, the
+    one ``Token()`` builds from its input token's fields and its new clause
+    label, and ``replace`` works on it. It is the input token itself exactly
+    when that one already had the label. A check added to ``Token.__init__``
+    that the direct slot writes skip makes ``Token()`` raise here."""
+    sentences, _ = segment_paragraphs(paragraphs)
+    out = iter([t for s in sentences for t in s.tokens])
+    for tokens in paragraphs:
+        clauses = detect_clauses(tokens)
+        for first, last in aggregate_sentences(clauses, tokens):
+            for src in tokens[clauses[first][0] : clauses[last - 1][1]]:
+                got = next(out)
+                built = Token(src.surface, src.pos, src.ne, got.clause, src.is_space)
+                assert built == got and hash(built) == hash(got)
+                assert (got is src) == (got.clause is src.clause)
+                assert replace(got, clause=ClauseLabel.O).clause is ClauseLabel.O
+    assert next(out, None) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_relabelled_tokens_are_as_if_constructed(rng):
+    # random_document's labels are legal BIEO runs in any place, so some
+    # tokens keep their clause label and others change it; its spaces carry
+    # NE labels too, so names hold spaces.
+    doc = corpus_samples.random_document(rng, max_sentences=6, max_tokens=40)
+    paragraphs = []
+    for sentence in doc.sentences:
+        tokens = []
+        for token in sentence.tokens:
+            if not token.is_space and rng.random() < 0.2:
+                surface, pos = rng.choice(_MARKER_WORDS)
+                token = replace(token, surface=surface, pos=pos)
+            elif not token.is_space and rng.random() < 0.3:
+                token = replace(token, pos=PosTag.VV)
+            tokens.append(token)
+        paragraphs.append(tokens)
+    _assert_relabelled_as_if_constructed(paragraphs)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in corpus_samples.FIXTURE_DIR.glob("*.txt")))
+def test_fixture_relabel_is_as_if_constructed(name):
+    doc = corpus_samples.load_fixture(name)
+    _assert_relabelled_as_if_constructed([s.tokens for s in doc.sentences])
+
+
+def test_a_token_whose_label_is_unchanged_comes_back_itself():
+    # The gold labels are the ones the segmenter assigns, so re-segmenting
+    # the labelled paragraph builds no token.
+    tokens = corpus_samples.load_fixture("disease_report.txt").sentences[0].tokens
+    sentences, _ = segment_paragraphs([tokens])
+    kept = [t for s in sentences for t in s.tokens]
+    assert kept and all(any(t is src for src in tokens) for t in kept)
