@@ -16,7 +16,6 @@ from .format import (
     Token,
     TokenError,
     WriteError,
-    convert,
     read_columnar,
     read_inline,
     space_token,

@@ -120,12 +120,17 @@ def _load_config(name: str, parse):
         raise ValueError(f"{path.name}: {exc}") from None
 
 
-def _read_document(path: Path, informat: str, strict: bool):
-    """Parse one input file; returns (Document, the readers' LineError/TokenError list)."""
-    return _parse_document(_read_text(path), path, informat, strict)
+def _one_input(args, name: str) -> Path:
+    """The input of a command that takes one file; each entry of a directory
+    input counts as a file."""
+    inputs = _expand_inputs(args.inputs)
+    if len(inputs) != 1:
+        raise ValueError(f"{name} takes exactly one input file")
+    return inputs[0]
 
 
 def _parse_document(text: str, path: Path, informat: str, strict: bool):
+    """Parse one input file; returns (Document, the readers' LineError/TokenError list)."""
     errors: Optional[list] = None if strict else []
     try:
         if informat == FORMAT_COLUMNAR:
@@ -184,6 +189,17 @@ def _same_file(target: os.stat_result, path: Path) -> bool:
         return False
 
 
+def _serialize(path: Path, doc: Document, outformat: str, layers: int = 4) -> str:
+    """``doc`` written in ``outformat``. What that format cannot represent is
+    reported as ``name: reason``, with exit 1."""
+    try:
+        if outformat == FORMAT_COLUMNAR:
+            return fmt.write_columnar(doc)
+        return fmt.write_inline(doc.sentences, layers)
+    except fmt.WriteError as exc:
+        raise _BadInput(f"{path.name}: {exc}") from None
+
+
 def _write(output, text: str) -> None:
     with output as out:
         out.write(text)
@@ -198,7 +214,7 @@ def _cmd_validate(args) -> int:
         # One file's read, lint and write, so nothing of it is alive while
         # the next file is read.
         nonlocal had_errors, sep
-        doc, errors = _read_document(path, args.informat, args.strict)
+        doc, errors = _parse_document(_read_text(path), path, args.informat, args.strict)
         report = validate_mod.lint_document(doc, extra=[_format_issue(e) for e in errors])
         had_errors |= report.error_count > 0
         if not args.json:
@@ -222,20 +238,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    inputs = _expand_inputs(args.inputs)
-    if len(inputs) != 1:
-        raise ValueError("convert takes exactly one input file")
-    path = inputs[0]
+    """Both formats keep all four layers: inline input defaults missing ones
+    to O. Inline to inline keeps the input's layer count."""
+    path = _one_input(args, "convert")
     text = _read_text(path)
-    errors: Optional[list] = None if args.strict else []
-    try:
-        converted = fmt.convert(
-            args.informat, args.outformat, text, doc_id=path.stem, errors=errors
-        )
-    except fmt.FormatError as exc:
-        raise _BadInput(f"{path.name}: {exc}") from None
-    status = _print_format_issues(path, errors or [])
-    _write(_open_output(args, inputs), converted)
+    doc, errors = _parse_document(text, path, args.informat, args.strict)
+    status = _print_format_issues(path, errors)
+    layers = 4
+    if args.informat == args.outformat == FORMAT_INLINE:
+        layers = fmt.inline_layer_count(text)
+    output = _serialize(path, doc, args.outformat, layers)
+    _write(_open_output(args, [path]), output)
     return status
 
 
@@ -251,7 +264,7 @@ def _segment_file(path: Path, args) -> tuple[list, int]:
     input document and the lexicon are gone on return, so neither is alive
     while the output is written."""
     lexicon = _load_lexicon(args)
-    doc, errors = _read_document(path, args.informat, args.strict)
+    doc, errors = _parse_document(_read_text(path), path, args.informat, args.strict)
     status = _print_format_issues(path, errors)
     # Each input sentence block (columnar) or line (inline) is one paragraph.
     sentences, _ = segment_mod.segment_paragraphs(
@@ -261,20 +274,10 @@ def _segment_file(path: Path, args) -> tuple[list, int]:
 
 
 def _cmd_segment(args) -> int:
-    inputs = _expand_inputs(args.inputs)
-    if len(inputs) != 1:
-        raise ValueError("segment takes exactly one input file")
-    path = inputs[0]
+    path = _one_input(args, "segment")
     sentences, status = _segment_file(path, args)
-    result = Document(path.stem, tuple(sentences))
-    try:
-        if args.outformat == FORMAT_COLUMNAR:
-            output = fmt.write_columnar(result)
-        else:
-            output = fmt.write_inline(result.sentences, layers=4)
-    except fmt.FormatError as exc:
-        raise _BadInput(f"{path.name}: {exc}") from None
-    _write(_open_output(args, inputs, args.lexicon), output)
+    output = _serialize(path, Document(path.stem, tuple(sentences)), args.outformat)
+    _write(_open_output(args, [path], args.lexicon), output)
     return status
 
 
@@ -341,11 +344,8 @@ def _cmd_frames(args) -> int:
         _write(_open_output(args, [], args.frames), frames_mod.dump_frameset(frameset))
         return EXIT_OK
     # frames check
-    inputs = _expand_inputs(args.inputs)
-    if len(inputs) != 1:
-        raise ValueError("frames check takes exactly one input file")
-    path = inputs[0]
-    doc, errors = _read_document(path, args.informat, args.strict)
+    path = _one_input(args, "frames check")
+    doc, errors = _parse_document(_read_text(path), path, args.informat, args.strict)
     status = _print_format_issues(path, errors)
     matched_ids: set[str] = set()
     lines = []
@@ -365,7 +365,7 @@ def _cmd_frames(args) -> int:
     if not lines:
         lines.append(f"no occurrences of {args.word!r}")
     lines.append("classes: " + (" ".join(sorted(classes)) if classes else "-"))
-    _write(_open_output(args, inputs, args.frames), "\n".join(lines) + "\n")
+    _write(_open_output(args, [path], args.frames), "\n".join(lines) + "\n")
     return status
 
 
@@ -459,9 +459,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except _BadInput as exc:
         print(exc, file=sys.stderr)
-        return EXIT_ISSUES
-    except fmt.FormatError as exc:
-        print(f"lst20: {exc}", file=sys.stderr)
         return EXIT_ISSUES
     except (OSError, ValueError) as exc:
         print(f"lst20: {exc}", file=sys.stderr)

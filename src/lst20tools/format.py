@@ -472,32 +472,3 @@ def write_inline(sentences: Iterable[Sentence], layers: int = 4) -> str:
         lines.append(" | ".join(chunks) + " ||")
     return _refuse_leading_bom("\n".join(lines) + ("\n" if lines else ""))
 
-
-def convert(
-    src_format: str,
-    dst_format: str,
-    text: str,
-    *,
-    doc_id: str = "doc",
-    errors: Optional[list] = None,
-) -> str:
-    """Re-serialize ``text`` from one format to the other.
-
-    Converting between the two formats preserves all four layers
-    (inline output uses 4 layers; inline input defaults missing trailing
-    layers to O). Converting a format to itself canonicalizes the file,
-    preserving the inline layer count.
-    """
-    for name in (src_format, dst_format):
-        if name not in (FORMAT_COLUMNAR, FORMAT_INLINE):
-            raise ValueError(f"unknown format {name!r}")
-    if src_format == FORMAT_COLUMNAR:
-        doc = read_columnar(text, doc_id, errors=errors)
-        sentences = list(doc.sentences)
-    else:
-        sentences = read_inline(text, errors=errors)
-        doc = Document(doc_id, tuple(sentences))
-    if dst_format == FORMAT_COLUMNAR:
-        return write_columnar(doc)
-    layers = inline_layer_count(text) if src_format == FORMAT_INLINE else 4
-    return write_inline(sentences, layers)

@@ -205,10 +205,6 @@ class FrameSet:
                 raise FrameSpecError(f"duplicate frame id {frame.frame_id!r}")
             seen.add(frame.frame_id)
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(f.frame_id for f in self.frames)
-
 
 def default_frameset() -> FrameSet:
     return FrameSet(
@@ -217,17 +213,24 @@ def default_frameset() -> FrameSet:
 
 
 def load_frameset(text: str) -> FrameSet:
-    """Parse ``id: spec`` lines (``#`` comments, blank lines ignored)."""
-    frames = []
+    """Parse ``id: spec`` lines (``#`` comments, blank lines ignored). Each
+    error names its line."""
+    frames: dict[str, FramePattern] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         frame_id, sep, spec = line.partition(":")
-        if not sep or not frame_id.strip():
-            raise FrameSpecError(f"line {line_no}: expected 'id: spec'")
-        frames.append(compile_frame(spec.strip(), frame_id.strip()))
-    return FrameSet(tuple(frames))
+        frame_id = frame_id.strip()
+        try:
+            if not sep or not frame_id:
+                raise FrameSpecError("expected 'id: spec'")
+            if frame_id in frames:
+                raise FrameSpecError(f"duplicate frame id {frame_id!r}")
+            frames[frame_id] = compile_frame(spec.strip(), frame_id)
+        except FrameSpecError as exc:
+            raise FrameSpecError(f"line {line_no}: {exc}") from None
+    return FrameSet(tuple(frames.values()))
 
 
 def dump_frameset(frameset: FrameSet) -> str:

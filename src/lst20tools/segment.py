@@ -396,8 +396,8 @@ def aggregate_sentences(
     if subject_shift not in SUBJECT_SHIFT_STRATEGIES:
         raise ValueError(f"subject_shift must be one of {SUBJECT_SHIFT_STRATEGIES}")
     lexicon = lexicon or _DEFAULT_LEXICON
-    if not clauses:
-        return []
+    if len(clauses) < 2:  # no pair to decide
+        return [(0, 1)] if clauses else []
     contents = [list(filterfalse(_IS_SPACE, tokens[lo:hi])) for lo, hi in clauses]
     spans = []
     start = 0

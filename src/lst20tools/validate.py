@@ -70,10 +70,6 @@ class LintReport:
         object.__setattr__(self, "error_count", errors)
         object.__setattr__(self, "warning_count", len(issues) - errors)
 
-    @property
-    def counts(self) -> dict[Severity, int]:
-        return {Severity.ERROR: self.error_count, Severity.WARNING: self.warning_count}
-
     def to_dicts(self) -> list[dict]:
         return [issue.to_dict() for issue in self.issues]
 

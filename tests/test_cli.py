@@ -23,6 +23,7 @@ from lst20tools import (
     write_columnar,
 )
 from lst20tools.cli import _format_issue, _json_entries, format_report, main
+from lst20tools.format import inline_layer_count
 
 
 @pytest.fixture
@@ -281,6 +282,21 @@ class TestBadConfigFile:
         assert captured.err == f"lst20: conf.txt: line 1: {reason}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "content,error",
+        [
+            ("A.1: _ QQ\n", "line 1: unknown tag 'QQ' in frame spec '_ QQ'"),
+            ("A.1: _ VV\nA.1: _ NN\n", "line 2: duplicate frame id 'A.1'"),
+            ("A.1: _ VV\n# no hole\nA.2: NN VV\n", "line 3: frame A.2 needs exactly one hole, got 0"),
+        ],
+        ids=["unknown-tag", "duplicate-id", "no-hole"],
+    )
+    def test_frame_file_errors_name_the_line(self, tmp_path, content, error, capsys):
+        frames_file = tmp_path / "f.txt"
+        frames_file.write_text(content, encoding="utf-8")
+        assert main(["frames", "dump", "--frames", str(frames_file)]) == 2
+        assert capsys.readouterr().err == f"lst20: f.txt: {error}\n"
+
 
 class TestOutputGuardCoversConfig:
     """-o naming the --lexicon, --manifest or --frames file the command read
@@ -422,6 +438,49 @@ class TestConvertCommand:
         source = fixture_copy("phone_call.txt")
         assert main(["convert", "--to", "inline", str(source)]) == 0
         assert capsys.readouterr().out.count("||") == 3
+
+    def test_prints_parse_problems_before_refusing_the_write(self, tmp_path, capsys):
+        source = tmp_path / "c.inline"
+        source.write_text("a/QQ ||\n_/NN ||\n", encoding="utf-8")
+        out = tmp_path / "c.txt"
+        argv = ["convert", "--from", "inline", "--to", "columnar", str(source), "-o", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "c.inline: sentence 0, token 0: inconsistent or missing annotation layers\n"
+            "c.inline: literal '_' surface is not representable in columnar form\n"
+        )
+        assert not out.exists()
+
+    def test_empty_input(self, tmp_path, capsys):
+        source = tmp_path / "empty.txt"
+        source.write_text("", encoding="utf-8")
+        for src, to in (("columnar", "inline"), ("inline", "columnar")):
+            assert main(["convert", "--from", src, "--to", to, str(source)]) == 0
+            assert capsys.readouterr() == ("", "")
+
+    def test_inline_to_columnar_line_count(self, fixture_copy, tmp_path, capsys):
+        source = fixture_copy("disease_report.txt")
+        inline = tmp_path / "disease_report.inline"
+        assert main(["convert", "--to", "inline", str(source), "-o", str(inline)]) == 0
+        assert main(["convert", "--from", "inline", "--to", "columnar", str(inline)]) == 0
+        token_lines = [l for l in capsys.readouterr().out.split("\n") if l]
+        assert len(token_lines) == 31
+
+    def test_inline_to_inline_keeps_the_layer_count(self, tmp_path, capsys):
+        text = "ก/NN|ข/VV||"
+        assert inline_layer_count(text) == 2
+        source = tmp_path / "two.inline"
+        source.write_text(text, encoding="utf-8")
+        assert main(["convert", "--from", "inline", "--to", "inline", str(source)]) == 0
+        assert capsys.readouterr().out == "ก/NN | ข/VV ||\n"
+
+    def test_unknown_format_rejected(self, fixture_copy, capsys):
+        source = fixture_copy("glimpse.txt")
+        for flag in ("--from", "--to"):
+            with pytest.raises(SystemExit) as info:
+                main(["convert", "--to", "inline", flag, "xml", str(source)])
+            assert info.value.code == 2
+            assert "invalid choice: 'xml'" in capsys.readouterr().err
 
 
 class TestSegmentCommand:

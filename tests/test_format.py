@@ -19,7 +19,6 @@ from lst20tools import (
     Token,
     TokenError,
     WriteError,
-    convert,
     read_columnar,
     read_inline,
     space_token,
@@ -301,35 +300,6 @@ class TestWriteInline:
     def test_read_inverts_write(self, phone_call_doc):
         text = write_inline(phone_call_doc.sentences, 4)
         assert tuple(read_inline(text)) == phone_call_doc.sentences
-
-
-class TestConvert:
-    def test_columnar_inline_columnar_is_byte_identity(self):
-        original = corpus_samples.fixture_text("glimpse.txt")
-        inline = convert("columnar", "inline", original)
-        back = convert("inline", "columnar", inline)
-        assert back == original
-
-    def test_empty_input(self):
-        assert convert("columnar", "inline", "") == ""
-        assert convert("inline", "columnar", "") == ""
-
-    def test_inline_to_columnar_line_count(self):
-        inline = convert(
-            "columnar", "inline", corpus_samples.fixture_text("disease_report.txt")
-        )
-        columnar = convert("inline", "columnar", inline)
-        token_lines = [l for l in columnar.split("\n") if l]
-        assert len(token_lines) == 31
-
-    def test_inline_canonicalization_preserves_layers(self):
-        text = "ก/NN|ข/VV||"
-        assert inline_layer_count(text) == 2
-        assert convert("inline", "inline", text) == "ก/NN | ข/VV ||\n"
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            convert("xml", "inline", "")
 
 
 def _surface_alphabet():

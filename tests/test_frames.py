@@ -250,7 +250,7 @@ class TestFrameSet:
     def test_ships_eighteen_frames(self):
         frameset = default_frameset()
         assert len(frameset.frames) == 18
-        assert set(frameset.ids) == set(DEFAULT_FRAME_SPECS)
+        assert {f.frame_id for f in frameset.frames} == set(DEFAULT_FRAME_SPECS)
 
     def test_duplicate_ids_rejected(self):
         frame = compile_frame("_ VV", "X.1")
@@ -280,7 +280,7 @@ class TestFrameSet:
 
     def test_load_ignores_comments(self):
         frameset = load_frameset("# comment\nX.1: _ VV\n")
-        assert frameset.ids == ("X.1",)
+        assert tuple(f.frame_id for f in frameset.frames) == ("X.1",)
 
 
 ALL_TAGS = list(PosTag)

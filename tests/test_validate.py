@@ -192,7 +192,7 @@ class TestLintDocument:
 
     def test_counts_match_issue_tally(self, glimpse_doc):
         report = lint_document(glimpse_doc)
-        assert report.counts[Severity.WARNING] == len(
+        assert report.warning_count == len(
             [i for i in report.issues if i.severity is Severity.WARNING]
         )
 
