@@ -302,6 +302,14 @@ class TestWriteInline:
         assert tuple(read_inline(text)) == phone_call_doc.sentences
 
 
+class TestConvert:
+    def test_columnar_inline_columnar_is_byte_identity(self):
+        original = corpus_samples.fixture_text("glimpse.txt")
+        inline = write_inline(read_columnar(original).sentences)
+        back = write_columnar(Document("doc", tuple(read_inline(inline))))
+        assert back == original
+
+
 def _surface_alphabet():
     return st.text(
         alphabet="กขคมยรลวสอabkxz019./-",
