@@ -1,8 +1,9 @@
 """Command-line front end: validate / convert / segment / stats / frames.
 
-Exit codes: 0 success (and no lint errors), 1 lint errors or conversion
-failures, 2 usage, IO or configuration problems. Diagnostics go to
-stderr; data goes to stdout or the ``--output`` path.
+Exit codes: 0 success (and no lint errors), 1 lint errors, conversion
+failures or an input file that cannot be read, 2 usage, IO or configuration
+problems. Diagnostics go to stderr; data goes to stdout or the ``--output``
+path.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def _expand_inputs(paths: Sequence[str]) -> list[Path]:
 
 
 class _BadInput(Exception):
-    """An input file that is not UTF-8 or, under ``--strict``, does not parse,
-    or an entry of a directory input that is not a regular file.
+    """An input file that cannot be read, is not UTF-8 or, under ``--strict``,
+    does not parse, or an entry of a directory input that is not a regular file.
 
     Reported as ``name: reason`` with exit 1; validate and stats go on.
     """
@@ -95,17 +96,16 @@ def _read_text(path: Path) -> str:
     line end only before LF."""
     try:
         mode = path.stat().st_mode
-    except OSError as exc:  # a dangling symbolic link, or a link loop
-        raise _BadInput(f"{path.name}: {exc.strerror}") from None
-    if stat.S_ISDIR(mode):
-        raise _BadInput(f"{path.name}: is a directory; subdirectories are not read")
-    if not stat.S_ISREG(mode):
-        raise _BadInput(f"{path.name}: not a regular file")
-    try:
+        if stat.S_ISDIR(mode):
+            raise _BadInput(f"{path.name}: is a directory; subdirectories are not read")
+        if not stat.S_ISREG(mode):
+            raise _BadInput(f"{path.name}: not a regular file")
         with open(path, encoding="utf-8", newline="") as file:
             return file.read()
     except UnicodeDecodeError as exc:
         raise _BadInput(f"{path.name}: {exc}") from None
+    except OSError as exc:  # a dangling link, a link loop, no read permission
+        raise _BadInput(f"{path.name}: {exc.strerror}") from None
 
 
 def _load_config(name: str, parse):

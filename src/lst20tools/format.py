@@ -133,12 +133,6 @@ class Sentence:
         if not self.tokens:
             raise ValueError("sentence must contain at least one token")
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
 
 @dataclass(frozen=True, slots=True)
 class Document:

@@ -310,73 +310,31 @@ def _subject_stretch(content: Sequence[Token]) -> tuple[str, ...]:
     return tuple(stretch)
 
 
-def _rule_s6(prev, nxt, lexicon) -> Optional[str]:
-    if nxt and nxt[0].surface in lexicon.list_markers:
-        return "merge"
-    return None
-
-
-def _ends_with_report(content, lexicon) -> bool:
-    if content and content[-1].surface in lexicon.subordinate_connectors:
-        content = content[:-1]
-    return bool(content) and content[-1].surface in lexicon.reporting_verbs
-
-
-def _rule_s4(prev, nxt, lexicon) -> Optional[str]:
-    if (
-        nxt
-        and nxt[0].surface in _QUOTE_CHARS
-        and _ends_with_report(prev, lexicon)
-    ):
-        return "merge"
-    return None
-
-
-def _rule_s5(prev, nxt, lexicon) -> Optional[str]:
-    if (
-        len(prev) >= 2
-        and prev[-1].surface in lexicon.subordinate_connectors
-        and prev[-2].surface in lexicon.reporting_verbs
-    ):
-        return "merge"
-    return None
-
-
-def _rule_s2(prev, nxt, lexicon) -> Optional[str]:
-    if nxt and nxt[0].surface in lexicon.cohesive_markers:
-        return "split"
-    return None
-
-
-def _rule_s7(prev, nxt, lexicon) -> Optional[str]:
-    if (
-        prev
-        and prev[-1].pos is PosTag.PA
-        and prev[-1].surface in lexicon.particles
-    ):
-        return "split"
-    return None
-
-
-# Merge rules first; S3 decides a pair that none of these decides. Each rule
-# reads the two clauses' non-space tokens.
-_SENTENCE_RULES = (_rule_s6, _rule_s4, _rule_s5, _rule_s2, _rule_s7)
-
-
-def _decide_pair(prev, nxt, lexicon, subject_shift) -> str:
-    for rule in _SENTENCE_RULES:
-        verdict = rule(prev, nxt, lexicon)
-        if verdict is not None:
-            return verdict
-    if subject_shift == "always":
-        return "split"
-    if subject_shift == "never":
-        return "merge"
-    left = _subject_stretch(prev)
+def _sentence_ends(prev, nxt, lexicon, subject_shift) -> bool:
+    """Whether a sentence ends between two adjacent clauses of one paragraph,
+    given their non-space tokens. A merge rule outranks a split rule, and S3
+    decides the rest."""
+    opener = nxt[0].surface if nxt else None
+    last = prev[-1].surface if prev else None
+    if opener in lexicon.list_markers:
+        return False  # S6 item list
+    # S4 and S5 read the reporting verb, which a final connector may follow:
+    # ``connector`` (False or True) counts the tokens after the verb.
+    connector = last in lexicon.subordinate_connectors
+    said = len(prev) > connector and prev[-1 - connector].surface in lexicon.reporting_verbs
+    if said and opener in _QUOTE_CHARS:
+        return False  # S4 direct speech
+    if said and connector:
+        return False  # S5 indirect speech
+    if opener in lexicon.cohesive_markers:
+        return True  # S2 topic shift
+    if last in lexicon.particles and prev[-1].pos is PosTag.PA:
+        return True  # S7 particle
+    if subject_shift != "heuristic":
+        return subject_shift == "always"  # S3 fixed strategy
     right = _subject_stretch(nxt)
-    if not right:
-        return "merge"  # zero anaphora: subject carried over
-    return "merge" if left == right else "split"
+    # S3 heuristic: an empty stretch carries the subject over (zero anaphora).
+    return bool(right) and right != _subject_stretch(prev)
 
 
 def aggregate_sentences(
@@ -399,15 +357,12 @@ def aggregate_sentences(
     if len(clauses) < 2:  # no pair to decide
         return [(0, 1)] if clauses else []
     contents = [list(filterfalse(_IS_SPACE, tokens[lo:hi])) for lo, hi in clauses]
-    spans = []
-    start = 0
-    for i in range(len(clauses) - 1):
-        verdict = _decide_pair(contents[i], contents[i + 1], lexicon, subject_shift)
-        if verdict == "split":
-            spans.append((start, i + 1))
-            start = i + 1
-    spans.append((start, len(clauses)))
-    return spans
+    ends = [
+        i
+        for i in range(1, len(clauses))
+        if _sentence_ends(contents[i - 1], contents[i], lexicon, subject_shift)
+    ]
+    return list(zip([0, *ends], [*ends, len(clauses)]))
 
 
 def segment_paragraphs(

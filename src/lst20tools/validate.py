@@ -28,9 +28,6 @@ class Severity(Enum):
     ERROR = "error"
     WARNING = "warning"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True, slots=True)
 class LintIssue:

@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import json
@@ -15,13 +16,17 @@ from lst20tools import (
     LineError,
     LintIssue,
     LintReport,
+    PosTag,
+    Sentence,
     Severity,
+    Token,
     TokenError,
     lint_document,
     read_columnar,
     read_inline,
     write_columnar,
 )
+from lst20tools import cli
 from lst20tools.cli import _format_issue, _json_entries, format_report, main
 from lst20tools.format import inline_layer_count
 
@@ -234,6 +239,45 @@ class TestBadInputFile:
         captured = capsys.readouterr()
         assert captured.err.startswith("b.txt: line 1: ")
         assert json.loads(captured.out)["counts"]["documents"] == 1
+
+    @pytest.fixture
+    def unreadable(self, tmp_path, monkeypatch):
+        """Three copies of one file, of which ``b.txt`` cannot be opened. Run
+        as root, a test may read any file whatever its mode, so the refusal is
+        made by patching the ``open`` the CLI calls."""
+        batch = tmp_path / "d"
+        batch.mkdir()
+        for name in ("a.txt", "b.txt", "c.txt"):
+            (batch / name).write_text("ก\tVV\tO\tB_CLS\n", encoding="utf-8")
+
+        def refusing_open(file, *args, **kwargs):
+            if Path(file).name == "b.txt":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+        return batch
+
+    def test_validate_reports_an_unreadable_file_and_goes_on(self, unreadable, capsys):
+        out = unreadable.parent / "out.json"
+        assert main(["validate", "--json", str(unreadable), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "b.txt: Permission denied\n"
+        assert [entry["file"] for entry in json.loads(out.read_text())] == ["a.txt", "c.txt"]
+
+    def test_stats_reports_an_unreadable_file_and_goes_on(self, unreadable, capsys):
+        out = unreadable.parent / "stats.json"
+        assert main(["stats", "--json", str(unreadable), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "b.txt: Permission denied\n"
+        assert json.loads(out.read_text())["counts"]["documents"] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["convert", "--to", "inline"], ["segment"], ["frames", "check", "--word", "ก"]],
+    )
+    def test_single_input_commands_report_an_unreadable_file(self, unreadable, argv, capsys):
+        assert main([*argv, str(unreadable / "b.txt")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "b.txt: Permission denied\n")
 
 
 class TestBadConfigFile:
@@ -585,6 +629,101 @@ class TestSegmentCommand:
         ) == 0
         split = capsys.readouterr().out
         assert split.count("||") >= merged.count("||")
+
+    @pytest.fixture(scope="class")
+    def planted(self, tmp_path_factory):
+        """The gold fixtures, seeded documents with markers planted and a
+        lexicon file that makes four more words markers."""
+        corpus = tmp_path_factory.mktemp("planted")
+        shutil.copytree(corpus_samples.FIXTURE_DIR, corpus / "in")
+        rng = random.Random(23)
+        for k in range(40):
+            text = write_columnar(_planted_document(rng, k))
+            (corpus / "in" / f"R{k:03d}.txt").write_text(text, encoding="utf-8")
+        (corpus / "lex.cfg").write_text(_PLANTED_LEXICON, encoding="utf-8")
+        return corpus
+
+    @pytest.mark.parametrize("to", ["columnar", "inline"])
+    @pytest.mark.parametrize("lexicon", [False, True], ids=["default", "lexicon-file"])
+    @pytest.mark.parametrize("shift", ["heuristic", "always", "never"])
+    def test_fixture_and_planted_corpus_bytes_are_pinned(self, planted, shift, lexicon, to):
+        # Pinned from the segmenter that decided each clause pair by walking a
+        # table of rule functions.
+        options = ["--subject-shift", shift, "--to", to]
+        if lexicon:
+            options += ["--lexicon", str(planted / "lex.cfg")]
+        out = planted / "out"
+        digest = hashlib.sha256()
+        for path in sorted((planted / "in").iterdir()):
+            status = main(["segment", *options, str(path), "-o", str(out)])
+            digest.update(f"{path.name} {status}\n".encode() + out.read_bytes())
+        assert digest.hexdigest() == _SEGMENT_DIGESTS[shift, lexicon, to]
+
+
+# What may join two planted clauses, with the sentence rule it brings into
+# play (None is a space). ดังนั้น, โดย, จ้ะ and เล่า are markers only under
+# _PLANTED_LEXICON.
+_JOINS = (
+    [(None, "PU")],  # S3
+    [("นะ", "PA"), (None, "PU")],  # S7
+    [("จ้ะ", "PA"), (None, "PU")],  # S7
+    [("อย่างไร", "AV"), (None, "PU")],  # S3
+    [(None, "PU"), ("เช่น", "CC")],  # S6
+    [(None, "PU"), ("อย่างไรก็ตาม", "CC")],  # S2
+    [(None, "PU"), ("ดังนั้น", "CC")],  # S2
+    [(None, "PU"), ("ซึ่ง", "CC")],  # S3
+    [("กล่าว", "VV"), ("ว่า", "CC"), (None, "PU"), ('"', "PU")],  # S4
+    [("กล่าว", "VV"), ("ว่า", "CC"), (None, "PU")],  # S5
+    [("เล่า", "VV"), ("โดย", "CC"), (None, "PU")],  # S5
+    [("นะ", "PA"), (None, "PU"), ("เช่น", "CC")],  # S6 over S7
+    [("กล่าว", "VV"), ("ว่า", "CC"), (None, "PU"), ("อย่างไรก็ตาม", "CC")],  # S5 over S2
+)
+_PLANTS = [(surface, PosTag(tag)) for rows in _JOINS for surface, tag in rows if surface]
+_PLANTED_LEXICON = (
+    "[cohesive_markers]\nดังนั้น\n[subordinate_connectors]\nโดย\n"
+    "[particles]\nจ้ะ\n[reporting_verbs]\nเล่า\n"
+)
+_SEGMENT_DIGESTS = {
+    ("heuristic", False, "columnar"): "1b61b84a4ffd091ce3dfe39bb70dc2c0b201b03ac0e1fccb996c654add5e0f11",
+    ("heuristic", False, "inline"): "ef8ab9aae377ac301e3a40781c27eac5b4e5e578625437c1446e5d7c0ea22627",
+    ("heuristic", True, "columnar"): "d7d215e05d26f10135781aff317e6baae6567346f9585e4f7bb8fc67cd981d25",
+    ("heuristic", True, "inline"): "4d8869060158cd52180a5dff8b502f214d43a56eec2a3aaf8b6e27eca54941e5",
+    ("always", False, "columnar"): "cfaaa7e43ace9937bf59e02700b9947238391cee8b4fca6ed48b1f1eecd144d1",
+    ("always", False, "inline"): "07801d7f702e7f5d48221893cd558906773448f7a5f9a5775c29f019713cee29",
+    ("always", True, "columnar"): "55dab2838bc882b071905e26decd8d4f94116c37d1a78b7b503063e7c758edf9",
+    ("always", True, "inline"): "b00bd42a7da151a8ba8fbd18a21eea078e30483526c69426107c4b04f83b3254",
+    ("never", False, "columnar"): "b494ec6cc73ffe3b6848ba4cf027972dced61509867f2055f0c4b1dcfe392274",
+    ("never", False, "inline"): "7ce8a0975846792dedfc915e6e74858427defce9e74ea59a1d05701e416cd1a5",
+    ("never", True, "columnar"): "a89a2705effb570febd68da68f5460566f0deb213dd07231217e0cdb0f675234",
+    ("never", True, "inline"): "73afabcc644dcb3c2cc85a694b450e492b54a1d4d0d4d2ab43c142e4958f818c",
+}
+
+
+def _planted_document(rng: random.Random, k: int) -> Document:
+    """Paragraphs of clauses, each an optional subject, a verb and an object,
+    joined at random (even ``k``), or a random document a quarter of whose
+    words are replaced by markers, labels kept (odd ``k``)."""
+    if k % 2 == 0:
+        paragraphs = []
+        for _ in range(rng.randint(1, 3)):
+            rows = []
+            for c in range(rng.randint(2, 5)):
+                rows += rng.choice(_JOINS) if c else []
+                rows += [(rng.choice(("เขา", "เรา", "ครู")), "PR")] * rng.randint(0, 1)
+                rows += [(rng.choice(("กิน", "นอน", "เดิน")), "VV"), ("ข้าว", "NN")]
+            paragraphs.append(Sentence(tuple(corpus_samples.toks(rows))))
+        return Document("planted", tuple(paragraphs))
+    doc = corpus_samples.random_document(rng, max_sentences=8)
+    sentences = []
+    for sentence in doc.sentences:
+        tokens = [
+            Token(*rng.choice(_PLANTS), t.ne, t.clause)
+            if not t.is_space and rng.random() < 0.25
+            else t
+            for t in sentence.tokens
+        ]
+        sentences.append(Sentence(tuple(tokens)))
+    return Document(doc.doc_id, tuple(sentences))
 
 
 class TestStatsCommand:

@@ -98,7 +98,7 @@ class TestToken:
 class TestReadColumnar:
     def test_glimpse_shape(self, glimpse_doc):
         assert len(glimpse_doc.sentences) == 3
-        assert [len(s) for s in glimpse_doc.sentences] == [9, 8, 10]
+        assert [len(s.tokens) for s in glimpse_doc.sentences] == [9, 8, 10]
         first = glimpse_doc.sentences[0].tokens[0]
         assert (first.surface, first.pos, str(first.ne), first.clause) == (
             "เรื่อง",
@@ -202,10 +202,10 @@ class TestReadInline:
 
     def test_sentence_terminator_splits(self):
         text = "ก/NN || ข/VV || ค/NN ||"
-        assert [len(s) for s in read_inline(text)] == [1, 1, 1]
+        assert [len(s.tokens) for s in read_inline(text)] == [1, 1, 1]
 
     def test_trailing_material_without_terminator(self):
-        assert [len(s) for s in read_inline("ก/NN || ข/VV")] == [1, 1]
+        assert [len(s.tokens) for s in read_inline("ก/NN || ข/VV")] == [1, 1]
 
     def test_two_layers_default_both(self):
         (sentence,) = read_inline("กิน/VV | ข้าว/NN ||")
@@ -436,7 +436,7 @@ def test_inline_round_trip_at_every_layer_count(sentences, layers):
                     ne=token.ne if layers >= 3 else NE_OUTSIDE,
                     clause=token.clause if layers == 4 else ClauseLabel.O,
                 )
-                for token in sentence
+                for token in sentence.tokens
             )
         )
         for sentence in sentences
@@ -466,7 +466,7 @@ _COLUMNAR_LINES = [
 def test_permissive_columnar_accounts_for_every_line(lines):
     errors = []
     doc = read_columnar("\n".join(lines), "d", errors=errors)
-    parsed = sum(len(sentence) for sentence in doc.sentences)
+    parsed = sum(len(sentence.tokens) for sentence in doc.sentences)
     assert parsed + len(errors) == sum(1 for line in lines if line)
     # Each line reads as it does alone, and each bad line is reported under
     # its own number, however often it repeats.
@@ -474,9 +474,9 @@ def test_permissive_columnar_accounts_for_every_line(lines):
     for line_no, line in enumerate(lines, start=1):
         line_errors = []
         alone = read_columnar(line, "d", errors=line_errors)
-        alone_tokens += [token for sentence in alone.sentences for token in sentence]
+        alone_tokens += [token for sentence in alone.sentences for token in sentence.tokens]
         alone_errors += [(line_no, error.reason) for error in line_errors]
-    assert [token for sentence in doc.sentences for token in sentence] == alone_tokens
+    assert [token for sentence in doc.sentences for token in sentence.tokens] == alone_tokens
     assert [(error.line_no, error.reason) for error in errors] == alone_errors
 
 
@@ -560,7 +560,7 @@ def _assert_tokens_as_if_constructed(text):
         for line_no, raw in enumerate(text.removeprefix(BOM).split("\n"), start=1)
         if line_no not in bad and raw not in ("", "\r")
     ]
-    tokens = [token for sentence in doc.sentences for token in sentence]
+    tokens = [token for sentence in doc.sentences for token in sentence.tokens]
     assert len(tokens) == len(lines)
     first = {}
     for raw, token in zip(lines, tokens):
@@ -692,7 +692,7 @@ def test_chunk_read_at_three_layers_does_not_fit_four():
     assert [(error.sentence, error.reason) for error in errors] == [
         (1, "inconsistent or missing annotation layers"),
     ]
-    assert [[token.surface for token in s] for s in sentences] == [["a"], ["a"]]
+    assert [[token.surface for token in s.tokens] for s in sentences] == [["a"], ["a"]]
     assert sentences[0].tokens[0] == sentences[1].tokens[0]
 
 

@@ -262,6 +262,82 @@ class TestAggregateSentences:
         assert len(aggregate_sentences(clauses, tokens)) == 1
 
 
+def _pair_spans(lexicon_config, first, second, subject_shift="heuristic"):
+    """Sentences of a two-clause paragraph: ``first``, a space, ``second``."""
+    tokens = toks([*first, (None, "PU"), *second])
+    clauses = [(0, len(first)), (len(first) + 1, len(tokens))]
+    lexicon = load_marker_lexicon(lexicon_config)
+    return aggregate_sentences(clauses, tokens, lexicon, subject_shift=subject_shift)
+
+
+MERGED, SPLIT = [(0, 2)], [(0, 1), (1, 2)]
+
+# Each rule alone at a clause pair.
+_MERGE_RULES = {
+    "S6": ([("เขา", "PR"), ("กิน", "VV")], [("เช่น", "CC"), ("เรา", "PR"), ("นอน", "VV")]),
+    "S4": ([("เขา", "PR"), ("กล่าว", "VV")], [('"', "PU"), ("เรา", "PR"), ("นอน", "VV")]),
+    "S5": ([("เขา", "PR"), ("กล่าว", "VV"), ("ว่า", "CC")], [("เรา", "PR"), ("นอน", "VV")]),
+}
+_SPLIT_RULES = {
+    "S2": ([("เขา", "PR"), ("กิน", "VV")], [("อย่างไรก็ตาม", "CC"), ("เขา", "PR"), ("นอน", "VV")]),
+    "S7": ([("เขา", "PR"), ("กิน", "VV"), ("นะ", "PA")], [("เขา", "PR"), ("นอน", "VV")]),
+}
+
+# A merge rule and a split rule at the same clause pair, whose subject
+# stretches differ, so S3 would split too. Where both rules read the same
+# token, the lexicon puts that token in both categories.
+_MERGE_AGAINST_SPLIT = {
+    ("S6", "S2"): (
+        "[cohesive_markers]\nเช่น\n",
+        [("เขา", "PR"), ("กิน", "VV")],
+        [("เช่น", "CC"), ("เรา", "PR"), ("นอน", "VV")],
+    ),
+    ("S6", "S7"): (
+        "",
+        [("เขา", "PR"), ("กิน", "VV"), ("นะ", "PA")],
+        [("เช่น", "CC"), ("เรา", "PR"), ("นอน", "VV")],
+    ),
+    ("S4", "S2"): (
+        '[cohesive_markers]\n"\n',
+        [("เขา", "PR"), ("กล่าว", "VV")],
+        [('"', "PU"), ("เรา", "PR"), ("นอน", "VV")],
+    ),
+    ("S4", "S7"): (
+        "[reporting_verbs]\nนะ\n",
+        [("เขา", "PR"), ("กิน", "VV"), ("นะ", "PA")],
+        [('"', "PU"), ("เรา", "PR"), ("นอน", "VV")],
+    ),
+    ("S5", "S2"): (
+        "",
+        [("เขา", "PR"), ("กล่าว", "VV"), ("ว่า", "CC")],
+        [("อย่างไรก็ตาม", "CC"), ("เรา", "PR"), ("นอน", "VV")],
+    ),
+    ("S5", "S7"): (
+        "[subordinate_connectors]\nนะ\n",
+        [("เขา", "PR"), ("กล่าว", "VV"), ("นะ", "PA")],
+        [("เรา", "PR"), ("นอน", "VV")],
+    ),
+}
+
+
+class TestRulePrecedence:
+    """A merge rule outranks a split rule, and S3 decides only a pair that no
+    other rule decides."""
+
+    @pytest.mark.parametrize("rules", sorted(_MERGE_AGAINST_SPLIT), ids="-".join)
+    def test_merge_rule_outranks_split_rule(self, rules):
+        config, first, second = _MERGE_AGAINST_SPLIT[rules]
+        assert _pair_spans(config, first, second) == MERGED
+
+    @pytest.mark.parametrize("rule", sorted(_SPLIT_RULES))
+    def test_split_rule_outranks_never(self, rule):
+        assert _pair_spans("", *_SPLIT_RULES[rule], subject_shift="never") == SPLIT
+
+    @pytest.mark.parametrize("rule", sorted(_MERGE_RULES))
+    def test_merge_rule_outranks_always(self, rule):
+        assert _pair_spans("", *_MERGE_RULES[rule], subject_shift="always") == MERGED
+
+
 class TestCohesiveMonotonicity:
     def test_enlarging_cohesive_markers_never_merges_more(self):
         rng = random.Random(11)
