@@ -80,8 +80,8 @@ class Token:
     # Every command builds a Token per line it reads; writing the slots
     # directly skips the generated frozen __init__'s object.__setattr__ calls.
     # read_columnar writes them itself, without the checks its line format
-    # already guarantees, and so does the segmenter's relabel, whose input
-    # tokens passed them; a test of each fails if it bypasses one added here.
+    # already guarantees, and so does _relabelled below, whose input tokens
+    # passed them; a test of each fails if it bypasses one added here.
     def __init__(self, surface, pos, ne=NE_OUTSIDE, clause=ClauseLabel.O, is_space=False):
         if not surface:
             raise ValueError("token surface must be non-empty")
@@ -102,6 +102,22 @@ _set_surface, _set_pos, _set_ne, _set_clause, _set_is_space = (
     Token.__dict__[name].__set__ for name in Token.__slots__
 )
 _new_token = object.__new__  # a Token with no slot set, for the writes above
+
+
+def _relabelled(token: Token, clause: ClauseLabel) -> Token:
+    """``token`` with clause label ``clause``: itself when it already has it,
+    else a copy whose slots are written directly, as ``read_columnar`` writes
+    them. ``token`` passed Token's checks, and the clause label is none of
+    them."""
+    if token.clause is clause:
+        return token
+    new = _new_token(Token)
+    _set_surface(new, token.surface)
+    _set_pos(new, token.pos)
+    _set_ne(new, token.ne)
+    _set_clause(new, clause)
+    _set_is_space(new, token.is_space)
+    return new
 
 
 def space_token(

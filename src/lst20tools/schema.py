@@ -8,7 +8,6 @@ caller's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -79,60 +78,39 @@ class BoundaryPrefix(_TextEnum):
     O = "O"
 
 
-@dataclass(frozen=True, slots=True)
-class NeLabel:
-    """A named-entity boundary label: ``O`` carries no category, B/I/E must.
-    ``text``, the label string, is built once here, not per token written."""
+class _BoundaryLabel(_TextEnum):
+    """A boundary label, ``O`` or ``<B|I|E>_<CATEGORY>``, with its ``prefix``
+    and ``category``: None for ``O`` and for every clause label."""
 
-    prefix: BoundaryPrefix
-    category: Optional[NeCategory] = None
-    text: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.prefix is BoundaryPrefix.O:
-            if self.category is not None:
-                raise MalformedLabel("O label must not carry a category")
-        elif self.category is None:
-            raise MalformedLabel(f"{self.prefix} label requires a category")
-        text = "O" if self.category is None else f"{self.prefix.text}_{self.category.text}"
-        object.__setattr__(self, "text", text)
-
-    def __str__(self) -> str:
-        return self.text
+    def __init__(self, value: str) -> None:
+        super().__init__(value)
+        self.prefix = BoundaryPrefix(value[0])
+        self.category = NeCategory.__members__.get(value[2:])
 
 
-NE_OUTSIDE = NeLabel(BoundaryPrefix.O)
+# The 31 named-entity labels: ``O``, which carries no category, and B/I/E
+# with each category. NeLabel("B_PER") and NeLabel.B_PER are one member.
+NeLabel = _BoundaryLabel(
+    "NeLabel",
+    [(t, t) for t in ("O", *(f"{p}_{c.text}" for p in "BIE" for c in NeCategory))],
+    module=__name__,
+)
+NE_OUTSIDE = NeLabel.O
 
 
-class ClauseLabel(_TextEnum):
-    """A clause boundary label; like :class:`NeLabel` it has ``prefix``,
-    ``category`` (always None: the one category is CLS) and ``text``."""
+class ClauseLabel(_BoundaryLabel):
+    """A clause boundary label; its one category, CLS, is no NeCategory."""
 
     B_CLS = "B_CLS"
     I_CLS = "I_CLS"
     E_CLS = "E_CLS"
     O = "O"
 
-    def __init__(self, value: str) -> None:
-        super().__init__(value)
-        self.prefix = BoundaryPrefix(value[0])
-        self.category = None
-
 
 # Every label string the readers accept, mapped once to its parsed value:
 # parsing is one dict lookup, and equal labels are the same object.
 POS_TAGS: dict[str, PosTag] = {tag.text: tag for tag in PosTag}
-NE_LABELS: dict[str, NeLabel] = {
-    label.text: label
-    for label in (
-        NE_OUTSIDE,
-        *(
-            NeLabel(prefix, category)
-            for prefix in (BoundaryPrefix.B, BoundaryPrefix.I, BoundaryPrefix.E)
-            for category in NeCategory
-        ),
-    )
-}
+NE_LABELS: dict[str, NeLabel] = {label.text: label for label in NeLabel}
 CLAUSE_LABELS: dict[str, ClauseLabel] = {label.text: label for label in ClauseLabel}
 
 
@@ -244,11 +222,14 @@ def scan_boundaries(
     return violations, spans
 
 
-def ne_transition_valid(prev: Optional[NeLabel], nxt: Optional[NeLabel]) -> bool:
-    """Whether ``nxt`` may follow ``prev`` in a legal BIEO sequence.
+def ne_transition_valid(
+    prev: Optional[_BoundaryLabel], nxt: Optional[_BoundaryLabel]
+) -> bool:
+    """Whether ``nxt`` may follow ``prev`` in a legal BIEO sequence of NE or
+    clause labels.
 
     ``None`` stands for the sentence edge on either side. Single-token
-    entities are a lone B; an I must always be closed by an E of the same
+    spans are a lone B; an I must always be closed by an E of the same
     category before the sentence ends.
     """
     return _boundary_step(
@@ -256,10 +237,4 @@ def ne_transition_valid(prev: Optional[NeLabel], nxt: Optional[NeLabel]) -> bool
     ) is None
 
 
-def clause_transition_valid(
-    prev: Optional[ClauseLabel], nxt: Optional[ClauseLabel]
-) -> bool:
-    """Same automaton as :func:`ne_transition_valid` over the single CLS category."""
-    return _boundary_step(
-        getattr(prev, "prefix", None), getattr(prev, "category", None), nxt
-    ) is None
+clause_transition_valid = ne_transition_valid

@@ -38,16 +38,7 @@ from itertools import compress, count, filterfalse, repeat
 from operator import attrgetter, is_
 from typing import Optional, Sequence
 
-from .format import (
-    Sentence,
-    Token,
-    _new_token,
-    _set_clause,
-    _set_is_space,
-    _set_ne,
-    _set_pos,
-    _set_surface,
-)
+from .format import Sentence, Token, _relabelled
 from .schema import BoundaryPrefix, ClauseLabel, PosTag
 
 _SUBORDINATE_CONNECTORS = ("ซึ่ง", "ที่", "ถ้า", "ว่า", "ผู้")
@@ -397,18 +388,3 @@ def segment_paragraphs(
             sentences.append(Sentence(tuple(relabelled)))
     return sentences, paragraph_starts
 
-
-def _relabelled(token: Token, clause: ClauseLabel) -> Token:
-    """``token`` with clause label ``clause``: itself when it already has it,
-    else a copy whose slots are written directly, as ``read_columnar`` writes
-    them. ``token`` passed Token's checks, and the clause label is none of
-    them."""
-    if token.clause is clause:
-        return token
-    new = _new_token(Token)
-    _set_surface(new, token.surface)
-    _set_pos(new, token.pos)
-    _set_ne(new, token.ne)
-    _set_clause(new, clause)
-    _set_is_space(new, token.is_space)
-    return new

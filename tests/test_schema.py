@@ -1,4 +1,5 @@
-from dataclasses import replace
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -65,8 +66,8 @@ class TestParsing:
             parse_pos_tag(bad)
 
     def test_parse_ne_label(self):
-        assert parse_ne_label("B_ORG") == NeLabel(BoundaryPrefix.B, NeCategory.ORG)
-        assert parse_ne_label("O") == NE_OUTSIDE
+        assert parse_ne_label("B_ORG") is NeLabel.B_ORG
+        assert parse_ne_label("O") is NE_OUTSIDE
         assert parse_ne_label("O").category is None
 
     def test_parse_ne_label_unknown_category(self):
@@ -92,11 +93,9 @@ class TestParsing:
             assert parse_pos_tag(str(tag)) is tag
         for label in ClauseLabel:
             assert parse_clause_label(str(label)) is label
-        assert parse_ne_label(str(NE_OUTSIDE)) == NE_OUTSIDE
-        for prefix in (BoundaryPrefix.B, BoundaryPrefix.I, BoundaryPrefix.E):
-            for category in NeCategory:
-                label = NeLabel(prefix, category)
-                assert parse_ne_label(str(label)) == label
+        assert len(NeLabel) == 31
+        for label in NeLabel:
+            assert parse_ne_label(str(label)) is label
 
     def test_ne_labels_are_interned(self):
         texts = ["O"] + [
@@ -109,10 +108,11 @@ class TestParsing:
         assert parse_ne_label("O") is NE_OUTSIDE
 
     def test_outside_cannot_carry_category(self):
-        with pytest.raises(MalformedLabel):
-            NeLabel(BoundaryPrefix.O, NeCategory.ORG)
-        with pytest.raises(MalformedLabel):
-            NeLabel(BoundaryPrefix.B, None)
+        assert NE_OUTSIDE.prefix is BoundaryPrefix.O and NE_OUTSIDE.category is None
+        for text in ("O_ORG", "B", "B_"):
+            with pytest.raises(ValueError):
+                NeLabel(text)
+        assert [label.category is None for label in NeLabel] == [True] + [False] * 30
 
 
 class TestLabelText:
@@ -133,23 +133,35 @@ class TestLabelText:
             assert label.text == str(label) == key
 
     def test_built_label_equals_the_interned_one(self):
-        label = NeLabel(BoundaryPrefix.B, NeCategory.PER)
+        label = NeLabel("B_PER")
         assert label.text == "B_PER"
-        assert label == NE_LABELS["B_PER"]
-        assert hash(label) == hash(NE_LABELS["B_PER"])
+        assert label is NeLabel.B_PER is NE_LABELS["B_PER"]
+        for text in NE_LABELS:
+            assert NeLabel(text) is parse_ne_label(text)
 
-    def test_replace_recomputes_text(self):
-        label = replace(NE_LABELS["B_PER"], category=NeCategory.ORG)
-        assert label.text == "B_ORG"
-        assert replace(label, prefix=BoundaryPrefix.E).text == "E_ORG"
 
-    def test_text_is_in_neither_repr_nor_equality(self):
-        label = NeLabel(BoundaryPrefix.I, NeCategory.LOC)
-        assert "text" not in repr(label)
-        assert "I_LOC" not in repr(label)
-        object.__setattr__(label, "text", "changed")
-        assert label == NE_LABELS["I_LOC"]
-        assert hash(label) == hash(NE_LABELS["I_LOC"])
+LABELS = [*POS_TAGS.values(), *NE_LABELS.values(), *CLAUSE_LABELS.values()]
+
+
+@pytest.mark.parametrize(
+    "label", LABELS, ids=[f"{type(label).__name__}.{label.text}" for label in LABELS]
+)
+def test_every_label_is_one_object_with_the_fields_its_text_spells(label):
+    """Copying, pickling or rebuilding a label from its text gives the label
+    itself; a boundary label's prefix and category are the ones its text
+    spells, with no category for ``O`` and for clause labels."""
+    for copied in (
+        pickle.loads(pickle.dumps(label)),
+        copy.copy(label),
+        copy.deepcopy(label),
+        type(label)(label.text),
+    ):
+        assert copied is label
+    if not isinstance(label, PosTag):
+        text = label.text
+        assert label.prefix is BoundaryPrefix(text[0])
+        plain = text == "O" or isinstance(label, ClauseLabel)
+        assert label.category is (None if plain else NeCategory(text[2:]))
 
 
 def lab(text):
