@@ -11,21 +11,24 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import stat
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import format as fmt
-from . import frames as frames_mod
-from . import segment as segment_mod
-from . import stats as stats_mod
-from . import validate as validate_mod
 from .format import FORMAT_COLUMNAR, FORMAT_INLINE, Document
-from .validate import LintIssue, LintReport, Severity
+from .schema import SUBJECT_SHIFT_STRATEGIES
+
+# Every command reads through format; each other module is imported by the
+# commands that run it, so a call loads only the code it uses.
+if TYPE_CHECKING:
+    from .frames import FrameSet
+    from .segment import MarkerLexicon
+    from .stats import CorpusCounts
+    from .validate import LintIssue, LintReport
 
 EXIT_OK = 0
 EXIT_ISSUES = 1
@@ -50,18 +53,19 @@ def format_report(report: LintReport, filename: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-# json.dumps(indent=2) runs json's pure-Python encoder. With no indent the C
-# encoder runs, and with this item separator it writes a flat dict's fields as
-# indent=2 writes those of an entry of a list.
-_encode_fields = json.JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": ")).encode
-
-
 def _json_entries(entries: list[dict]) -> str:
     """``json.dumps(entries, ensure_ascii=False, indent=2)[2:-2]`` of a
     non-empty list of flat dicts, the same text. json escapes a newline inside
     a string, so every newline of the encoded text is in a separator, and the
     separators after a "}" are those between two entries."""
-    body = _encode_fields(entries)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+    # Imported here, so that a call that writes no JSON does not pay for json.
+    # json.dumps(indent=2) runs json's pure-Python encoder. With no indent the
+    # C encoder runs, and with this item separator it writes a flat dict's
+    # fields as indent=2 writes those of an entry of a list.
+    from json import JSONEncoder
+
+    encode = JSONEncoder(ensure_ascii=False, separators=(",\n    ", ": ")).encode
+    body = encode(entries)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
     return f"  {{\n    {body}\n  }}"
 
 
@@ -145,17 +149,12 @@ def _parse_document(text: str, path: Path, informat: str, strict: bool):
 
 def _format_issue(err: fmt.FormatError) -> LintIssue:
     """A reader's LineError or TokenError as a FORMAT_LINE/FORMAT_TOKEN lint issue."""
+    from .validate import LAYER_FORMAT, LintIssue, Severity
+
     if isinstance(err, fmt.LineError):
-        return LintIssue(
-            Severity.ERROR, "FORMAT_LINE", str(err), None, None, validate_mod.LAYER_FORMAT
-        )
+        return LintIssue(Severity.ERROR, "FORMAT_LINE", str(err), None, None, LAYER_FORMAT)
     return LintIssue(
-        Severity.ERROR,
-        "FORMAT_TOKEN",
-        err.reason,
-        err.sentence,
-        err.token,
-        validate_mod.LAYER_FORMAT,
+        Severity.ERROR, "FORMAT_TOKEN", err.reason, err.sentence, err.token, LAYER_FORMAT
     )
 
 
@@ -206,6 +205,8 @@ def _write(output, text: str) -> None:
 
 
 def _cmd_validate(args) -> int:
+    from . import validate as validate_mod
+
     inputs = _expand_inputs(args.inputs)
     had_errors = False
     sep = "[\n"  # what --json writes before the next file's entries
@@ -252,8 +253,10 @@ def _cmd_convert(args) -> int:
     return status
 
 
-def _load_lexicon(args) -> Optional[segment_mod.MarkerLexicon]:
+def _load_lexicon(args) -> Optional[MarkerLexicon]:
     """The ``--lexicon`` file's lexicon, or None for the default one."""
+    from . import segment as segment_mod
+
     if args.lexicon:
         return _load_config(args.lexicon, segment_mod.load_marker_lexicon)
     return None
@@ -263,6 +266,8 @@ def _segment_file(path: Path, args) -> tuple[list, int]:
     """The segmented sentences of one input and its exit status so far. The
     input document and the lexicon are gone on return, so neither is alive
     while the output is written."""
+    from . import segment as segment_mod
+
     lexicon = _load_lexicon(args)
     doc, errors = _parse_document(_read_text(path), path, args.informat, args.strict)
     status = _print_format_issues(path, errors)
@@ -281,9 +286,11 @@ def _cmd_segment(args) -> int:
     return status
 
 
-def _count_file(path: Path, args) -> tuple[stats_mod.CorpusCounts, int]:
+def _count_file(path: Path, args) -> tuple[CorpusCounts, int]:
     """One file's counts and format-error count. A clean columnar file is
     counted from its lines; any other is read into a Document, gone on return."""
+    from . import stats as stats_mod
+
     text = _read_text(path)
     if args.informat == FORMAT_COLUMNAR:
         tally = fmt.tally_columnar(text)
@@ -294,6 +301,8 @@ def _count_file(path: Path, args) -> tuple[stats_mod.CorpusCounts, int]:
 
 
 def _cmd_stats(args) -> int:
+    from . import stats as stats_mod
+
     inputs = _expand_inputs(args.inputs)
     genres = {}
     if args.manifest:
@@ -313,6 +322,8 @@ def _cmd_stats(args) -> int:
         genre_hist[genres.get(path.name) or genres.get(path.stem) or "unknown"] += 1
         format_errors += errors
     if args.json:
+        import json
+
         payload = {
             "counts": totals.to_dict(),
             "format_errors": format_errors,
@@ -332,13 +343,17 @@ def _cmd_stats(args) -> int:
     return EXIT_ISSUES if skipped else EXIT_OK
 
 
-def _load_frameset(args) -> frames_mod.FrameSet:
+def _load_frameset(args) -> FrameSet:
+    from . import frames as frames_mod
+
     if args.frames:
         return _load_config(args.frames, frames_mod.load_frameset)
     return frames_mod.default_frameset()
 
 
 def _cmd_frames(args) -> int:
+    from . import frames as frames_mod
+
     frameset = _load_frameset(args)
     if args.frames_command == "dump":
         _write(_open_output(args, [], args.frames), frames_mod.dump_frameset(frameset))
@@ -419,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_segment.add_argument("--lexicon", default=None, help="marker lexicon config file")
     p_segment.add_argument(
         "--subject-shift",
-        choices=segment_mod.SUBJECT_SHIFT_STRATEGIES,
+        choices=SUBJECT_SHIFT_STRATEGIES,
         default="heuristic",
     )
     p_segment.set_defaults(func=_cmd_segment)

@@ -39,7 +39,7 @@ from operator import attrgetter, is_
 from typing import Optional, Sequence
 
 from .format import Sentence, Token, _relabelled
-from .schema import BoundaryPrefix, ClauseLabel, PosTag
+from .schema import SUBJECT_SHIFT_STRATEGIES, BoundaryPrefix, ClauseLabel, PosTag
 
 _SUBORDINATE_CONNECTORS = ("ซึ่ง", "ที่", "ถ้า", "ว่า", "ผู้")
 _COHESIVE_MARKERS = ("อย่างไรก็ตาม", "นอกจากนี้", "แต่ทว่า", "ในที่สุด")
@@ -89,8 +89,6 @@ _AUXILIARIES = (
 )
 
 _QUOTE_CHARS = {'"', "'", "“", "”", "‘", "’", "«", "»"}
-
-SUBJECT_SHIFT_STRATEGIES = ("always", "never", "heuristic")
 
 
 class ConfigError(ValueError):

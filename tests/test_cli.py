@@ -5,6 +5,7 @@ import json
 import os
 import random
 import shutil
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -630,6 +631,27 @@ class TestSegmentCommand:
         split = capsys.readouterr().out
         assert split.count("||") >= merged.count("||")
 
+    def test_subject_shift_help_and_refusal_are_pinned(self, monkeypatch, capsys):
+        """The parser lists the strategies without importing the segmenter.
+        Pinned from when it read them from ``segment``, on an 80-column
+        terminal; Python 3.12 and later word the refusal and the ``-o`` help
+        line differently, so there only the lines naming the strategies and
+        the refusal's start are compared."""
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as help_exit:
+            main(["segment", "--help"])
+        shown = capsys.readouterr()
+        with pytest.raises(SystemExit) as refusal_exit:
+            main(["segment", "x", "--subject-shift", "bogus"])
+        refused = capsys.readouterr()
+        assert (help_exit.value.code, shown.err, refusal_exit.value.code, refused.out) == (0, "", 2, "")
+        assert shown.out.startswith(_SEGMENT_USAGE) and refused.err.startswith(_SEGMENT_USAGE)
+        assert shown.out.endswith("\n  --subject-shift {always,never,heuristic}\n")
+        assert refused.err.startswith(_SEGMENT_USAGE + _SEGMENT_REFUSAL.partition(" (")[0])
+        if sys.version_info < (3, 12):
+            assert shown.out == _SEGMENT_USAGE + _SEGMENT_HELP
+            assert refused.err == _SEGMENT_USAGE + _SEGMENT_REFUSAL
+
     @pytest.fixture(scope="class")
     def planted(self, tmp_path_factory):
         """The gold fixtures, seeded documents with markers planted and a
@@ -658,6 +680,32 @@ class TestSegmentCommand:
             status = main(["segment", *options, str(path), "-o", str(out)])
             digest.update(f"{path.name} {status}\n".encode() + out.read_bytes())
         assert digest.hexdigest() == _SEGMENT_DIGESTS[shift, lexicon, to]
+
+
+_SEGMENT_USAGE = """\
+usage: lst20 segment [-h] [--from {columnar,inline}] [--strict] [-o OUTPUT]
+                     [--to {columnar,inline}] [--lexicon LEXICON]
+                     [--subject-shift {always,never,heuristic}]
+                     PATH
+"""
+_SEGMENT_HELP = """
+positional arguments:
+  PATH
+
+options:
+  -h, --help            show this help message and exit
+  --from {columnar,inline}
+  --strict              abort on the first parse error
+  -o OUTPUT, --output OUTPUT
+                        write data here instead of stdout
+  --to {columnar,inline}
+  --lexicon LEXICON     marker lexicon config file
+  --subject-shift {always,never,heuristic}
+"""
+_SEGMENT_REFUSAL = (
+    "lst20 segment: error: argument --subject-shift: invalid choice: 'bogus' "
+    "(choose from 'always', 'never', 'heuristic')\n"
+)
 
 
 # What may join two planted clauses, with the sentence rule it brings into

@@ -1,8 +1,9 @@
 """Every top-level name in the package is used in it or exported.
 
-A function, class or constant that no module loads and ``__init__.py``
-does not import has no caller outside its own tests: delete it instead of
-keeping it alive through them.
+A function, class or constant that no module loads and the package does
+not export (``lst20tools.__all__``, read from ``__init__.py``'s export
+table) has no caller outside its own tests: delete it instead of keeping it
+alive through them.
 """
 
 import ast
@@ -43,12 +44,7 @@ def test_every_top_level_name_is_used_or_exported():
         for path in PACKAGE.glob("*.py")
     }
     used = set().union(*(_used_names(tree) for tree in trees.values()))
-    exported = {
-        alias.name
-        for node in trees["__init__"].body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    exported = set(lst20tools.__all__)
     unused = {
         f"{name}.{symbol}"
         for name, tree in trees.items()

@@ -1,7 +1,8 @@
 """The library imports nothing outside the standard library.
 
 Every absolute import in ``src/lst20tools/*.py`` must name ``__future__``
-or a module in ``sys.stdlib_module_names``; relative imports stay inside
+or a module in ``sys.stdlib_module_names``; relative imports, and the
+modules ``__init__.py`` imports by name from its export table, stay inside
 the package.
 """
 
@@ -31,5 +32,29 @@ def test_library_imports_only_the_standard_library():
         for path in PACKAGE.glob("*.py")
         for name in _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
         if name not in allowed
+    }
+    assert not outside, sorted(outside)
+
+
+def _relative_imports(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:  # from . import format
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_package_imports_only_its_own_modules():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    loaded_by_name = set(lst20tools._EXPORTS)
+    assert loaded_by_name == modules
+    outside = {
+        f"{path.name}: {name}"
+        for path in PACKAGE.glob("*.py")
+        for name in _relative_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in modules
     }
     assert not outside, sorted(outside)
