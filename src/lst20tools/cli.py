@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import format as fmt
 from .format import FORMAT_COLUMNAR, FORMAT_INLINE, Document
-from .schema import SUBJECT_SHIFT_STRATEGIES
 
 # Every command reads through format; each other module is imported by the
 # commands that run it, so a call loads only the code it uses.
@@ -272,9 +271,7 @@ def _segment_file(path: Path, args) -> tuple[list, int]:
     doc, errors = _parse_document(_read_text(path), path, args.informat, args.strict)
     status = _print_format_issues(path, errors)
     # Each input sentence block (columnar) or line (inline) is one paragraph.
-    sentences, _ = segment_mod.segment_paragraphs(
-        [s.tokens for s in doc.sentences], lexicon, subject_shift=args.subject_shift
-    )
+    sentences, _ = segment_mod.segment_paragraphs([s.tokens for s in doc.sentences], lexicon)
     return sentences, status
 
 
@@ -432,11 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=FORMAT_COLUMNAR,
     )
     p_segment.add_argument("--lexicon", default=None, help="marker lexicon config file")
-    p_segment.add_argument(
-        "--subject-shift",
-        choices=SUBJECT_SHIFT_STRATEGIES,
-        default="heuristic",
-    )
     p_segment.set_defaults(func=_cmd_segment)
 
     p_stats = sub.add_parser("stats", help="corpus counts and tag histograms")

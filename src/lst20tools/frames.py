@@ -41,13 +41,6 @@ class FrameSlot:
     tag: Optional[PosTag] = None
     optional: bool = False
 
-    def spec(self) -> str:
-        if self.kind is SlotKind.HOLE:
-            return "_"
-        if self.kind is SlotKind.PHRASE:
-            return "*?" if self.optional else "*"
-        return f"({self.tag.value})" if self.optional else self.tag.value
-
 
 @dataclass(frozen=True, slots=True)
 class FramePattern:
@@ -73,7 +66,7 @@ class FramePattern:
         object.__setattr__(self, "window", (fewest[0], most[0], fewest[1], most[1]))
 
     def spec(self) -> str:
-        return " ".join(slot.spec() for slot in self.slots)
+        return " ".join(_SPECS[slot] for slot in self.slots)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,6 +85,8 @@ _SLOTS: dict[str, FrameSlot] = {
     **{tag.value: FrameSlot(SlotKind.EXACT, tag) for tag in PosTag},
     **{f"({tag.value})": FrameSlot(SlotKind.EXACT, tag, optional=True) for tag in PosTag},
 }
+#: The inverse, for printing a frame.
+_SPECS = {slot: item for item, slot in _SLOTS.items()}
 
 
 def compile_frame(spec: str, frame_id: str = "") -> FramePattern:

@@ -107,10 +107,6 @@ class ClauseLabel(_BoundaryLabel):
     O = "O"
 
 
-# The S3 strategies of segment.aggregate_sentences, defined here so that the
-# command line lists them without importing the segmenter.
-SUBJECT_SHIFT_STRATEGIES = ("always", "never", "heuristic")
-
 # Every label string the readers accept, mapped once to its parsed value:
 # parsing is one dict lookup, and equal labels are the same object.
 POS_TAGS: dict[str, PosTag] = {tag.text: tag for tag in PosTag}

@@ -22,13 +22,11 @@ Sentence rules, applied to each adjacent clause pair, merge rules first:
 * S1 paragraph boundary: implicit, paragraphs never share a sentence.
 * S2 topic shift: next clause opens with a cohesive marker -> split.
 * S7 particle: sentence-final particle ends the sentence -> split.
-* S3 subject shift: the ``subject_shift`` fallback strategy decides.
-
-The default S3 strategy is a surface stand-in for the semantic judgment:
-each clause's subject stretch is read off as the tokens before its first
-verbal element (VV/AX/NG); a clause with an empty stretch continues the
-previous subject (zero anaphora) and merges, identical stretches merge,
-differing stretches split.
+* S3 subject shift: decides every pair no other rule decides. It reads
+  the semantic judgment off the surface: each clause's subject stretch is
+  the tokens before its first verbal element (VV/AX/NG). A clause with an
+  empty stretch continues the previous subject (zero anaphora) and merges,
+  identical stretches merge, differing stretches split.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from operator import attrgetter, is_
 from typing import Optional, Sequence
 
 from .format import Sentence, Token, _relabelled
-from .schema import SUBJECT_SHIFT_STRATEGIES, BoundaryPrefix, ClauseLabel, PosTag
+from .schema import BoundaryPrefix, ClauseLabel, PosTag
 
 _SUBORDINATE_CONNECTORS = ("ซึ่ง", "ที่", "ถ้า", "ว่า", "ผู้")
 _COHESIVE_MARKERS = ("อย่างไรก็ตาม", "นอกจากนี้", "แต่ทว่า", "ในที่สุด")
@@ -299,7 +297,7 @@ def _subject_stretch(content: Sequence[Token]) -> tuple[str, ...]:
     return tuple(stretch)
 
 
-def _sentence_ends(prev, nxt, lexicon, subject_shift) -> bool:
+def _sentence_ends(prev, nxt, lexicon) -> bool:
     """Whether a sentence ends between two adjacent clauses of one paragraph,
     given their non-space tokens. A merge rule outranks a split rule, and S3
     decides the rest."""
@@ -319,10 +317,8 @@ def _sentence_ends(prev, nxt, lexicon, subject_shift) -> bool:
         return True  # S2 topic shift
     if last in lexicon.particles and prev[-1].pos is PosTag.PA:
         return True  # S7 particle
-    if subject_shift != "heuristic":
-        return subject_shift == "always"  # S3 fixed strategy
     right = _subject_stretch(nxt)
-    # S3 heuristic: an empty stretch carries the subject over (zero anaphora).
+    # S3 subject shift: an empty stretch carries the subject over (zero anaphora).
     return bool(right) and right != _subject_stretch(prev)
 
 
@@ -330,18 +326,13 @@ def aggregate_sentences(
     clauses: Sequence[tuple[int, int]],
     tokens: Sequence[Token],
     lexicon: Optional[MarkerLexicon] = None,
-    *,
-    subject_shift: str = "heuristic",
 ) -> list[tuple[int, int]]:
     """Group one paragraph's clauses into sentences, returned as half-open
     ``(start, end)`` ranges of clause indices.
 
     Paragraph boundaries (S1) are enforced by construction: callers pass
-    one paragraph's clauses at a time. ``subject_shift`` is the S3
-    strategy, one of ``SUBJECT_SHIFT_STRATEGIES``.
+    one paragraph's clauses at a time.
     """
-    if subject_shift not in SUBJECT_SHIFT_STRATEGIES:
-        raise ValueError(f"subject_shift must be one of {SUBJECT_SHIFT_STRATEGIES}")
     lexicon = lexicon or _DEFAULT_LEXICON
     if len(clauses) < 2:  # no pair to decide
         return [(0, 1)] if clauses else []
@@ -349,7 +340,7 @@ def aggregate_sentences(
     ends = [
         i
         for i in range(1, len(clauses))
-        if _sentence_ends(contents[i - 1], contents[i], lexicon, subject_shift)
+        if _sentence_ends(contents[i - 1], contents[i], lexicon)
     ]
     return list(zip([0, *ends], [*ends, len(clauses)]))
 
@@ -357,8 +348,6 @@ def aggregate_sentences(
 def segment_paragraphs(
     paragraphs: Sequence[Sequence[Token]],
     lexicon: Optional[MarkerLexicon] = None,
-    *,
-    subject_shift: str = "heuristic",
 ) -> tuple[list[Sentence], list[int]]:
     """Full pipeline: clause detection, labeling, sentence aggregation.
 
@@ -378,9 +367,7 @@ def segment_paragraphs(
             labels[lo:hi] = [ClauseLabel.I_CLS] * (hi - lo)
             labels[hi - 1] = ClauseLabel.E_CLS
             labels[lo] = ClauseLabel.B_CLS  # a one-token clause is a lone B
-        for first, last in aggregate_sentences(
-            clauses, tokens, lexicon, subject_shift=subject_shift
-        ):
+        for first, last in aggregate_sentences(clauses, tokens, lexicon):
             lo, hi = clauses[first][0], clauses[last - 1][1]
             relabelled = map(_relabelled, tokens[lo:hi], labels[lo:hi])
             sentences.append(Sentence(tuple(relabelled)))

@@ -114,5 +114,7 @@ def load_manifest(text: str) -> dict[str, str]:
         doc_id, sep, genre = line.partition("\t")
         if not sep or not doc_id or not genre.strip():
             raise ValueError(f"line {line_no}: expected '<document-id>\\t<genre>'")
+        if doc_id in genres:
+            raise ValueError(f"line {line_no}: duplicate document id {doc_id!r}")
         genres[doc_id] = genre.strip()
     return genres

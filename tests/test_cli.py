@@ -342,6 +342,18 @@ class TestBadConfigFile:
         assert main(["frames", "dump", "--frames", str(frames_file)]) == 2
         assert capsys.readouterr().err == f"lst20: f.txt: {error}\n"
 
+    def test_repeated_manifest_id_names_the_line(self, tmp_path, capsys):
+        good = tmp_path / "a.txt"
+        good.write_text("ก\tVV\tO\tB_CLS\n", encoding="utf-8")
+        manifest = tmp_path / "genres.tsv"
+        manifest.write_text("a\tnews\na\tsports\n", encoding="utf-8")
+        assert main(["stats", "--manifest", str(manifest), str(good)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            "lst20: genres.tsv: line 2: duplicate document id 'a'\n",
+        )
+
 
 class TestOutputGuardCoversConfig:
     """-o naming the --lexicon, --manifest or --frames file the command read
@@ -615,42 +627,23 @@ class TestSegmentCommand:
             "//VV/B_DTM/B_CLS | ว่า/CC/E_DTM/I_CLS | ?/VV/O/E_CLS ||\n"
         )
 
-    def test_subject_shift_flag(self, tmp_path, capsys):
-        tokens, _, _ = corpus_samples.phone_call_paragraph()
-        rows = [
-            f"{'_' if t.is_space else t.surface}\t{t.pos.value}\tO\tO"
-            for t in tokens
-        ]
-        source = tmp_path / "raw.txt"
-        source.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        assert main(["segment", "--to", "inline", str(source)]) == 0
-        merged = capsys.readouterr().out
-        assert main(
-            ["segment", "--to", "inline", "--subject-shift", "always", str(source)]
-        ) == 0
-        split = capsys.readouterr().out
-        assert split.count("||") >= merged.count("||")
-
     def test_subject_shift_help_and_refusal_are_pinned(self, monkeypatch, capsys):
-        """The parser lists the strategies without importing the segmenter.
-        Pinned from when it read them from ``segment``, on an 80-column
-        terminal; Python 3.12 and later word the refusal and the ``-o`` help
-        line differently, so there only the lines naming the strategies and
-        the refusal's start are compared."""
+        """``segment`` has no S3 strategy option: its help lists none and the
+        parser refuses ``--subject-shift``. Pinned on an 80-column terminal;
+        later Pythons word the ``-o`` help line differently, so from 3.12 on
+        only the usage and the refusal are compared."""
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as help_exit:
             main(["segment", "--help"])
         shown = capsys.readouterr()
         with pytest.raises(SystemExit) as refusal_exit:
-            main(["segment", "x", "--subject-shift", "bogus"])
+            main(["segment", "x", "--subject-shift", "heuristic"])
         refused = capsys.readouterr()
         assert (help_exit.value.code, shown.err, refusal_exit.value.code, refused.out) == (0, "", 2, "")
-        assert shown.out.startswith(_SEGMENT_USAGE) and refused.err.startswith(_SEGMENT_USAGE)
-        assert shown.out.endswith("\n  --subject-shift {always,never,heuristic}\n")
-        assert refused.err.startswith(_SEGMENT_USAGE + _SEGMENT_REFUSAL.partition(" (")[0])
+        assert shown.out.startswith(_SEGMENT_USAGE)
+        assert refused.err == _SEGMENT_REFUSAL
         if sys.version_info < (3, 12):
             assert shown.out == _SEGMENT_USAGE + _SEGMENT_HELP
-            assert refused.err == _SEGMENT_USAGE + _SEGMENT_REFUSAL
 
     @pytest.fixture(scope="class")
     def planted(self, tmp_path_factory):
@@ -667,11 +660,10 @@ class TestSegmentCommand:
 
     @pytest.mark.parametrize("to", ["columnar", "inline"])
     @pytest.mark.parametrize("lexicon", [False, True], ids=["default", "lexicon-file"])
-    @pytest.mark.parametrize("shift", ["heuristic", "always", "never"])
-    def test_fixture_and_planted_corpus_bytes_are_pinned(self, planted, shift, lexicon, to):
+    def test_fixture_and_planted_corpus_bytes_are_pinned(self, planted, lexicon, to):
         # Pinned from the segmenter that decided each clause pair by walking a
         # table of rule functions.
-        options = ["--subject-shift", shift, "--to", to]
+        options = ["--to", to]
         if lexicon:
             options += ["--lexicon", str(planted / "lex.cfg")]
         out = planted / "out"
@@ -679,13 +671,12 @@ class TestSegmentCommand:
         for path in sorted((planted / "in").iterdir()):
             status = main(["segment", *options, str(path), "-o", str(out)])
             digest.update(f"{path.name} {status}\n".encode() + out.read_bytes())
-        assert digest.hexdigest() == _SEGMENT_DIGESTS[shift, lexicon, to]
+        assert digest.hexdigest() == _SEGMENT_DIGESTS[lexicon, to]
 
 
 _SEGMENT_USAGE = """\
 usage: lst20 segment [-h] [--from {columnar,inline}] [--strict] [-o OUTPUT]
                      [--to {columnar,inline}] [--lexicon LEXICON]
-                     [--subject-shift {always,never,heuristic}]
                      PATH
 """
 _SEGMENT_HELP = """
@@ -700,12 +691,11 @@ options:
                         write data here instead of stdout
   --to {columnar,inline}
   --lexicon LEXICON     marker lexicon config file
-  --subject-shift {always,never,heuristic}
 """
-_SEGMENT_REFUSAL = (
-    "lst20 segment: error: argument --subject-shift: invalid choice: 'bogus' "
-    "(choose from 'always', 'never', 'heuristic')\n"
-)
+_SEGMENT_REFUSAL = """\
+usage: lst20 [-h] {validate,convert,segment,stats,frames} ...
+lst20: error: unrecognized arguments: --subject-shift heuristic
+"""
 
 
 # What may join two planted clauses, with the sentence rule it brings into
@@ -732,18 +722,10 @@ _PLANTED_LEXICON = (
     "[particles]\nจ้ะ\n[reporting_verbs]\nเล่า\n"
 )
 _SEGMENT_DIGESTS = {
-    ("heuristic", False, "columnar"): "1b61b84a4ffd091ce3dfe39bb70dc2c0b201b03ac0e1fccb996c654add5e0f11",
-    ("heuristic", False, "inline"): "ef8ab9aae377ac301e3a40781c27eac5b4e5e578625437c1446e5d7c0ea22627",
-    ("heuristic", True, "columnar"): "d7d215e05d26f10135781aff317e6baae6567346f9585e4f7bb8fc67cd981d25",
-    ("heuristic", True, "inline"): "4d8869060158cd52180a5dff8b502f214d43a56eec2a3aaf8b6e27eca54941e5",
-    ("always", False, "columnar"): "cfaaa7e43ace9937bf59e02700b9947238391cee8b4fca6ed48b1f1eecd144d1",
-    ("always", False, "inline"): "07801d7f702e7f5d48221893cd558906773448f7a5f9a5775c29f019713cee29",
-    ("always", True, "columnar"): "55dab2838bc882b071905e26decd8d4f94116c37d1a78b7b503063e7c758edf9",
-    ("always", True, "inline"): "b00bd42a7da151a8ba8fbd18a21eea078e30483526c69426107c4b04f83b3254",
-    ("never", False, "columnar"): "b494ec6cc73ffe3b6848ba4cf027972dced61509867f2055f0c4b1dcfe392274",
-    ("never", False, "inline"): "7ce8a0975846792dedfc915e6e74858427defce9e74ea59a1d05701e416cd1a5",
-    ("never", True, "columnar"): "a89a2705effb570febd68da68f5460566f0deb213dd07231217e0cdb0f675234",
-    ("never", True, "inline"): "73afabcc644dcb3c2cc85a694b450e492b54a1d4d0d4d2ab43c142e4958f818c",
+    (False, "columnar"): "1b61b84a4ffd091ce3dfe39bb70dc2c0b201b03ac0e1fccb996c654add5e0f11",
+    (False, "inline"): "ef8ab9aae377ac301e3a40781c27eac5b4e5e578625437c1446e5d7c0ea22627",
+    (True, "columnar"): "d7d215e05d26f10135781aff317e6baae6567346f9585e4f7bb8fc67cd981d25",
+    (True, "inline"): "4d8869060158cd52180a5dff8b502f214d43a56eec2a3aaf8b6e27eca54941e5",
 }
 
 

@@ -15,6 +15,7 @@ from lst20tools.segment import (
     aggregate_sentences,
     detect_clauses,
     _split_spaces,
+    _subject_stretch,
     load_marker_lexicon,
     segment_paragraphs,
 )
@@ -72,13 +73,6 @@ class TestLexicon:
     def test_entry_before_section_rejected(self):
         with pytest.raises(ConfigError):
             load_marker_lexicon("ว่า\n")
-
-
-class TestConfig:
-    def test_subject_shift_is_validated(self):
-        tokens, clauses, _ = corpus_samples.phone_call_paragraph()
-        with pytest.raises(ValueError):
-            aggregate_sentences(clauses, tokens, subject_shift="maybe")
 
 
 class TestDetectClauses:
@@ -222,14 +216,6 @@ class TestAggregateSentences:
         spans = aggregate_sentences(clauses, tokens)
         assert len(spans) == 2
 
-    def test_always_and_never_strategies(self):
-        tokens, clauses, _ = corpus_samples.phone_call_paragraph()
-        always = aggregate_sentences(clauses, tokens, subject_shift="always")
-        never = aggregate_sentences(clauses, tokens, subject_shift="never")
-        assert len(always) == 4
-        # merge rules like S5 do not apply here, so never-split joins them all
-        assert len(never) == 1
-
     def test_item_list_outranks_topic_shift_and_particle(self):
         # ดังนั้น is both a list marker (S6 merge) and a cohesive marker (S2
         # split), and the first clause ends in a particle (S7 split): the
@@ -262,25 +248,45 @@ class TestAggregateSentences:
         assert len(aggregate_sentences(clauses, tokens)) == 1
 
 
-def _pair_spans(lexicon_config, first, second, subject_shift="heuristic"):
+def _pair_spans(lexicon_config, first, second):
     """Sentences of a two-clause paragraph: ``first``, a space, ``second``."""
     tokens = toks([*first, (None, "PU"), *second])
     clauses = [(0, len(first)), (len(first) + 1, len(tokens))]
     lexicon = load_marker_lexicon(lexicon_config)
-    return aggregate_sentences(clauses, tokens, lexicon, subject_shift=subject_shift)
+    return aggregate_sentences(clauses, tokens, lexicon)
+
+
+def _subject_shift_splits(first, second):
+    """How S3 alone decides a clause pair: it splits where the right-hand
+    subject stretch is not empty and differs from the left-hand one."""
+    left, right = (_subject_stretch(toks(clause)) for clause in (first, second))
+    return bool(right) and right != left
 
 
 MERGED, SPLIT = [(0, 2)], [(0, 1), (1, 2)]
 
-# Each rule alone at a clause pair.
+# Each merge rule alone at a clause pair whose subject stretches differ and
+# are not empty, so S3 alone would split it.
 _MERGE_RULES = {
     "S6": ([("เขา", "PR"), ("กิน", "VV")], [("เช่น", "CC"), ("เรา", "PR"), ("นอน", "VV")]),
     "S4": ([("เขา", "PR"), ("กล่าว", "VV")], [('"', "PU"), ("เรา", "PR"), ("นอน", "VV")]),
     "S5": ([("เขา", "PR"), ("กล่าว", "VV"), ("ว่า", "CC")], [("เรา", "PR"), ("นอน", "VV")]),
 }
+# Each split rule alone at a clause pair that S3 alone would merge: the
+# stretches are equal, or the right-hand one is empty (zero anaphora).
 _SPLIT_RULES = {
-    "S2": ([("เขา", "PR"), ("กิน", "VV")], [("อย่างไรก็ตาม", "CC"), ("เขา", "PR"), ("นอน", "VV")]),
-    "S7": ([("เขา", "PR"), ("กิน", "VV"), ("นะ", "PA")], [("เขา", "PR"), ("นอน", "VV")]),
+    "S2-same-subject": (
+        [("อย่างไรก็ตาม", "CC"), ("เขา", "PR"), ("กิน", "VV")],
+        [("อย่างไรก็ตาม", "CC"), ("เขา", "PR"), ("นอน", "VV")],
+    ),
+    "S7-same-subject": (
+        [("เขา", "PR"), ("กิน", "VV"), ("นะ", "PA")],
+        [("เขา", "PR"), ("นอน", "VV")],
+    ),
+    "S7-zero-anaphora": (
+        [("เขา", "PR"), ("กิน", "VV"), ("นะ", "PA")],
+        [("นอน", "VV")],
+    ),
 }
 
 # A merge rule and a split rule at the same clause pair, whose subject
@@ -330,12 +336,16 @@ class TestRulePrecedence:
         assert _pair_spans(config, first, second) == MERGED
 
     @pytest.mark.parametrize("rule", sorted(_SPLIT_RULES))
-    def test_split_rule_outranks_never(self, rule):
-        assert _pair_spans("", *_SPLIT_RULES[rule], subject_shift="never") == SPLIT
+    def test_split_rule_outranks_subject_shift(self, rule):
+        first, second = _SPLIT_RULES[rule]
+        assert not _subject_shift_splits(first, second)
+        assert _pair_spans("", first, second) == SPLIT
 
     @pytest.mark.parametrize("rule", sorted(_MERGE_RULES))
-    def test_merge_rule_outranks_always(self, rule):
-        assert _pair_spans("", *_MERGE_RULES[rule], subject_shift="always") == MERGED
+    def test_merge_rule_outranks_subject_shift(self, rule):
+        first, second = _MERGE_RULES[rule]
+        assert _subject_shift_splits(first, second)
+        assert _pair_spans("", first, second) == MERGED
 
 
 class TestCohesiveMonotonicity:

@@ -173,6 +173,13 @@ class TestManifest:
         with pytest.raises(ValueError, match="line 2"):
             load_manifest("T001\tpolitics\nbroken\n")
 
+    def test_repeated_document_id_is_refused(self):
+        # One document counted under whichever genre came last would skew
+        # the histogram silently.
+        with pytest.raises(ValueError) as refused:
+            load_manifest("T001\tpolitics\nT001\tsports\n")
+        assert str(refused.value) == "line 2: duplicate document id 'T001'"
+
 
 def test_space_tokens_do_not_count_as_words():
     sentence = Sentence((tok("ก", "NN"), space_token(), tok("ข", "NN")))
