@@ -114,11 +114,12 @@ def _read_text(path: Path) -> str:
 def _load_config(name: str, parse):
     """Read and parse a --lexicon, --manifest or --frames file.
 
-    A file that is not UTF-8 or does not parse is named, and is exit 2, not 1.
+    A leading BOM is dropped, as the input readers drop it. A file that is
+    not UTF-8 or does not parse is named, and is exit 2, not 1.
     """
     path = Path(name)
     try:
-        return parse(path.read_text(encoding="utf-8"))
+        return parse(path.read_text(encoding="utf-8-sig"))
     except ValueError as exc:
         raise ValueError(f"{path.name}: {exc}") from None
 

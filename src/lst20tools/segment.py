@@ -58,33 +58,6 @@ _PARTICLES = (
 )
 _QUESTION_ADVERBS = ("อย่างไร", "ไหม", "ทำไม")
 _REPORTING_VERBS = ("กล่าว", "บอก", "ยืนยัน")
-_AUXILIARIES = (
-    "กำลัง",
-    "คง",
-    "ควร",
-    "ค่อย",
-    "เคย",
-    "จะ",
-    "จง",
-    "จวน",
-    "ได้",
-    "ต้อง",
-    "น่า",
-    "ถูก",
-    "โดน",
-    "เพิ่ง",
-    "มัก",
-    "ยัก",
-    "ยัง",
-    "ยอม",
-    "แล้ว",
-    "ไว้",
-    "เสร็จ",
-    "ให้",
-    "ทำให้",
-    "อยู่",
-    "อยู่แล้ว",
-)
 
 _QUOTE_CHARS = {'"', "'", "“", "”", "‘", "’", "«", "»"}
 
@@ -103,7 +76,7 @@ class MarkerLexicon:
     """Surface-form lists that drive segmentation.
 
     Categories may overlap: the same surface can be, say, both a particle
-    and an auxiliary; POS tags disambiguate at match time.
+    and a question adverb; POS tags disambiguate at match time.
     """
 
     subordinate_connectors: frozenset[str]
@@ -112,7 +85,6 @@ class MarkerLexicon:
     particles: frozenset[str]
     question_adverbs: frozenset[str]
     reporting_verbs: frozenset[str]
-    auxiliaries: frozenset[str]
     # The union of the five clause-marker categories (R2 adjacency test).
     clause_markers: frozenset[str] = field(init=False, repr=False, compare=False)
 
@@ -136,7 +108,6 @@ class MarkerLexicon:
             particles=frozenset(_PARTICLES),
             question_adverbs=frozenset(_QUESTION_ADVERBS),
             reporting_verbs=frozenset(_REPORTING_VERBS),
-            auxiliaries=frozenset(_AUXILIARIES),
         )
 
 
@@ -147,11 +118,12 @@ _DEFAULT_LEXICON = MarkerLexicon.default()
 def load_marker_lexicon(config_text: str = "") -> MarkerLexicon:
     """Parse a lexicon config into the default lexicon extended by it.
 
-    Format: ``[category]`` section headers over the seven category names,
+    Format: ``[category]`` section headers over the six category names,
     one surface form per line, ``#`` starts a comment. Entries are added
-    to the built-in defaults (set union).
+    to the built-in defaults (set union). An ``[auxiliaries]`` section, a
+    retired category no rule read, is accepted and its entries are skipped.
     """
-    extra: dict[str, set[str]] = {name: set() for name in _LEXICON_SECTIONS}
+    extra: dict[str, set[str]] = {name: set() for name in (*_LEXICON_SECTIONS, "auxiliaries")}
     section: Optional[str] = None
     for line_no, raw in enumerate(config_text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -159,7 +131,7 @@ def load_marker_lexicon(config_text: str = "") -> MarkerLexicon:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _LEXICON_SECTIONS:
+            if name not in extra:
                 raise ConfigError(line_no, f"unknown category {name!r}")
             section = name
             continue
@@ -201,7 +173,9 @@ def _where(flags) -> list[int]:
     return list(compress(count(), flags))
 
 
-def _split_spaces(tokens: Sequence[Token], markers: frozenset[str]) -> list[int]:
+def _split_spaces(
+    tokens: Sequence[Token], pos: Sequence[PosTag], markers: frozenset[str]
+) -> list[int]:
     """Indices of space tokens where R2 separates clauses.
 
     A space outside every name splits when a clause marker touches it, a
@@ -211,9 +185,8 @@ def _split_spaces(tokens: Sequence[Token], markers: frozenset[str]) -> list[int]
     the paragraph's first verb comes before the space. One Python step runs
     per space token, and the right test is a C-level ``in`` on a slice of the
     paragraph's POS list; the runs do not overlap, so each token is scanned
-    at most once.
+    at most once. ``pos`` holds the tokens' POS tags.
     """
-    pos = list(map(_POS, tokens))
     first_verb = pos.index(_VV) if _VV in pos else len(pos)
     spaces = _where(map(_IS_SPACE, tokens))
     splits = []
@@ -261,7 +234,7 @@ def detect_clauses(
     k = 0  # candidates[k] is the first one not yet passed
     spans: list[tuple[int, int]] = []
     region_start = 0
-    for region_end in [*_split_spaces(tokens, lexicon.clause_markers), len(tokens)]:
+    for region_end in [*_split_spaces(tokens, pos, lexicon.clause_markers), len(tokens)]:
         region = _trim(tokens, region_start, region_end)
         region_start = region_end + 1
         if region is None:

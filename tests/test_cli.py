@@ -342,6 +342,33 @@ class TestBadConfigFile:
         assert main(["frames", "dump", "--frames", str(frames_file)]) == 2
         assert capsys.readouterr().err == f"lst20: f.txt: {error}\n"
 
+    @pytest.mark.parametrize(
+        "argv,content",
+        [
+            (["segment", "--lexicon"], "[subordinate_connectors]\nเพราะ\n"),
+            (["stats", "--json", "--manifest"], "a\tpolitics\n"),
+            (["frames", "check", "--word", "ก", "--frames"], "VV.1: _\nVV.6: _\n"),
+            (["frames", "dump", "--frames"], "VV.1: _\nVV.6: _\n"),
+        ],
+        ids=["lexicon", "manifest", "frames-check", "frames-dump"],
+    )
+    def test_config_with_a_bom_reads_as_without(self, tmp_path, argv, content, capsys):
+        good = tmp_path / "a.txt"
+        good.write_text("ก\tVV\tO\tB_CLS\n", encoding="utf-8")
+        inputs = [] if argv[:2] == ["frames", "dump"] else [str(good)]
+        runs = []
+        for prefix in ("", "\ufeff"):
+            config = tmp_path / "conf.txt"
+            config.write_text(prefix + content, encoding="utf-8")
+            status = main([*argv, str(config), *inputs])
+            runs.append((status, *capsys.readouterr()))
+        assert runs[1] == runs[0]
+        assert runs[0][0] == 0
+        if argv[0] == "stats":
+            assert json.loads(runs[0][1])["genres"] == {"politics": 1}
+        if argv[:2] == ["frames", "check"]:
+            assert runs[0][1].endswith("classes: verb\n")
+
     def test_repeated_manifest_id_names_the_line(self, tmp_path, capsys):
         good = tmp_path / "a.txt"
         good.write_text("ก\tVV\tO\tB_CLS\n", encoding="utf-8")
@@ -672,6 +699,19 @@ class TestSegmentCommand:
             status = main(["segment", *options, str(path), "-o", str(out)])
             digest.update(f"{path.name} {status}\n".encode() + out.read_bytes())
         assert digest.hexdigest() == _SEGMENT_DIGESTS[lexicon, to]
+
+    @pytest.mark.parametrize("to", ["columnar", "inline"])
+    def test_retired_auxiliaries_section_changes_no_byte(self, planted, to, capsys):
+        """A lexicon file that still lists the retired ``[auxiliaries]``
+        category segments every input to the bytes it gives without it."""
+        retired = planted / "retired.cfg"
+        retired.write_text("[auxiliaries]\nกำลัง\nจะ\n" + _PLANTED_LEXICON, encoding="utf-8")
+        for path in sorted((planted / "in").iterdir()):
+            runs = []
+            for lexicon in (planted / "lex.cfg", retired):
+                status = main(["segment", "--to", to, "--lexicon", str(lexicon), str(path)])
+                runs.append((status, *capsys.readouterr()))
+            assert runs[1] == runs[0]
 
 
 _SEGMENT_USAGE = """\

@@ -1,5 +1,7 @@
+import ast
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import corpus_samples
 from corpus_samples import toks
 from lst20tools import PosTag, Token, space_token
+from lst20tools import segment
 from lst20tools.schema import ClauseLabel, parse_ne_label
 from lst20tools.segment import (
     ConfigError,
@@ -33,7 +36,6 @@ class TestLexicon:
         assert "นะ" in lex.particles
         assert "ทำไม" in lex.question_adverbs
         assert "กล่าว" in lex.reporting_verbs
-        assert {"กำลัง", "จะ", "ถูก", "อยู่แล้ว"} <= lex.auxiliaries
 
     def test_empty_config_gives_default(self):
         assert load_marker_lexicon("") == MarkerLexicon.default()
@@ -73,6 +75,29 @@ class TestLexicon:
     def test_entry_before_section_rejected(self):
         with pytest.raises(ConfigError):
             load_marker_lexicon("ว่า\n")
+
+    def test_retired_auxiliaries_section_is_read_and_skipped(self):
+        # No rule ever read the auxiliaries category; files that list it load.
+        text = "[particles]\nจ้ะ\n"
+        retired = "[auxiliaries]\nกำลัง\nชอบ\n"
+        assert load_marker_lexicon(retired + text) == load_marker_lexicon(text)
+        assert load_marker_lexicon(text + retired) == load_marker_lexicon(text)
+        assert load_marker_lexicon(retired) == MarkerLexicon.default()
+        with pytest.raises(ConfigError) as err:
+            load_marker_lexicon(retired + "[verbs]\nกิน\n")
+        assert (err.value.line_no, err.value.reason) == (4, "unknown category 'verbs'")
+
+    def test_every_category_is_read_by_the_segmenter(self):
+        """Each field a lexicon is built from is read as an attribute somewhere
+        in segment.py, so no category sits in the lexicon unread."""
+        tree = ast.parse(Path(segment.__file__).read_text(encoding="utf-8"))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        categories = {f.name for f in fields(MarkerLexicon) if f.init}
+        assert categories - read == set()
 
 
 class TestDetectClauses:
@@ -461,7 +486,8 @@ _R2_TOKENS = st.one_of(
 @given(st.lists(_R2_TOKENS, max_size=40))
 def test_r2_space_splits_match_quadratic_reference(tokens):
     lexicon = MarkerLexicon.default()
-    assert _split_spaces(tokens, lexicon.clause_markers) == r2_space_splits(
+    pos = [token.pos for token in tokens]
+    assert _split_spaces(tokens, pos, lexicon.clause_markers) == r2_space_splits(
         tokens, lexicon.clause_markers
     )
 
@@ -522,7 +548,8 @@ _LONG_PARAGRAPHS = st.lists(st.sampled_from(_LONG_PIECES), min_size=60, max_size
 @given(_LONG_PARAGRAPHS)
 def test_r2_space_splits_match_quadratic_reference_on_long_paragraphs(tokens):
     lexicon = MarkerLexicon.default()
-    assert _split_spaces(tokens, lexicon.clause_markers) == r2_space_splits(
+    pos = [token.pos for token in tokens]
+    assert _split_spaces(tokens, pos, lexicon.clause_markers) == r2_space_splits(
         tokens, lexicon.clause_markers
     )
 
