@@ -262,24 +262,37 @@ def _load_lexicon(args) -> Optional[MarkerLexicon]:
     return None
 
 
-def _segment_file(path: Path, args) -> tuple[list, int]:
-    """The segmented sentences of one input and its exit status so far. The
-    input document and the lexicon are gone on return, so neither is alive
-    while the output is written."""
+def _segment_file(path: Path, args) -> tuple[str, int]:
+    """The segmented output of one input and its exit status so far.
+
+    A clean columnar file written back as columnar is segmented from its
+    lines (``format.relabel_columnar``); any other input goes through the
+    readers, ``segment_paragraphs`` and the writers. The input is gone on
+    return, so it is not alive while the output is written."""
     from . import segment as segment_mod
 
     lexicon = _load_lexicon(args)
-    doc, errors = _parse_document(_read_text(path), path, args.informat, args.strict)
+    text = _read_text(path)
+    if args.informat == args.outformat == FORMAT_COLUMNAR:
+        relabel = functools.partial(segment_mod._segment_columns, lexicon=lexicon)
+        try:
+            output = fmt.relabel_columnar(text, relabel)
+        except fmt.WriteError as exc:
+            raise _BadInput(f"{path.name}: {exc}") from None
+        if output is not None:
+            return output, EXIT_OK
+    doc, errors = _parse_document(text, path, args.informat, args.strict)
+    del text
     status = _print_format_issues(path, errors)
     # Each input sentence block (columnar) or line (inline) is one paragraph.
     sentences, _ = segment_mod.segment_paragraphs([s.tokens for s in doc.sentences], lexicon)
-    return sentences, status
+    del doc
+    return _serialize(path, Document(path.stem, tuple(sentences)), args.outformat), status
 
 
 def _cmd_segment(args) -> int:
     path = _one_input(args, "segment")
-    sentences, status = _segment_file(path, args)
-    output = _serialize(path, Document(path.stem, tuple(sentences)), args.outformat)
+    output, status = _segment_file(path, args)
     _write(_open_output(args, [path], args.lexicon), output)
     return status
 

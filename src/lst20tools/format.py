@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, compress, count, product, repeat
+from operator import attrgetter, eq, itemgetter, not_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .schema import (
@@ -131,13 +132,16 @@ def space_token(
 _BARE_SPACE = space_token()
 
 # Every valid "POS\tNE\tCLS" tail of a columnar line, mapped to its interned
-# labels: a token line's tags are one lookup, or two with a CRLF ending.
-_TAG_COLUMNS: dict[str, tuple[PosTag, NeLabel, ClauseLabel]] = dict(
-    zip(
-        map("\t".join, product(POS_TAGS, NE_LABELS, CLAUSE_LABELS)),
-        product(POS_TAGS.values(), NE_LABELS.values(), CLAUSE_LABELS.values()),
+# labels and the line's text between word and clause label, "\tPOS\tNE\t": a
+# token line's tags are one lookup, or two with a CRLF ending.
+_TAG_COLUMNS: dict[str, tuple[PosTag, NeLabel, ClauseLabel, str]] = {
+    f"{pos}\t{ne}\t{clause}": (
+        POS_TAGS[pos], NE_LABELS[ne], CLAUSE_LABELS[clause], f"\t{pos}\t{ne}\t"
     )
-)
+    for pos, ne, clause in product(POS_TAGS, NE_LABELS, CLAUSE_LABELS)
+}
+_FIRST, _SECOND, _THIRD, _FOURTH = map(itemgetter, range(4))
+_TEXT = attrgetter("text")
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,12 +242,9 @@ def tally_columnar(text: str) -> Optional[tuple[int, int, list]]:
     One Python step runs per distinct line and one per distinct tag triple,
     none per line.
     """
-    text = text.removeprefix(_BOM)
-    if "\r" in text:  # a scan several times faster than replace's
-        text = text.replace("\r\n", "\n").removesuffix("\r")
     lines: Counter = Counter()
     sentences = last = 0  # a sentence ends at a non-empty line before an empty one
-    for chunk in _line_chunks(text):
+    for chunk in _clean_line_chunks(text):
         lines.update(chunk)
         flags = bytes(map(bool, chunk))
         sentences += flags.count(b"\x01\x00") + (last > flags[0])
@@ -264,8 +265,60 @@ def tally_columnar(text: str) -> Optional[tuple[int, int, list]]:
         triple = _TAG_COLUMNS.get(tail)
         if triple is None:
             return None
-        labels.append((triple, n))
+        labels.append((triple[:3], n))
     return sentences + last, spaces, labels
+
+
+def _clean_line_chunks(text: str) -> Iterator[list[str]]:
+    """The lines of a columnar file as :func:`_line_chunks` splits them, less
+    its BOM and each line's final CR, as ``read_columnar`` reads them."""
+    text = text.removeprefix(_BOM)
+    if "\r" in text:  # a scan several times faster than replace's
+        text = text.replace("\r\n", "\n").removesuffix("\r")
+    return _line_chunks(text)
+
+
+def relabel_columnar(text: str, relabel) -> Optional[str]:
+    """A clean columnar file (see :func:`tally_columnar`) with new clause
+    labels, made from its lines with no Token; None for any other file, which
+    :func:`read_columnar` reads and reports.
+
+    ``relabel(words, pos, ne, spaces)`` takes the columns of one paragraph,
+    each sentence :func:`read_columnar` would read (the word of a white-space
+    token is ``_``), and returns each token's new clause label and the
+    half-open token range of each sentence to write. An output line is the
+    input line's word, POS and NE columns, as they were, and its new label,
+    and sentences are laid out and refused as by :func:`write_columnar`. A
+    chunk of lines is parsed at a time in C-level passes, none per line.
+    """
+    blocks = []
+    words: list[str] = []
+    labels: list[tuple] = []  # the open paragraph's _TAG_COLUMNS entries
+    # A blank line after the last closes the last paragraph.
+    for lines in chain(_clean_line_chunks(text), [[""]]):
+        parts = list(map(str.partition, lines, repeat("\t")))
+        chunk_words = list(map(_FIRST, parts))
+        chunk_labels = list(map(_TAG_COLUMNS.get, map(_THIRD, parts)))
+        blanks = list(compress(count(), map(not_, lines)))
+        # A blank line has no word and no tags; any other line without them is bad.
+        if chunk_labels.count(None) > len(blanks) or chunk_words.count("") > len(blanks):
+            return None
+        start = 0
+        for blank in blanks:
+            words += chunk_words[start:blank]
+            labels += chunk_labels[start:blank]
+            start = blank + 1
+            if words:
+                pos, ne, tails = (list(map(get, labels)) for get in (_FIRST, _SECOND, _FOURTH))
+                spaces = list(map(eq, words, repeat(COLUMNAR_SPACE)))
+                clauses, sentences = relabel(words, pos, ne, spaces)
+                for lo, hi in sentences:
+                    pieces = zip(words[lo:hi], tails[lo:hi], map(_TEXT, clauses[lo:hi]), repeat("\n"))
+                    blocks.append("".join(chain.from_iterable(pieces)))
+                words, labels = [], []
+        words += chunk_words[start:]
+        labels += chunk_labels[start:]
+    return _refuse_leading_bom("\n".join(blocks))
 
 
 def _line_error(line_no: int, raw: str) -> LineError:

@@ -27,17 +27,23 @@ Sentence rules, applied to each adjacent clause pair, merge rules first:
   the tokens before its first verbal element (VV/AX/NG). A clause with an
   empty stretch continues the previous subject (zero anaphora) and merges,
   identical stretches merge, differing stretches split.
+
+Every rule reads a paragraph's columns, its surfaces, POS tags, NE labels
+and space flags, and no Token. ``detect_clauses``, ``aggregate_sentences``
+and ``segment_paragraphs`` read the columns off their tokens; ``lst20
+segment`` takes them from the lines of a clean columnar file and writes the
+labels back into those lines (``format.relabel_columnar``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from itertools import compress, count, filterfalse, repeat
-from operator import attrgetter, is_
+from itertools import compress, count, repeat
+from operator import attrgetter, is_, not_
 from typing import Optional, Sequence
 
 from .format import Sentence, Token, _relabelled
-from .schema import BoundaryPrefix, ClauseLabel, PosTag
+from .schema import NE_OUTSIDE, BoundaryPrefix, ClauseLabel, PosTag
 
 _SUBORDINATE_CONNECTORS = ("ซึ่ง", "ที่", "ถ้า", "ว่า", "ผู้")
 _COHESIVE_MARKERS = ("อย่างไรก็ตาม", "นอกจากนี้", "แต่ทว่า", "ในที่สุด")
@@ -147,25 +153,28 @@ def load_marker_lexicon(config_text: str = "") -> MarkerLexicon:
     )
 
 
-def _is_gap(token: Token) -> bool:
-    """A space outside every named entity. A space inside one is content:
+def _trim(spaces, ne, start: int, end: int) -> Optional[tuple[int, int]]:
+    """``(start, end)`` less the gaps at its edges, or None if nothing is left.
+    A gap is a space outside every named entity. A space inside one is content:
     no clause edge trims it and R2 never splits at it, so no name loses a token."""
-    return token.is_space and token.ne.prefix is BoundaryPrefix.O
-
-
-def _trim(tokens: Sequence[Token], start: int, end: int) -> Optional[tuple[int, int]]:
-    while start < end and _is_gap(tokens[start]):
+    while start < end and spaces[start] and ne[start] is NE_OUTSIDE:
         start += 1
-    while end > start and _is_gap(tokens[end - 1]):
+    while end > start and spaces[end - 1] and ne[end - 1] is NE_OUTSIDE:
         end -= 1
     if start == end:
         return None
     return start, end
 
 
-_POS = attrgetter("pos")
-_IS_SPACE = attrgetter("is_space")
+_SURFACE, _POS, _NE, _IS_SPACE = map(attrgetter, ("surface", "pos", "ne", "is_space"))
 _VV = PosTag.VV
+_VERBAL = (PosTag.VV, PosTag.AX, PosTag.NG)
+
+
+def _columns(tokens: Sequence[Token]) -> list[list]:
+    """A paragraph's surfaces, POS tags, NE labels and space flags, each read
+    off its tokens in one C-level pass: the columns the rules below take."""
+    return [list(map(get, tokens)) for get in (_SURFACE, _POS, _NE, _IS_SPACE)]
 
 
 def _where(flags) -> list[int]:
@@ -173,9 +182,7 @@ def _where(flags) -> list[int]:
     return list(compress(count(), flags))
 
 
-def _split_spaces(
-    tokens: Sequence[Token], pos: Sequence[PosTag], markers: frozenset[str]
-) -> list[int]:
+def _split_spaces(surfaces, pos, ne, spaces, markers: frozenset[str]) -> list[int]:
     """Indices of space tokens where R2 separates clauses.
 
     A space outside every name splits when a clause marker touches it, a
@@ -184,58 +191,38 @@ def _split_spaces(
     after the first split the left test always holds: it asks only whether
     the paragraph's first verb comes before the space. One Python step runs
     per space token, and the right test is a C-level ``in`` on a slice of the
-    paragraph's POS list; the runs do not overlap, so each token is scanned
-    at most once. ``pos`` holds the tokens' POS tags.
+    paragraph's POS tags; the runs do not overlap, so each token is scanned
+    at most once.
     """
     first_verb = pos.index(_VV) if _VV in pos else len(pos)
-    spaces = _where(map(_IS_SPACE, tokens))
+    where = _where(spaces)
     splits = []
-    for i, j in zip(spaces, [*spaces[1:], len(tokens)]):  # j ends i's right run
-        if i <= first_verb or not _is_gap(tokens[i]):
+    for i, j in zip(where, [*where[1:], len(pos)]):  # j ends i's right run
+        if i <= first_verb or ne[i] is not NE_OUTSIDE:
             continue
-        before = tokens[i - 1]
-        touches_marker = (not before.is_space and before.surface in markers) or (
-            i + 1 < j and tokens[i + 1].surface in markers
+        touches_marker = (not spaces[i - 1] and surfaces[i - 1] in markers) or (
+            i + 1 < j and surfaces[i + 1] in markers
         )
         if touches_marker and _VV in pos[i + 1 : j]:
             splits.append(i)
     return splits
 
 
-def detect_clauses(
-    tokens: Sequence[Token], lexicon: Optional[MarkerLexicon] = None
-) -> list[tuple[int, int]]:
-    """Clause spans of one paragraph as half-open ``(start, end)`` token ranges.
-
-    R2 cuts the paragraph into regions, each trimmed of its edge white
-    space. Inside a region, R3 cuts at a subordinate connector when a verb
-    lies between the last cut and the connector and another verb lies
-    after it, so a clause is verbless only when its whole region is. A
-    connector inside a named entity (NE prefix I or E) never cuts.
-
-    The connectors that may cut are found once per paragraph, and one index
-    moves through them across all regions. A region's last verb is one
-    ``list.index`` on its reversed POS slice, and the verb since the last
-    cut is a C-level ``in`` behind a scan pointer, so the walk is linear in
-    tokens plus connectors, with one Python step per connector.
-    """
-    if not tokens:
-        raise ValueError("paragraph must contain at least one token")
-    lexicon = lexicon or _DEFAULT_LEXICON
+def _clause_spans(surfaces, pos, ne, spaces, lexicon: MarkerLexicon) -> list[tuple[int, int]]:
+    """R1-R3 on one paragraph's columns: see :func:`detect_clauses`."""
     connectors = lexicon.subordinate_connectors
-    pos = list(map(_POS, tokens))
     candidates = [  # where R3 may cut
         i
         for i in _where(map(is_, pos, repeat(PosTag.CC)))
-        if not tokens[i].is_space
-        and tokens[i].surface in connectors
-        and tokens[i].ne.prefix not in (BoundaryPrefix.I, BoundaryPrefix.E)
+        if not spaces[i]
+        and surfaces[i] in connectors
+        and ne[i].prefix not in (BoundaryPrefix.I, BoundaryPrefix.E)
     ]
     k = 0  # candidates[k] is the first one not yet passed
     spans: list[tuple[int, int]] = []
     region_start = 0
-    for region_end in [*_split_spaces(tokens, pos, lexicon.clause_markers), len(tokens)]:
-        region = _trim(tokens, region_start, region_end)
+    for region_end in [*_split_spaces(surfaces, pos, ne, spaces, lexicon.clause_markers), len(pos)]:
+        region = _trim(spaces, ne, region_start, region_end)
         region_start = region_end + 1
         if region is None:
             continue
@@ -254,45 +241,84 @@ def detect_clauses(
                     verb_since_cut = _VV in pos[scanned:i]
                     scanned = i
                 if verb_since_cut:
-                    spans.append(_trim(tokens, cut, i))
+                    spans.append(_trim(spaces, ne, cut, i))
                     cut = i
                     verb_since_cut = False
         spans.append((cut, end))
     return spans
 
 
-def _subject_stretch(content: Sequence[Token]) -> tuple[str, ...]:
-    stretch = []
-    for token in content:
-        if token.pos in (PosTag.VV, PosTag.AX, PosTag.NG):
-            break
-        stretch.append(token.surface)
-    return tuple(stretch)
+def detect_clauses(
+    tokens: Sequence[Token], lexicon: Optional[MarkerLexicon] = None
+) -> list[tuple[int, int]]:
+    """Clause spans of one paragraph as half-open ``(start, end)`` token ranges.
+
+    R2 cuts the paragraph into regions, each trimmed of its edge white
+    space. Inside a region, R3 cuts at a subordinate connector when a verb
+    lies between the last cut and the connector and another verb lies
+    after it, so a clause is verbless only when its whole region is. A
+    connector inside a named entity (NE prefix I or E) never cuts.
+
+    The connectors that may cut are found once per paragraph, and one index
+    moves through them across all regions. A region's last verb is one
+    ``index`` on its reversed POS slice, and the verb since the last cut is
+    a C-level ``in`` behind a scan pointer, so the walk is linear in tokens
+    plus connectors, with one Python step per connector.
+    """
+    if not tokens:
+        raise ValueError("paragraph must contain at least one token")
+    return _clause_spans(*_columns(tokens), lexicon or _DEFAULT_LEXICON)
+
+
+def _subject_stretch(words: Sequence[str], tags: Sequence[PosTag]) -> tuple[str, ...]:
+    """The words of a clause's non-space tokens before its first verbal element."""
+    end = next((i for i, tag in enumerate(tags) if tag in _VERBAL), len(tags))
+    return tuple(words[:end])
 
 
 def _sentence_ends(prev, nxt, lexicon) -> bool:
     """Whether a sentence ends between two adjacent clauses of one paragraph,
-    given their non-space tokens. A merge rule outranks a split rule, and S3
-    decides the rest."""
-    opener = nxt[0].surface if nxt else None
-    last = prev[-1].surface if prev else None
+    given the words and POS tags of their non-space tokens. A merge rule
+    outranks a split rule, and S3 decides the rest."""
+    (prev_words, prev_tags), (next_words, next_tags) = prev, nxt
+    opener = next_words[0] if next_words else None
+    last = prev_words[-1] if prev_words else None
     if opener in lexicon.list_markers:
         return False  # S6 item list
     # S4 and S5 read the reporting verb, which a final connector may follow:
     # ``connector`` (False or True) counts the tokens after the verb.
     connector = last in lexicon.subordinate_connectors
-    said = len(prev) > connector and prev[-1 - connector].surface in lexicon.reporting_verbs
+    said = len(prev_words) > connector and prev_words[-1 - connector] in lexicon.reporting_verbs
     if said and opener in _QUOTE_CHARS:
         return False  # S4 direct speech
     if said and connector:
         return False  # S5 indirect speech
     if opener in lexicon.cohesive_markers:
         return True  # S2 topic shift
-    if last in lexicon.particles and prev[-1].pos is PosTag.PA:
+    if last in lexicon.particles and prev_tags[-1] is PosTag.PA:
         return True  # S7 particle
-    right = _subject_stretch(nxt)
+    right = _subject_stretch(next_words, next_tags)
     # S3 subject shift: an empty stretch carries the subject over (zero anaphora).
-    return bool(right) and right != _subject_stretch(prev)
+    return bool(right) and right != _subject_stretch(prev_words, prev_tags)
+
+
+def _sentence_spans(
+    clauses: Sequence[tuple[int, int]], surfaces, pos, spaces, lexicon: MarkerLexicon
+) -> list[tuple[int, int]]:
+    """S2-S7 on one paragraph's columns: see :func:`aggregate_sentences`."""
+    if len(clauses) < 2:  # no pair to decide
+        return [(0, 1)] if clauses else []
+    kept = list(map(not_, spaces))
+    contents = [
+        (list(compress(surfaces[lo:hi], kept[lo:hi])), list(compress(pos[lo:hi], kept[lo:hi])))
+        for lo, hi in clauses
+    ]
+    ends = [
+        i
+        for i in range(1, len(clauses))
+        if _sentence_ends(contents[i - 1], contents[i], lexicon)
+    ]
+    return list(zip([0, *ends], [*ends, len(clauses)]))
 
 
 def aggregate_sentences(
@@ -306,16 +332,33 @@ def aggregate_sentences(
     Paragraph boundaries (S1) are enforced by construction: callers pass
     one paragraph's clauses at a time.
     """
+    surfaces, pos, _, spaces = _columns(tokens)
+    return _sentence_spans(clauses, surfaces, pos, spaces, lexicon or _DEFAULT_LEXICON)
+
+
+def _clause_labels(n: int, clauses: Sequence[tuple[int, int]]) -> list[ClauseLabel]:
+    """The clause label of each of a paragraph's ``n`` tokens: B, I and E
+    over each clause, O between clauses."""
+    labels = [ClauseLabel.O] * n
+    for lo, hi in clauses:
+        labels[lo:hi] = [ClauseLabel.I_CLS] * (hi - lo)
+        labels[hi - 1] = ClauseLabel.E_CLS
+        labels[lo] = ClauseLabel.B_CLS  # a one-token clause is a lone B
+    return labels
+
+
+def _segment_columns(
+    surfaces, pos, ne, spaces, lexicon: Optional[MarkerLexicon] = None
+) -> tuple[list[ClauseLabel], list[tuple[int, int]]]:
+    """One paragraph segmented from its columns, with no Token: each token's
+    new clause label and the half-open token range of each sentence, as
+    :func:`segment_paragraphs` finds them. No rule reads the surface of a
+    white-space token."""
     lexicon = lexicon or _DEFAULT_LEXICON
-    if len(clauses) < 2:  # no pair to decide
-        return [(0, 1)] if clauses else []
-    contents = [list(filterfalse(_IS_SPACE, tokens[lo:hi])) for lo, hi in clauses]
-    ends = [
-        i
-        for i in range(1, len(clauses))
-        if _sentence_ends(contents[i - 1], contents[i], lexicon)
-    ]
-    return list(zip([0, *ends], [*ends, len(clauses)]))
+    clauses = _clause_spans(surfaces, pos, ne, spaces, lexicon)
+    groups = _sentence_spans(clauses, surfaces, pos, spaces, lexicon)
+    sentences = [(clauses[first][0], clauses[last - 1][1]) for first, last in groups]
+    return _clause_labels(len(pos), clauses), sentences
 
 
 def segment_paragraphs(
@@ -335,14 +378,9 @@ def segment_paragraphs(
     for tokens in paragraphs:
         paragraph_starts.append(len(sentences))
         clauses = detect_clauses(tokens, lexicon)
-        labels = [ClauseLabel.O] * len(tokens)
-        for lo, hi in clauses:
-            labels[lo:hi] = [ClauseLabel.I_CLS] * (hi - lo)
-            labels[hi - 1] = ClauseLabel.E_CLS
-            labels[lo] = ClauseLabel.B_CLS  # a one-token clause is a lone B
+        labels = _clause_labels(len(tokens), clauses)
         for first, last in aggregate_sentences(clauses, tokens, lexicon):
             lo, hi = clauses[first][0], clauses[last - 1][1]
             relabelled = map(_relabelled, tokens[lo:hi], labels[lo:hi])
             sentences.append(Sentence(tuple(relabelled)))
     return sentences, paragraph_starts
-

@@ -61,6 +61,9 @@ def test_every_hook_records_its_work_through_the_cli(tmp_path, capsys):
         ["convert", "--to", "inline", glimpse, "-o", inline],
         ["convert", "--from", "inline", "--to", "columnar", inline, "-o", str(tmp_path / "back.txt")],
         ["segment", glimpse, "-o", str(tmp_path / "seg.txt")],
+        # A clean columnar file is segmented from its lines; inline input
+        # still goes through segment.segment_paragraphs.
+        ["segment", "--from", "inline", inline, "-o", str(tmp_path / "seg.inline.txt")],
         ["stats", "--json", str(fixtures)],
         # A clean columnar file is counted from its lines; inline input still
         # goes through stats.document_counts.

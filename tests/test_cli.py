@@ -10,6 +10,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import corpus_samples
 from lst20tools import (
@@ -22,14 +24,18 @@ from lst20tools import (
     Severity,
     Token,
     TokenError,
+    WriteError,
     lint_document,
     read_columnar,
     read_inline,
     write_columnar,
 )
 from lst20tools import cli
+from lst20tools import format as format_module
+from lst20tools import segment as segment_module
 from lst20tools.cli import _format_issue, _json_entries, format_report, main
 from lst20tools.format import inline_layer_count
+from test_format import BOM, columnar_texts
 
 
 @pytest.fixture
@@ -794,6 +800,139 @@ def _planted_document(rng: random.Random, k: int) -> Document:
         ]
         sentences.append(Sentence(tuple(tokens)))
     return Document(doc.doc_id, tuple(sentences))
+
+
+# A clean columnar file written back as columnar is segmented from its lines
+# (format.relabel_columnar and segment._segment_columns); any other goes
+# through read_columnar, segment_paragraphs and write_columnar, the reference
+# these tests hold the line path to.
+
+_FIXTURE_NAMES = sorted(path.name for path in corpus_samples.FIXTURE_DIR.glob("*.txt"))
+
+
+@st.composite
+def segment_texts(draw):
+    """A fixture or a planted document, in columnar form, mutated as files
+    come: runs of blank lines at either end and between sentences, a bad line
+    or a line with an empty word, CRLF endings, no final newline and one or
+    two leading BOMs. Random documents hold spaces inside names."""
+    if draw(st.booleans()):
+        text = corpus_samples.fixture_text(draw(st.sampled_from(_FIXTURE_NAMES)))
+    else:
+        rng = draw(st.randoms(use_true_random=False))
+        text = write_columnar(_planted_document(rng, draw(st.integers(0, 3))))
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = [""] * draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 1))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["broken line", "\tNN\tO\tO", "ก\tQQ\tO\tO"])))
+    text = "\n".join(lines)
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    if draw(st.booleans()):
+        text = text.rstrip("\n")
+    return BOM * draw(st.integers(0, 2)) + text
+
+
+def _segment_runs(path: Path, options: list[str], capsys) -> list[tuple]:
+    """``segment``'s exit code, stdout and stderr on ``path``, then the same
+    with the line path switched off, so that the file takes the reference."""
+    runs = []
+    for relabel_columnar in (format_module.relabel_columnar, lambda text, relabel: None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(format_module, "relabel_columnar", relabel_columnar)
+            code = main(["segment", *options, str(path)])
+        runs.append((code, *capsys.readouterr()))
+    return runs
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(segment_texts(), st.booleans(), st.booleans(), st.integers(0, 40))
+def test_segment_from_lines_is_the_token_path(tmp_path, capsys, text, strict, lexicon, chunk_chars):
+    path = tmp_path / "d.txt"
+    path.write_bytes(text.encode("utf-8"))
+    options = ["--strict"] if strict else []
+    if lexicon:
+        (tmp_path / "lex.cfg").write_text(_PLANTED_LEXICON, encoding="utf-8")
+        options += ["--lexicon", str(tmp_path / "lex.cfg")]
+    # Chunks this small put chunk edges next to blank lines and blank runs.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
+        line_path, reference = _segment_runs(path, options, capsys)
+    assert line_path == reference
+
+
+def _written_or_refused(write, *args):
+    try:
+        return write(*args)
+    except WriteError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(segment_texts(), columnar_texts()), st.integers(0, 40))
+def test_relabel_columnar_gives_up_exactly_where_the_tally_does(text, chunk_chars):
+    """The line path gives up exactly on a file that is not clean as
+    ``tally_columnar`` defines it. It hands over the columns of each sentence
+    ``read_columnar`` reads, and with the labels those sentences carry it
+    writes what ``write_columnar`` writes."""
+    sentences = iter(read_columnar(text, errors=[]).sentences)
+
+    def keep(*columns):
+        tokens = next(sentences).tokens
+        assert list(columns) == [
+            ["_" if t.is_space else t.surface for t in tokens],
+            [t.pos for t in tokens],
+            [t.ne for t in tokens],
+            [t.is_space for t in tokens],
+        ]
+        return [t.clause for t in tokens], [(0, len(tokens))]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
+        written = _written_or_refused(format_module.relabel_columnar, text, keep)
+    assert (written is None) == (format_module.tally_columnar(text) is None)
+    if written is not None:
+        assert written == _written_or_refused(write_columnar, read_columnar(text))
+
+
+class TestSegmentFromLines:
+    def test_clean_fixtures_build_no_token(self, tmp_path, monkeypatch, capsys):
+        """Every fixture is clean, so ``segment`` writes each one without the
+        reader or ``segment_paragraphs``, to the bytes it gives with them."""
+        expected = {}
+        for name in _FIXTURE_NAMES:
+            assert main(["segment", str(corpus_samples.FIXTURE_DIR / name)]) == 0
+            expected[name] = capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a clean file went through the Token path")
+
+        monkeypatch.setattr(format_module, "read_columnar", refuse)
+        monkeypatch.setattr(segment_module, "segment_paragraphs", refuse)
+        for name in _FIXTURE_NAMES:
+            assert main(["segment", str(corpus_samples.FIXTURE_DIR / name)]) == 0
+            assert capsys.readouterr() == expected[name]
+
+    def test_a_bad_line_falls_back_to_the_reader(self, tmp_path, capsys):
+        """A file with a bad line is reported at that line and the rest of it
+        is segmented as the file without that line is."""
+        lines = corpus_samples.fixture_text("glimpse.txt").split("\n")
+        clean = tmp_path / "clean.txt"
+        clean.write_text("\n".join(lines), encoding="utf-8")
+        lines.insert(2, "broken line")
+        draft = tmp_path / "draft.txt"
+        draft.write_text("\n".join(lines), encoding="utf-8")
+        assert main(["segment", str(clean)]) == 0
+        segmented = capsys.readouterr().out
+        assert main(["segment", str(draft)]) == 1
+        assert capsys.readouterr() == (
+            segmented, "draft.txt: line 3: expected 4 tab-separated fields, got 1\n"
+        )
 
 
 class TestStatsCommand:

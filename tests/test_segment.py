@@ -17,6 +17,7 @@ from lst20tools.segment import (
     MarkerLexicon,
     aggregate_sentences,
     detect_clauses,
+    _columns,
     _split_spaces,
     _subject_stretch,
     load_marker_lexicon,
@@ -284,7 +285,7 @@ def _pair_spans(lexicon_config, first, second):
 def _subject_shift_splits(first, second):
     """How S3 alone decides a clause pair: it splits where the right-hand
     subject stretch is not empty and differs from the left-hand one."""
-    left, right = (_subject_stretch(toks(clause)) for clause in (first, second))
+    left, right = (_subject_stretch(*_columns(toks(clause))[:2]) for clause in (first, second))
     return bool(right) and right != left
 
 
@@ -486,8 +487,7 @@ _R2_TOKENS = st.one_of(
 @given(st.lists(_R2_TOKENS, max_size=40))
 def test_r2_space_splits_match_quadratic_reference(tokens):
     lexicon = MarkerLexicon.default()
-    pos = [token.pos for token in tokens]
-    assert _split_spaces(tokens, pos, lexicon.clause_markers) == r2_space_splits(
+    assert _split_spaces(*_columns(tokens), lexicon.clause_markers) == r2_space_splits(
         tokens, lexicon.clause_markers
     )
 
@@ -548,8 +548,7 @@ _LONG_PARAGRAPHS = st.lists(st.sampled_from(_LONG_PIECES), min_size=60, max_size
 @given(_LONG_PARAGRAPHS)
 def test_r2_space_splits_match_quadratic_reference_on_long_paragraphs(tokens):
     lexicon = MarkerLexicon.default()
-    pos = [token.pos for token in tokens]
-    assert _split_spaces(tokens, pos, lexicon.clause_markers) == r2_space_splits(
+    assert _split_spaces(*_columns(tokens), lexicon.clause_markers) == r2_space_splits(
         tokens, lexicon.clause_markers
     )
 
