@@ -176,8 +176,12 @@ _CHUNK_CHARS = 2048
 
 
 def _line_chunks(text: str) -> Iterator[list[str]]:
-    """The lines of ``text``, split about ``_CHUNK_CHARS`` characters at a
-    time, so that a reader holds no more of them than one chunk's."""
+    """The lines of a columnar file, less its BOM and each line's final CR,
+    split about ``_CHUNK_CHARS`` characters at a time, so that a reader holds
+    no more of them than one chunk's."""
+    text = text.removeprefix(_BOM)
+    if "\r" in text:  # a scan several times faster than replace's
+        text = text.replace("\r\n", "\n").removesuffix("\r")
     start = 0
     while (end := text.find("\n", start + _CHUNK_CHARS)) >= 0:
         yield text[start:end].split("\n")
@@ -188,7 +192,7 @@ def _line_chunks(text: str) -> Iterator[list[str]]:
 def read_columnar(
     text: str, doc_id: str = "doc", *, errors: Optional[list[LineError]] = None
 ) -> Document:
-    """Parse a columnar file into a Document.
+    """Parse a columnar file into a Document, line by line as :func:`_line_chunks` gives them.
 
     In strict mode (``errors=None``) the first bad line raises
     :class:`LineError`. Passing a list switches to permissive mode: bad
@@ -196,7 +200,6 @@ def read_columnar(
     call, equal lines give one :class:`Token` object, which is safe as tokens
     are frozen; no identity is promised across calls.
     """
-    text = text.removeprefix(_BOM)
     sentences: list[Sentence] = []
     current: list[Token] = []
     parsed: dict[str, Token] = {}  # raw line -> its token; bad lines never enter
@@ -210,9 +213,9 @@ def read_columnar(
         token = parsed.get(raw)
         if token is None:
             word, _, tags = raw.partition("\t")
-            labels = _TAG_COLUMNS.get(tags) or _TAG_COLUMNS.get(tags.removesuffix("\r"))
+            labels = _TAG_COLUMNS.get(tags)
             if labels is None or not word:
-                if raw in ("", "\r"):
+                if not raw:
                     flush()
                 else:
                     _fail(_line_error(line_no, raw), errors)
@@ -231,20 +234,20 @@ def read_columnar(
     return Document(doc_id, tuple(sentences))
 
 
-def tally_columnar(text: str) -> Optional[tuple[int, int, list]]:
+def tally_columnar(text: str) -> Optional[tuple[int, int, Counter, Counter, int]]:
     """What :func:`read_columnar` would read from a clean file, without a Token:
-    its sentence count, its white-space token count and one
-    ``((pos, ne, clause), tokens)`` pair per distinct tag triple.
+    its sentence count, its white-space token count, its POS and NE-label
+    histograms by label text and its ``B_CLS`` count, the tally that
+    ``stats.tally_counts`` turns into counts.
 
-    None unless every line is blank or a token line (a non-empty word and a
-    ``_TAG_COLUMNS`` tail), each less one CR at its end as ``read_columnar``
-    reads it: a bad line or an empty word leaves the file to ``read_columnar``.
-    One Python step runs per distinct line and one per distinct tag triple,
-    none per line.
+    None unless every line, as :func:`_line_chunks` gives it, is blank or a
+    token line (a non-empty word and a ``_TAG_COLUMNS`` tail): a bad line or
+    an empty word leaves the file to ``read_columnar``. One Python step runs
+    per distinct line and one per distinct tag triple, none per line.
     """
     lines: Counter = Counter()
     sentences = last = 0  # a sentence ends at a non-empty line before an empty one
-    for chunk in _clean_line_chunks(text):
+    for chunk in _line_chunks(text):
         lines.update(chunk)
         flags = bytes(map(bool, chunk))
         sentences += flags.count(b"\x01\x00") + (last > flags[0])
@@ -260,22 +263,18 @@ def tally_columnar(text: str) -> Optional[tuple[int, int, list]]:
         if word == COLUMNAR_SPACE:
             spaces += n
         tails[tail] = count(tail, 0) + n
-    labels = []
+    pos: Counter = Counter()
+    ne: Counter = Counter()
+    clauses = 0
     for tail, n in tails.items():
-        triple = _TAG_COLUMNS.get(tail)
-        if triple is None:
+        labels = _TAG_COLUMNS.get(tail)
+        if labels is None:
             return None
-        labels.append((triple[:3], n))
-    return sentences + last, spaces, labels
-
-
-def _clean_line_chunks(text: str) -> Iterator[list[str]]:
-    """The lines of a columnar file as :func:`_line_chunks` splits them, less
-    its BOM and each line's final CR, as ``read_columnar`` reads them."""
-    text = text.removeprefix(_BOM)
-    if "\r" in text:  # a scan several times faster than replace's
-        text = text.replace("\r\n", "\n").removesuffix("\r")
-    return _line_chunks(text)
+        pos[labels[0].text] += n
+        ne[labels[1].text] += n
+        if labels[2] is ClauseLabel.B_CLS:
+            clauses += n
+    return sentences + last, spaces, pos, ne, clauses
 
 
 def relabel_columnar(text: str, relabel) -> Optional[str]:
@@ -295,7 +294,7 @@ def relabel_columnar(text: str, relabel) -> Optional[str]:
     words: list[str] = []
     labels: list[tuple] = []  # the open paragraph's _TAG_COLUMNS entries
     # A blank line after the last closes the last paragraph.
-    for lines in chain(_clean_line_chunks(text), [[""]]):
+    for lines in chain(_line_chunks(text), [[""]]):
         parts = list(map(str.partition, lines, repeat("\t")))
         chunk_words = list(map(_FIRST, parts))
         chunk_labels = list(map(_TAG_COLUMNS.get, map(_THIRD, parts)))
@@ -321,10 +320,10 @@ def relabel_columnar(text: str, relabel) -> Optional[str]:
     return _refuse_leading_bom("\n".join(blocks))
 
 
-def _line_error(line_no: int, raw: str) -> LineError:
-    """The error of a line that is not blank and missed ``_TAG_COLUMNS`` or
-    has an empty word: its field count, its word, or its first bad column."""
-    fields = raw.removesuffix("\r").split("\t")
+def _line_error(line_no: int, line: str) -> LineError:
+    """The error of a line, as :func:`_line_chunks` gives it, that is not blank
+    and missed ``_TAG_COLUMNS`` or has an empty word: its field count, word or first bad column."""
+    fields = line.split("\t")
     if len(fields) != 4:
         return LineError(line_no, f"expected 4 tab-separated fields, got {len(fields)}")
     word, pos_text, ne_text, clause_text = fields

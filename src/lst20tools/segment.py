@@ -29,10 +29,10 @@ Sentence rules, applied to each adjacent clause pair, merge rules first:
   identical stretches merge, differing stretches split.
 
 Every rule reads a paragraph's columns, its surfaces, POS tags, NE labels
-and space flags, and no Token. ``detect_clauses``, ``aggregate_sentences``
-and ``segment_paragraphs`` read the columns off their tokens; ``lst20
-segment`` takes them from the lines of a clean columnar file and writes the
-labels back into those lines (``format.relabel_columnar``).
+and space flags, and no Token. ``segment_paragraphs`` reads each
+paragraph's columns off its tokens once; ``lst20 segment`` takes them from
+the lines of a clean columnar file and writes the labels back into those
+lines (``format.relabel_columnar``). Both run the same rules on them.
 """
 
 from __future__ import annotations
@@ -351,9 +351,9 @@ def _segment_columns(
     surfaces, pos, ne, spaces, lexicon: Optional[MarkerLexicon] = None
 ) -> tuple[list[ClauseLabel], list[tuple[int, int]]]:
     """One paragraph segmented from its columns, with no Token: each token's
-    new clause label and the half-open token range of each sentence, as
-    :func:`segment_paragraphs` finds them. No rule reads the surface of a
-    white-space token."""
+    new clause label and the half-open token range of each sentence, for
+    :func:`segment_paragraphs` and ``format.relabel_columnar`` alike. No rule
+    reads the surface of a white-space token."""
     lexicon = lexicon or _DEFAULT_LEXICON
     clauses = _clause_spans(surfaces, pos, ne, spaces, lexicon)
     groups = _sentence_spans(clauses, surfaces, pos, spaces, lexicon)
@@ -372,15 +372,13 @@ def segment_paragraphs(
     space between clauses of one sentence is kept with clause label O.
     White space with an NE label is part of a name and always kept.
     """
-    lexicon = lexicon or _DEFAULT_LEXICON
     sentences: list[Sentence] = []
     paragraph_starts: list[int] = []
     for tokens in paragraphs:
+        if not tokens:
+            raise ValueError("paragraph must contain at least one token")
         paragraph_starts.append(len(sentences))
-        clauses = detect_clauses(tokens, lexicon)
-        labels = _clause_labels(len(tokens), clauses)
-        for first, last in aggregate_sentences(clauses, tokens, lexicon):
-            lo, hi = clauses[first][0], clauses[last - 1][1]
-            relabelled = map(_relabelled, tokens[lo:hi], labels[lo:hi])
-            sentences.append(Sentence(tuple(relabelled)))
+        labels, spans = _segment_columns(*_columns(tokens), lexicon)
+        for lo, hi in spans:
+            sentences.append(Sentence(tuple(map(_relabelled, tokens[lo:hi], labels[lo:hi]))))
     return sentences, paragraph_starts

@@ -3,13 +3,12 @@
 "Words" exclude white-space tokens by default (they are separators, not
 words); pass ``include_spaces=True`` to count them in. Named entities and
 clauses are counted by their B-labels, which by BIEO legality is the
-number of spans. Each count and histogram of a document is one C-level
-pass over its tokens, so no Python code runs per token.
+number of spans.
 
-A clean columnar file needs no document: :func:`tally_counts` turns the
-line tally of :func:`format.tally_columnar` into the same counts, with one
-Python step per distinct tag triple. Any other input is read into a
-:class:`Document` and counted by :func:`document_counts`, the reference.
+Only :func:`tally_counts` turns a tally, ``(sentences, white-space tokens,
+POS histogram, NE-label histogram, B_CLS count)``, into counts. A clean
+columnar file is tallied from its distinct lines (``format.tally_columnar``),
+any other input in C-level passes over its tokens (:func:`document_counts`).
 """
 
 from __future__ import annotations
@@ -63,35 +62,26 @@ class CorpusCounts:
 
 
 def document_counts(doc: Document, include_spaces: bool = False) -> CorpusCounts:
-    """Counts and histograms of one document. Each is a C-level pass over its
-    tokens: ``Counter``, ``list.count`` or ``sum`` over an ``attrgetter``."""
+    """Counts and histograms of one document, each item of its tally one C-level
+    pass over its tokens: ``Counter``, ``list.count`` or ``sum`` over an ``attrgetter``."""
     tokens = list(chain.from_iterable(map(attrgetter("tokens"), doc.sentences)))
-    pos = Counter(map(attrgetter("pos.text"), tokens))
-    labels = Counter(map(attrgetter("ne.text"), tokens))
-    ne = Counter({text[2:]: n for text, n in labels.items() if text.startswith("B_")})
-    clauses = list(map(attrgetter("clause"), tokens)).count(ClauseLabel.B_CLS)
-    words = len(tokens)
-    if not include_spaces:
-        words -= sum(map(attrgetter("is_space"), tokens))
-    return CorpusCounts(
-        1, len(doc.sentences), clauses, sum(ne.values()), words, len(tokens), pos, ne
+    tally = (
+        len(doc.sentences),
+        sum(map(attrgetter("is_space"), tokens)),
+        Counter(map(attrgetter("pos.text"), tokens)),
+        Counter(map(attrgetter("ne.text"), tokens)),
+        list(map(attrgetter("clause"), tokens)).count(ClauseLabel.B_CLS),
     )
+    return tally_counts(tally, include_spaces)
 
 
 def tally_counts(tally, include_spaces: bool = False) -> CorpusCounts:
-    """:func:`document_counts` of the document ``format.tally_columnar``
-    tallied as ``(sentences, spaces, tokens per label triple)``."""
-    sentences, spaces, labels = tally
-    pos: Counter = Counter()
-    ne: Counter = Counter()
-    clauses = 0
-    for (pos_tag, ne_label, clause), n in labels:
-        pos[pos_tag.text] += n
-        if ne_label.text.startswith("B_"):
-            ne[ne_label.text[2:]] += n
-        if clause is ClauseLabel.B_CLS:
-            clauses += n
-    tokens = sum(n for _, n in labels)
+    """The counts of a document tallied as ``(sentences, white-space tokens,
+    POS histogram, NE-label histogram, B_CLS count)``: entities per category
+    from the B labels, and tokens as the POS histogram's total."""
+    sentences, spaces, pos, labels, clauses = tally
+    ne = Counter({text[2:]: n for text, n in labels.items() if text.startswith("B_")})
+    tokens = sum(pos.values())
     words = tokens if include_spaces else tokens - spaces
     return CorpusCounts(1, sentences, clauses, sum(ne.values()), words, tokens, pos, ne)
 

@@ -6,10 +6,11 @@ enumeration of slot lengths, its witness alignment by recursive
 backtracking, entity spans and counts by regex span extraction,
 corpus counts straight off the tab-split rows of a columnar file,
 clause spans by cutting at every connector and merging verbless chunks,
-inline parsing by masking every chunk of a sentence before building
-any token, columnar parsing one line at a time over the whole file's
-lines, and linting by the regular expression per layer plus every token
-rule tested on each token and each adjacent pair on its own.
+inline parsing by testing every chunk of a sentence at each layer count,
+from the format's definition and the public label tables alone, before
+building any token, columnar parsing one line at a time over the whole
+file's lines, and linting by the regular expression per layer plus every
+token rule tested on each token and each adjacent pair on its own.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from lst20tools.format import (
     Sentence,
     Token,
     TokenError,
-    _arity_mask,
-    _sentence_mask,
-    _split_sentences,
 )
 from lst20tools.frames import FramePattern, FrameSlot, SlotKind
 from lst20tools.schema import (
@@ -260,26 +258,59 @@ def frame_witness(
     return None if alignment is None else tuple(alignment)
 
 
+#: The label table of each inline field after the surface, in order.
+_INLINE_TABLES = (POS_TAGS, NE_LABELS, CLAUSE_LABELS)
+
+
+def _inline_sentences(text: str) -> list[list[str]]:
+    """The chunks of each sentence of inline text: ``||`` ends a sentence,
+    ``|`` separates its chunks, white space around a chunk is not part of
+    it, and a sentence with no chunk is no sentence."""
+    sentences = []
+    for part in text.split("||"):
+        chunks = [chunk.strip() for chunk in part.split("|")]
+        if any(chunks):
+            sentences.append([chunk for chunk in chunks if chunk])
+    return sentences
+
+
+def _fits(chunk: str, k: int) -> bool:
+    """Whether ``chunk`` reads as ``k`` layers: split at its last ``k - 1``
+    slashes it has ``k`` parts, a non-empty surface and a label of the right
+    table in each later field. The bare glyph fits every count."""
+    if chunk == SPACE_GLYPH:
+        return True
+    parts = chunk.rsplit("/", k - 1)
+    return (
+        len(parts) == k
+        and parts[0] != ""
+        and all(part in table for part, table in zip(parts[1:], _INLINE_TABLES))
+    )
+
+
 def read_inline_two_pass(
     text: str, errors: Optional[list[TokenError]] = None
 ) -> list[Sentence]:
     """Inline parsing in two passes per sentence, with no memo.
 
-    The first pass masks every chunk with the layer counts it fits; a
-    sentence whose chunks share none is a layer-count mismatch, located at
-    the first chunk that fits no count. The second pass builds each token
-    at the sentence's count and stops at the first that raises. Strict and
+    The first pass tests every chunk at each layer count 2, 3 and 4; a
+    sentence reads at the largest count all its chunks fit. When they share
+    none, the sentence is a layer-count mismatch, located at the first chunk
+    that fits no count, else at token 0. The second pass builds each token at
+    the sentence's count and stops at the first that raises. Strict and
     permissive modes follow :func:`lst20tools.format.read_inline`.
     """
     sentences = []
-    for sent_idx, chunks in enumerate(_split_sentences(text.removeprefix("\ufeff"))):
+    for sent_idx, chunks in enumerate(_inline_sentences(text.removeprefix("\ufeff"))):
         failure = None
-        mask = _sentence_mask(chunks)
-        if not mask:
-            bad = next((i for i, c in enumerate(chunks) if not _arity_mask(c)), 0)
+        shared = [k for k in (2, 3, 4) if all(_fits(chunk, k) for chunk in chunks)]
+        if not shared:
+            bad = next(
+                (i for i, c in enumerate(chunks) if not any(_fits(c, k) for k in (2, 3, 4))), 0
+            )
             failure = TokenError(sent_idx, bad, "inconsistent or missing annotation layers")
         else:
-            arity = mask.bit_length() - 1
+            arity = max(shared)
             tokens = []
             for tok_idx, chunk in enumerate(chunks):
                 if chunk == SPACE_GLYPH:  # the bare glyph: a space at any count

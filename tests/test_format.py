@@ -1,14 +1,18 @@
+import ast
 import copy
 import dataclasses
 import pickle
 import random
 from dataclasses import replace
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus_samples
+import oracles
 from oracles import read_columnar_lines, read_inline_two_pass
 from lst20tools import (
     ClauseLabel,
@@ -666,6 +670,35 @@ def test_read_inline_matches_two_pass_reference(pieces, strict):
     text = "".join(piece + separator for piece, separator in pieces)
     got = _read_either_way(read_inline, text, None if strict else [])
     assert got == _read_either_way(read_inline_two_pass, text, None if strict else [])
+
+
+# Chunks at the edges of the layer-count test: an empty surface at each
+# count, a surface of slashes, and the glyph alone, as a surface and beside
+# chunks of each count.
+_LAYER_EDGES = ["/NN", "/NN/O", "/NN/O/O", "//NN", "//NN/O", "a//NN/O/O", SPACE_GLYPH]
+_LAYER_EDGES += [f"{SPACE_GLYPH}/NN/O", "a/NN", "a/NN/O", "a/NN/O/O", "a/O", "a/NN/B_CLS"]
+
+
+def test_read_inline_matches_two_pass_reference_at_layer_edges():
+    # Each edge chunk alone and beside each other one, a sentence apiece.
+    lines = [*_LAYER_EDGES, *map(" | ".join, product(_LAYER_EDGES, repeat=2))]
+    text = "".join(line + " ||\n" for line in lines)
+    got = _read_either_way(read_inline, text, [])
+    assert got == _read_either_way(read_inline_two_pass, text, [])
+
+
+def test_oracles_use_no_private_name_of_the_package():
+    # An oracle built on the package's private helpers shares their faults,
+    # so a test against it could not catch them.
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lst20tools")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private
 
 
 @pytest.mark.parametrize(

@@ -652,3 +652,24 @@ def test_a_token_whose_label_is_unchanged_comes_back_itself():
     sentences, _ = segment_paragraphs([tokens])
     kept = [t for s in sentences for t in s.tokens]
     assert kept and all(any(t is src for src in tokens) for t in kept)
+
+
+def test_segment_paragraphs_reads_each_paragraphs_columns_once(monkeypatch):
+    calls = []
+
+    def counted(tokens):
+        calls.append(tokens)
+        return _columns(tokens)
+
+    monkeypatch.setattr(segment, "_columns", counted)
+    paragraphs = [
+        sentence.tokens
+        for name in corpus_samples.GOLD_FIXTURES
+        for sentence in corpus_samples.load_fixture(name).sentences
+    ]
+    segment_paragraphs(paragraphs)
+    assert len(calls) == len(paragraphs)
+    # An empty paragraph has no columns to segment, and is refused.
+    with pytest.raises(ValueError) as refused:
+        segment_paragraphs([[]])
+    assert str(refused.value) == "paragraph must contain at least one token"

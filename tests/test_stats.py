@@ -24,6 +24,20 @@ from test_format import _READER_LINES, columnar_texts
 from lst20tools.schema import ClauseLabel, PosTag, parse_ne_label
 
 
+def _assert_both_paths_match_column_oracle(doc, include_spaces):
+    """The counts of ``doc`` and of its columnar text's line tally are each
+    what the oracle reads off that text's rows."""
+    text = write_columnar(doc)
+    expected, pos, ne = column_counts(text, include_spaces)
+    for counts in (
+        document_counts(doc, include_spaces),
+        tally_counts(tally_columnar(text), include_spaces),
+    ):
+        assert counts.to_dict() == expected
+        assert counts.pos == pos
+        assert counts.ne == ne
+
+
 class TestCorpusCounts:
     def test_empty_corpus_is_all_zero(self):
         assert CorpusCounts() == CorpusCounts(0, 0, 0, 0, 0, 0)
@@ -81,11 +95,7 @@ class TestCorpusCounts:
         rng = random.Random(41)
         for _ in range(100):
             doc = corpus_samples.random_document(rng, max_sentences=8, max_tokens=30)
-            counts = document_counts(doc, include_spaces)
-            expected, pos, ne = column_counts(write_columnar(doc), include_spaces)
-            assert counts.to_dict() == expected
-            assert counts.pos == pos
-            assert counts.ne == ne
+            _assert_both_paths_match_column_oracle(doc, include_spaces)
 
     @pytest.mark.parametrize("include_spaces", [False, True])
     @pytest.mark.parametrize(
@@ -100,11 +110,7 @@ class TestCorpusCounts:
     )
     def test_edge_cases_match_column_oracle(self, sentences, include_spaces):
         doc = Document("d", tuple(Sentence(tuple(tokens)) for tokens in sentences))
-        counts = document_counts(doc, include_spaces)
-        expected, pos, ne = column_counts(write_columnar(doc), include_spaces)
-        assert counts.to_dict() == expected
-        assert counts.pos == pos
-        assert counts.ne == ne
+        _assert_both_paths_match_column_oracle(doc, include_spaces)
 
 
 class TestGenreHistogram:
@@ -187,14 +193,16 @@ def test_space_tokens_do_not_count_as_words():
     assert counts.words == 2 and counts.tokens == 3
 
 
-# A clean columnar file is counted from its lines (format.tally_columnar and
-# stats.tally_counts); any other is read into a Document and counted by
-# document_counts, the reference these tests hold the line tally to.
+# A clean columnar file is tallied from its lines (format.tally_columnar);
+# any other is read into a Document and tallied by document_counts (the
+# reference path below), and stats.tally_counts counts both tallies. These
+# tests hold the line tally to the reader: it is declined exactly where the
+# reader reports an error, and otherwise counts as the reader's Document does.
 
 
 def _assert_tally_is_the_reference(text):
     """The tally is declined exactly when the reader reports an error, and
-    otherwise gives the reference's counts."""
+    otherwise gives the counts of the reader's Document."""
     errors = []
     doc = read_columnar(text, "d", errors=errors)
     tally = tally_columnar(text)
