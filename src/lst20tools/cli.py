@@ -215,8 +215,16 @@ def _cmd_validate(args) -> int:
         # One file's read, lint and write, so nothing of it is alive while
         # the next file is read.
         nonlocal had_errors, sep
-        doc, errors = _parse_document(_read_text(path), path, args.informat, args.strict)
-        report = validate_mod.lint_document(doc, extra=[_format_issue(e) for e in errors])
+        if args.informat == FORMAT_COLUMNAR:  # linted from its columns, with no Token
+            errors: list = []
+            records = fmt.columnar_records(_read_text(path), None if args.strict else errors)
+            try:
+                report = validate_mod.lint_records(records, map(_format_issue, errors))
+            except fmt.LineError as exc:
+                raise _BadInput(f"{path.name}: {exc}") from None
+        else:
+            doc, errors = _parse_document(_read_text(path), path, args.informat, args.strict)
+            report = validate_mod.lint_document(doc, extra=[_format_issue(e) for e in errors])
         had_errors |= report.error_count > 0
         if not args.json:
             out.write(format_report(report, path.name))

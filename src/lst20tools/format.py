@@ -277,46 +277,61 @@ def tally_columnar(text: str) -> Optional[tuple[int, int, Counter, Counter, int]
     return sentences + last, spaces, pos, ne, clauses
 
 
-def relabel_columnar(text: str, relabel) -> Optional[str]:
-    """A clean columnar file (see :func:`tally_columnar`) with new clause
-    labels, made from its lines with no Token; None for any other file, which
-    :func:`read_columnar` reads and reports.
-
-    ``relabel(words, pos, ne, spaces)`` takes the columns of one paragraph,
-    each sentence :func:`read_columnar` would read (the word of a white-space
-    token is ``_``), and returns each token's new clause label and the
-    half-open token range of each sentence to write. An output line is the
-    input line's word, POS and NE columns, as they were, and its new label,
-    and sentences are laid out and refused as by :func:`write_columnar`. A
-    chunk of lines is parsed at a time in C-level passes, none per line.
-    """
-    blocks = []
-    words: list[str] = []
-    labels: list[tuple] = []  # the open paragraph's _TAG_COLUMNS entries
-    # A blank line after the last closes the last paragraph.
-    for lines in chain(_line_chunks(text), [[""]]):
+def columnar_records(text: str, errors: Optional[list[LineError]] = None) -> Iterator[tuple]:
+    """Each input sentence of a columnar file, a run of lines between blank
+    lines, as its number from 0, words (``_`` for a white-space token), lines'
+    ``_TAG_COLUMNS`` entries and space flags. Bad lines are left out, reported
+    as by :func:`read_columnar`; a sentence of only bad lines keeps its number
+    but is not yielded. Lines are parsed a chunk at a time in C-level passes,
+    and one by one only in a chunk that holds a bad line."""
+    number = line_no = 0
+    words, labels, started = [], [], False  # started: the open sentence has a line
+    for lines in chain(_line_chunks(text), [[""]]):  # a blank line closes the last sentence
         parts = list(map(str.partition, lines, repeat("\t")))
         chunk_words = list(map(_FIRST, parts))
         chunk_labels = list(map(_TAG_COLUMNS.get, map(_THIRD, parts)))
         blanks = list(compress(count(), map(not_, lines)))
+        good = None  # which lines are token lines, in a chunk with a bad line
         # A blank line has no word and no tags; any other line without them is bad.
         if chunk_labels.count(None) > len(blanks) or chunk_words.count("") > len(blanks):
-            return None
+            good = list(map(all, zip(chunk_words, chunk_labels)))
+            for i, line in enumerate(lines):
+                if line and not good[i]:
+                    _fail(_line_error(line_no + i + 1, line), errors)
+        line_no += len(lines)
         start = 0
-        for blank in blanks:
-            words += chunk_words[start:blank]
-            labels += chunk_labels[start:blank]
-            start = blank + 1
-            if words:
-                pos, ne, tails = (list(map(get, labels)) for get in (_FIRST, _SECOND, _FOURTH))
-                spaces = list(map(eq, words, repeat(COLUMNAR_SPACE)))
-                clauses, sentences = relabel(words, pos, ne, spaces)
-                for lo, hi in sentences:
-                    pieces = zip(words[lo:hi], tails[lo:hi], map(_TEXT, clauses[lo:hi]), repeat("\n"))
-                    blocks.append("".join(chain.from_iterable(pieces)))
-                words, labels = [], []
-        words += chunk_words[start:]
-        labels += chunk_labels[start:]
+        for end in chain(blanks, [None]):  # None: the chunk's last lines, left open
+            run = slice(start, end)  # the chunk's lines of the open sentence
+            words += chunk_words[run] if good is None else compress(chunk_words[run], good[run])
+            labels += chunk_labels[run] if good is None else compress(chunk_labels[run], good[run])
+            if end is None:
+                break
+            if started or end > start:
+                if words:
+                    yield number, words, labels, list(map(eq, words, repeat(COLUMNAR_SPACE)))
+                    words, labels = [], []
+                number, started = number + 1, False
+            start = end + 1
+        started = lines[-1] != ""
+
+
+def relabel_columnar(text: str, relabel) -> Optional[str]:
+    """A clean columnar file (see :func:`tally_columnar`) with new clause
+    labels, made from its :func:`columnar_records`; None for any other file.
+    ``relabel(words, pos, ne, spaces)`` takes a paragraph's columns and gives
+    each token's new label and each sentence's half-open token range. A line
+    keeps its word, POS and NE as they were, and sentences are laid out and
+    refused as by :func:`write_columnar`."""
+    blocks = []
+    try:
+        for _, words, labels, spaces in columnar_records(text):
+            pos, ne, tails = (list(map(get, labels)) for get in (_FIRST, _SECOND, _FOURTH))
+            clauses, sentences = relabel(words, pos, ne, spaces)
+            for lo, hi in sentences:
+                pieces = zip(words[lo:hi], tails[lo:hi], map(_TEXT, clauses[lo:hi]), repeat("\n"))
+                blocks.append("".join(chain.from_iterable(pieces)))
+    except LineError:  # strict mode: the first bad line gives up
+        return None
     return _refuse_leading_bom("\n".join(blocks))
 
 

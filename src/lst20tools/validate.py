@@ -12,8 +12,9 @@ import re
 import string
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from operator import attrgetter
-from typing import Optional
+from typing import Iterable, Optional
 
 from .format import Document, Sentence
 from .schema import PosTag, scan_boundaries
@@ -78,34 +79,47 @@ def _violation_issues(violations, code_prefix, layer, sentence_idx) -> list[Lint
     ]
 
 
+# Each lint rule takes a sentence's columns, never its tokens: words (any text
+# for a white-space token), POS tags, NE and clause labels and space flags.
+# The validators read them off tokens; "labels" reads a token's three labels.
+_COLUMNS = {name: attrgetter(name) for name in ("surface", "pos", "ne", "clause", "is_space")}
+_COLUMNS["labels"] = attrgetter("pos", "ne", "clause")
+
+
+def _columns(sentence: Sentence, *names: str) -> list[list]:
+    return [list(map(_COLUMNS[name], sentence.tokens)) for name in names]
+
+
+def _ne_rule(ne, sentence_idx) -> list[LintIssue]:
+    return _violation_issues(scan_boundaries(ne)[0], "NE", LAYER_NE, sentence_idx)
+
+
+def _clause_rule(clauses, poses, sentence_idx) -> list[LintIssue]:
+    violations, spans = scan_boundaries(clauses)
+    issues = _violation_issues(violations, "CLS", LAYER_CLS, sentence_idx)
+    issues += [
+        LintIssue(Severity.WARNING, "CLS_SINGLETON", "single-token clause (lone B_CLS)",
+                  sentence_idx, start, LAYER_CLS)
+        for start, end in spans
+        if end - start == 1
+    ]
+    issues += [
+        LintIssue(Severity.WARNING, "CLS_NO_VERB", "clause contains no verb",
+                  sentence_idx, start, LAYER_CLS)
+        for start, end in spans
+        if PosTag.VV not in poses[start:end]
+    ]
+    return issues
+
+
 def validate_ne_sequence(sentence: Sentence, sentence_idx: int = 0) -> list[LintIssue]:
     """BIEO legality of the NE layer. Lone B is a legal single-token entity."""
-    violations, _ = scan_boundaries([t.ne for t in sentence.tokens])
-    return _violation_issues(violations, "NE", LAYER_NE, sentence_idx) if violations else []
+    return _ne_rule(*_columns(sentence, "ne"), sentence_idx)
 
 
-def validate_clause_sequence(
-    sentence: Sentence, sentence_idx: int = 0
-) -> list[LintIssue]:
+def validate_clause_sequence(sentence: Sentence, sentence_idx: int = 0) -> list[LintIssue]:
     """Clause-layer legality plus the verb-content and singleton warnings."""
-    tokens = sentence.tokens
-    violations, spans = scan_boundaries([t.clause for t in tokens])
-    issues = _violation_issues(violations, "CLS", LAYER_CLS, sentence_idx) if violations else []
-    if spans:
-        poses = [t.pos for t in tokens]
-        issues += [
-            LintIssue(Severity.WARNING, "CLS_SINGLETON", "single-token clause (lone B_CLS)",
-                      sentence_idx, start, LAYER_CLS)
-            for start, end in spans
-            if end - start == 1
-        ]
-        issues += [
-            LintIssue(Severity.WARNING, "CLS_NO_VERB", "clause contains no verb",
-                      sentence_idx, start, LAYER_CLS)
-            for start, end in spans
-            if PosTag.VV not in poses[start:end]
-        ]
-    return issues
+    return _clause_rule(*_columns(sentence, "clause", "pos"), sentence_idx)
 
 
 _URL = re.compile(r"^(?:https?://|www\.)[\x21-\x7e]*$").match
@@ -114,23 +128,21 @@ _ASCII_PUNCT = frozenset(string.punctuation)
 _HAS_WHITESPACE = re.compile(r"\s").search
 
 
-def validate_token_tags(sentence: Sentence, sentence_idx: int = 0) -> list[LintIssue]:
-    """Token-level rules: space POS, split URLs, split punctuation runs."""
+def _token_rule(words, poses, spaces, sentence_idx) -> list[LintIssue]:
     issues: list[LintIssue] = []
     pairs: list[LintIssue] = []  # URL_SPLIT and PUNCT_RUN_SPLIT, which follow the rest
     # Whether the previous token is a URL head or a punctuation mark; a space
     # token is neither, so no pair check spans one.
     head = punct = False
     prev = ""
-    for i, token in enumerate(sentence.tokens):
-        if token.is_space:
-            if token.pos is not PosTag.PU:
+    for i, surface in enumerate(words):
+        if spaces[i]:
+            if poses[i] is not PosTag.PU:
                 issues.append(LintIssue(Severity.ERROR, "SPACE_NOT_PU",
-                                        f"white-space token tagged {token.pos} instead of PU",
+                                        f"white-space token tagged {poses[i]} instead of PU",
                                         sentence_idx, i, LAYER_POS))
             head = punct = False
             continue
-        surface = token.surface
         # White space other than " " is never printable: most surfaces are
         # cleared by two C calls instead of a regex search.
         if (" " in surface or not surface.isprintable()) and _HAS_WHITESPACE(surface):
@@ -157,6 +169,11 @@ def validate_token_tags(sentence: Sentence, sentence_idx: int = 0) -> list[LintI
     return issues + pairs
 
 
+def validate_token_tags(sentence: Sentence, sentence_idx: int = 0) -> list[LintIssue]:
+    """Token-level rules: space POS, split URLs, split punctuation runs."""
+    return _token_rule(*_columns(sentence, "surface", "pos", "is_space"), sentence_idx)
+
+
 def _sort_key(issue: LintIssue):
     return (
         issue.sentence if issue.sentence is not None else -1,
@@ -170,10 +187,21 @@ def lint_document(doc: Document, extra: Optional[list[LintIssue]] = None) -> Lin
 
     ``extra`` lets callers merge in FORMAT_* issues collected while parsing.
     """
-    issues: list[LintIssue] = list(extra) if extra else []
-    for idx, sentence in enumerate(doc.sentences):
-        issues += validate_ne_sequence(sentence, idx)
-        issues += validate_clause_sequence(sentence, idx)
-        issues += validate_token_tags(sentence, idx)
+    numbered = enumerate(doc.sentences)
+    records = ((i, *_columns(s, "surface", "labels", "is_space")) for i, s in numbered)
+    return lint_records(records, extra or ())
+
+
+def lint_records(records, extra: Iterable[LintIssue] = ()) -> LintReport:
+    """:func:`lint_document` on ``(index, words, labels, spaces)`` records, as
+    ``format.columnar_records`` gives them: a token's labels start with its
+    POS, NE and clause. ``extra`` is read after the last record."""
+    issues: list[LintIssue] = []
+    for idx, words, labels, spaces in records:
+        poses, ne, clauses = islice(zip(*labels), 3)
+        issues += _ne_rule(ne, idx)
+        issues += _clause_rule(clauses, poses, idx)
+        issues += _token_rule(words, poses, spaces, idx)
+    issues += extra
     issues.sort(key=_sort_key)
     return LintReport(tuple(issues))

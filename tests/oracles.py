@@ -9,7 +9,7 @@ clause spans by cutting at every connector and merging verbless chunks,
 inline parsing by testing every chunk of a sentence at each layer count,
 from the format's definition and the public label tables alone, before
 building any token, columnar parsing one line at a time over the whole
-file's lines, and linting by the regular expression per layer plus every
+file's lines, input sentences as runs of non-blank lines, and linting by the regular expression per layer plus every
 token rule tested on each token and each adjacent pair on its own.
 """
 
@@ -382,6 +382,22 @@ def read_columnar_lines(
         sentences.append(Sentence(tuple(current)))
     return sentences
 
+
+
+def columnar_input_sentences(text: str) -> list[str]:
+    """The text of each input sentence of a columnar file, in order: a run of
+    lines that are not blank once a final CR is dropped, between blank lines,
+    counted whether or not any of its lines parses."""
+    blocks, current = [], []
+    for raw in text.removeprefix("\ufeff").split("\n"):
+        if raw.removesuffix("\r"):
+            current.append(raw)
+        elif current:
+            blocks.append("\n".join(current))
+            current = []
+    if current:
+        blocks.append("\n".join(current))
+    return blocks
 
 _URL_HEADS = ("http://", "https://", "www.")
 _PRINTABLE_ASCII = frozenset(map(chr, range(0x21, 0x7F)))

@@ -60,6 +60,9 @@ def test_every_hook_records_its_work_through_the_cli(tmp_path, capsys):
         ["validate", "--json", str(fixtures)],
         ["convert", "--to", "inline", glimpse, "-o", inline],
         ["convert", "--from", "inline", "--to", "columnar", inline, "-o", str(tmp_path / "back.txt")],
+        # Columnar input is linted from its columns; inline input still goes
+        # through validate.lint_document.
+        ["validate", "--from", "inline", inline],
         ["segment", glimpse, "-o", str(tmp_path / "seg.txt")],
         # A clean columnar file is segmented from its lines; inline input
         # still goes through segment.segment_paragraphs.

@@ -35,7 +35,9 @@ from lst20tools import format as format_module
 from lst20tools import segment as segment_module
 from lst20tools.cli import _format_issue, _json_entries, format_report, main
 from lst20tools.format import inline_layer_count
+from oracles import columnar_input_sentences, lint_oracle, read_columnar_lines
 from test_format import BOM, columnar_texts
+from test_validate import _oracle_view
 
 
 @pytest.fixture
@@ -1316,3 +1318,118 @@ class TestJsonBytes:
         assert capsys.readouterr().out == "[]\n"
         assert main([*argv, str(path), str(empty)]) == 1
         assert capsys.readouterr().out == self._dumps(report.issues, path.name) + "\n"
+
+
+# Columnar validate lints each input sentence from its columns
+# (format.columnar_records and validate.lint_records), with no Token.
+
+
+class TestValidateFromColumns:
+    def test_a_sentence_of_bad_lines_keeps_its_number(self, tmp_path, capsys):
+        path = tmp_path / "d.txt"
+        path.write_text("ก\tNN\tO\tO\n\nbroken\n\nข\tNN\tI_PER\tO\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "d.txt:2:0: error NE_ORPHAN_I [NE] I-label with no open span"
+        )
+        assert main(["validate", "--json", str(path)]) == 1
+        entries = json.loads(capsys.readouterr().out)
+        assert [(e["code"], e["sentence"], e["token"]) for e in entries] == [
+            ("FORMAT_LINE", None, None), ("NE_ORPHAN_I", 2, 0),
+        ]
+
+    def test_a_token_index_counts_the_parsed_tokens(self, tmp_path, capsys):
+        path = tmp_path / "d.txt"
+        path.write_text("a\tNN\tO\tO\nb\tQQ\tO\tO\nc\tNN\tI_PER\tO\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert "d.txt:0:1: error NE_ORPHAN_I" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", _FIXTURE_NAMES)
+    def test_fixture_report_is_lint_document(self, name):
+        from lst20tools.validate import lint_records
+
+        text = corpus_samples.fixture_text(name)
+        report = lint_records(format_module.columnar_records(text))
+        assert report == lint_document(read_columnar(text))
+
+
+_DAMAGE = (
+    "drop-field", "add-field", "unknown-pos", "unknown-ne", "bad-clause", "empty-word",
+    "cr-in-word", "cr-end", "blanks-line", "blank-line", "bad-sentence",
+    "orphan-ne", "orphan-clause", "url-head", "punct", "space-nn", "space-in-word",
+)
+
+
+@st.composite
+def damaged_columnar_texts(draw):
+    """A random document's columnar text with lines damaged as files come: a
+    field dropped or added, an unknown tag or label, an empty word, a CR in a
+    word or at a line's end, a line of blanks, a blank line, a sentence of
+    bad lines, and good lines that the lint rules flag; then maybe a BOM."""
+    rng = draw(st.randoms(use_true_random=False))
+    doc = corpus_samples.random_document(rng, max_sentences=5, max_tokens=6)
+    lines = write_columnar(doc).split("\n")
+    for kind in draw(st.lists(st.sampled_from(_DAMAGE), max_size=6)):
+        at = draw(st.integers(0, len(lines) - 1))
+        fields = lines[at].split("\t")
+        edits = {
+            "drop-field": fields[:-1],
+            "add-field": fields + ["O"],
+            "unknown-pos": fields[:1] + ["QQ"] + fields[2:],
+            "unknown-ne": fields[:2] + ["B_XYZ"] + fields[3:],
+            "bad-clause": fields[:3] + ["b_cls"],
+            "empty-word": [""] + fields[1:],
+            "cr-in-word": [fields[0] + "\r"] + fields[1:],
+            "cr-end": fields[:-1] + [fields[-1] + "\r"],
+            "orphan-ne": fields[:2] + ["I_PER"] + fields[3:],
+            "orphan-clause": fields[:3] + ["E_CLS"],
+            "url-head": ["http://x.th"] + fields[1:],
+            "punct": ["!"] + fields[1:],
+            "space-nn": ["_", "NN"] + fields[2:],
+            "space-in-word": ["ก ข"] + fields[1:],
+        }
+        if kind in edits:
+            lines[at] = "\t".join(edits[kind])
+        else:
+            lines[at:at] = {"blanks-line": [" \t "], "blank-line": [""],
+                            "bad-sentence": ["", "broken", "a\tQQ\tO\tO", ""]}[kind]
+    return draw(st.sampled_from(["", BOM])) + "\n".join(lines)
+
+
+def _oracle_report(text: str):
+    """The oracles' FORMAT_LINE line numbers and lint triples of ``text``, each
+    input sentence read and linted on its own at its input number, and the
+    first bad line's error, or None."""
+    errors = []
+    read_columnar_lines(text, errors)
+    triples = set()
+    for number, block in enumerate(columnar_input_sentences(text)):
+        triples |= {(number, t, code) for _, t, code in lint_oracle(read_columnar_lines(block, []))}
+    return [e.line_no for e in errors], triples, (errors[0] if errors else None)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damaged_columnar_texts(), st.integers(0, 40))
+def test_validate_columns_against_the_oracles(tmp_path, capsys, text, chunk_chars):
+    path = tmp_path / "d.txt"
+    path.write_bytes(text.encode("utf-8"))
+    bad_lines, triples, first = _oracle_report(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
+        code = main(["validate", "--json", str(path)])
+        entries = json.loads(capsys.readouterr().out)
+        strict_code = main(["validate", "--strict", str(path)])
+        strict = capsys.readouterr()
+    lines = [int(e["message"].split(":")[0].removeprefix("line "))
+             for e in entries if e["code"] == "FORMAT_LINE"]
+    assert lines == bad_lines
+    issues = tuple(
+        LintIssue(Severity(e["severity"]), e["code"], e["message"], e["sentence"], e["token"], e["layer"])
+        for e in entries if e["code"] != "FORMAT_LINE"
+    )
+    assert _oracle_view(LintReport(issues)) == triples
+    assert code == (1 if any(e["severity"] == "error" for e in entries) else 0)
+    if first is None:
+        assert strict_code == code
+    else:
+        assert (strict_code, strict.out, strict.err) == (1, "", f"d.txt: {first}\n")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import corpus_samples
 import oracles
-from oracles import read_columnar_lines, read_inline_two_pass
+from oracles import columnar_input_sentences, read_columnar_lines, read_inline_two_pass
 from lst20tools import (
     ClauseLabel,
     Document,
@@ -550,6 +550,34 @@ def test_read_columnar_matches_line_at_a_time_reference(text, strict, chunk_char
         patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
         got = _read_columnar_either_way(chunked, text, None if strict else [])
     assert got == _read_columnar_either_way(read_columnar_lines, text, None if strict else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(columnar_texts(), st.booleans(), st.integers(0, 40))
+def test_columnar_records_are_the_sentences_read_by_input_number(text, strict, chunk_chars):
+    # Each record is one sentence the line-at-a-time reference reads, as its
+    # words, labels and space flags, numbered by its input sentence, a run of
+    # bad lines included; the errors, or the first one raised, are the
+    # reference's.
+    def records(text, errors):
+        return [
+            (number, words, [entry[:3] for entry in entries], spaces)
+            for number, words, entries, spaces in format_module.columnar_records(text, errors)
+        ]
+
+    def reference(text, errors):
+        read_columnar_lines(text, errors)
+        return [
+            (number, ["_" if t.is_space else t.surface for t in s.tokens],
+             [(t.pos, t.ne, t.clause) for t in s.tokens], [t.is_space for t in s.tokens])
+            for number, block in enumerate(columnar_input_sentences(text))
+            for s in read_columnar_lines(block, [])
+        ]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
+        got = _read_columnar_either_way(records, text, None if strict else [])
+    assert got == _read_columnar_either_way(reference, text, None if strict else [])
 
 
 def _assert_tokens_as_if_constructed(text):
