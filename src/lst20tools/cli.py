@@ -14,7 +14,9 @@ import functools
 import os
 import stat
 import sys
-from collections import Counter
+from collections import Counter, deque
+from itertools import compress
+from operator import not_
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -133,18 +135,45 @@ def _one_input(args, name: str) -> Path:
     return inputs[0]
 
 
+@contextlib.contextmanager
+def _located(path: Path):
+    """Report a reader's error under ``--strict``, or a writer's refusal, as ``name: reason``."""
+    try:
+        yield
+    except fmt.FormatError as exc:
+        raise _BadInput(f"{path.name}: {exc}") from None
+
+
 def _parse_document(text: str, path: Path, informat: str, strict: bool):
     """Parse one input file; returns (Document, the readers' LineError/TokenError list)."""
     errors: Optional[list] = None if strict else []
-    try:
+    with _located(path):
         if informat == FORMAT_COLUMNAR:
             doc = fmt.read_columnar(text, path.name, errors=errors)
         else:
-            sentences = fmt.read_inline(text, errors=errors)
-            doc = Document(path.name, tuple(sentences))
-    except fmt.FormatError as exc:
-        raise _BadInput(f"{path.name}: {exc}") from None
+            doc = Document(path.name, tuple(fmt.read_inline(text, errors=errors)))
     return doc, errors or []
+
+
+def _from_records(text: str, path: Path, args, consume, *rest):
+    """``consume(records, *rest)`` of the input's records (``columnar_records``, or
+    ``sentence_records`` of ``read_inline``'s sentences) and the exit status of the bad
+    lines or sentences, printed as by :func:`_print_format_issues`. After a WriteError the
+    rest of the records is read, so that every bad line is reported before the refusal."""
+    errors: Optional[list] = None if args.strict else []
+    with _located(path):
+        if args.informat == FORMAT_COLUMNAR:
+            records = fmt.columnar_records(text, errors)
+        else:
+            records = fmt.sentence_records(fmt.read_inline(text, errors=errors))
+        try:
+            result = consume(records, *rest)
+        except fmt.WriteError:
+            deque(records, maxlen=0)  # under --strict, a later bad line is reported instead
+            raise
+        finally:
+            status = _print_format_issues(path, errors or ())
+    return result, status
 
 
 def _format_issue(err: fmt.FormatError) -> LintIssue:
@@ -188,15 +217,13 @@ def _same_file(target: os.stat_result, path: Path) -> bool:
         return False
 
 
-def _serialize(path: Path, doc: Document, outformat: str, layers: int = 4) -> str:
+def _serialize(path: Path, doc: Document, outformat: str) -> str:
     """``doc`` written in ``outformat``. What that format cannot represent is
     reported as ``name: reason``, with exit 1."""
-    try:
+    with _located(path):
         if outformat == FORMAT_COLUMNAR:
             return fmt.write_columnar(doc)
-        return fmt.write_inline(doc.sentences, layers)
-    except fmt.WriteError as exc:
-        raise _BadInput(f"{path.name}: {exc}") from None
+        return fmt.write_inline(doc.sentences)
 
 
 def _write(output, text: str) -> None:
@@ -218,10 +245,8 @@ def _cmd_validate(args) -> int:
         if args.informat == FORMAT_COLUMNAR:  # linted from its columns, with no Token
             errors: list = []
             records = fmt.columnar_records(_read_text(path), None if args.strict else errors)
-            try:
+            with _located(path):
                 report = validate_mod.lint_records(records, map(_format_issue, errors))
-            except fmt.LineError as exc:
-                raise _BadInput(f"{path.name}: {exc}") from None
         else:
             doc, errors = _parse_document(_read_text(path), path, args.informat, args.strict)
             report = validate_mod.lint_document(doc, extra=[_format_issue(e) for e in errors])
@@ -248,15 +273,17 @@ def _cmd_validate(args) -> int:
 
 def _cmd_convert(args) -> int:
     """Both formats keep all four layers: inline input defaults missing ones
-    to O. Inline to inline keeps the input's layer count."""
+    to O. Inline to inline keeps the input's layer count. Inline text is
+    written from the input's records, columnar text from its Document."""
     path = _one_input(args, "convert")
     text = _read_text(path)
-    doc, errors = _parse_document(text, path, args.informat, args.strict)
-    status = _print_format_issues(path, errors)
-    layers = 4
-    if args.informat == args.outformat == FORMAT_INLINE:
-        layers = fmt.inline_layer_count(text)
-    output = _serialize(path, doc, args.outformat, layers)
+    if args.outformat == FORMAT_INLINE:
+        layers = fmt.inline_layer_count(text) if args.informat == FORMAT_INLINE else 4
+        output, status = _from_records(text, path, args, fmt.write_inline_records, layers)
+    else:
+        doc, errors = _parse_document(text, path, args.informat, args.strict)
+        status = _print_format_issues(path, errors)
+        output = _serialize(path, doc, args.outformat)
     _write(_open_output(args, [path]), output)
     return status
 
@@ -273,22 +300,17 @@ def _load_lexicon(args) -> Optional[MarkerLexicon]:
 def _segment_file(path: Path, args) -> tuple[str, int]:
     """The segmented output of one input and its exit status so far.
 
-    A clean columnar file written back as columnar is segmented from its
-    lines (``format.relabel_columnar``); any other input goes through the
-    readers, ``segment_paragraphs`` and the writers. The input is gone on
-    return, so it is not alive while the output is written."""
+    Columnar input written back as columnar is segmented from its records
+    (``format.relabel_columnar``); any other input goes through the readers,
+    ``segment_paragraphs`` and the writers. The input is gone on return, so
+    it is not alive while the output is written."""
     from . import segment as segment_mod
 
     lexicon = _load_lexicon(args)
     text = _read_text(path)
     if args.informat == args.outformat == FORMAT_COLUMNAR:
         relabel = functools.partial(segment_mod._segment_columns, lexicon=lexicon)
-        try:
-            output = fmt.relabel_columnar(text, relabel)
-        except fmt.WriteError as exc:
-            raise _BadInput(f"{path.name}: {exc}") from None
-        if output is not None:
-            return output, EXIT_OK
+        return _from_records(text, path, args, fmt.relabel_columnar, relabel)
     doc, errors = _parse_document(text, path, args.informat, args.strict)
     del text
     status = _print_format_issues(path, errors)
@@ -307,7 +329,8 @@ def _cmd_segment(args) -> int:
 
 def _count_file(path: Path, args) -> tuple[CorpusCounts, int]:
     """One file's counts and format-error count. A clean columnar file is
-    counted from its lines; any other is read into a Document, gone on return."""
+    counted from its lines, any other columnar file from its records; inline
+    input is read into a Document, gone on return."""
     from . import stats as stats_mod
 
     text = _read_text(path)
@@ -315,6 +338,10 @@ def _count_file(path: Path, args) -> tuple[CorpusCounts, int]:
         tally = fmt.tally_columnar(text)
         if tally is not None:
             return stats_mod.tally_counts(tally, args.include_spaces), 0
+        errors: Optional[list] = None if args.strict else []
+        records = fmt.columnar_records(text, errors)
+        with _located(path):  # the records are all read before the errors are counted
+            return stats_mod.records_counts(records, args.include_spaces), len(errors or ())
     doc, errors = _parse_document(text, path, args.informat, args.strict)
     return stats_mod.document_counts(doc, args.include_spaces), len(errors)
 
@@ -377,24 +404,26 @@ def _cmd_frames(args) -> int:
     if args.frames_command == "dump":
         _write(_open_output(args, [], args.frames), frames_mod.dump_frameset(frameset))
         return EXIT_OK
-    # frames check
+    # frames check: each usage is located by its input sentence number and
+    # its index among the sentence's tokens that are not white space.
     path = _one_input(args, "frames check")
-    doc, errors = _parse_document(_read_text(path), path, args.informat, args.strict)
-    status = _print_format_issues(path, errors)
     matched_ids: set[str] = set()
-    lines = []
-    for s_idx, sentence in enumerate(doc.sentences):
-        content = [t for t in sentence.tokens if not t.is_space]
-        pos_sequence = [t.pos for t in content]
-        for c_idx, token in enumerate(content):
-            if token.surface != args.word:
-                continue
-            matched = frames_mod.classify_instance(pos_sequence, c_idx, frameset)
-            matched_ids |= matched
-            lines.append(
-                f"sentence {s_idx}, token {c_idx}: "
-                + (" ".join(sorted(matched)) if matched else "-")
-            )
+
+    def usages(records) -> list[str]:
+        lines = []
+        for number, words, labels, spaces in records:
+            if args.word in words:  # a C-level test that most sentences fail
+                kept = list(map(not_, spaces))
+                content = list(compress(words, kept))
+                tags = list(compress(map(fmt._FIRST, labels), kept))  # the POS column
+                for index in [i for i, word in enumerate(content) if word == args.word]:
+                    matched = frames_mod.classify_instance(tags, index, frameset)
+                    matched_ids.update(matched)
+                    ids = " ".join(sorted(matched)) or "-"
+                    lines.append(f"sentence {number}, token {index}: {ids}")
+        return lines
+
+    lines, status = _from_records(_read_text(path), path, args, usages)
     classes = frames_mod.classify_lexeme(matched_ids)
     if not lines:
         lines.append(f"no occurrences of {args.word!r}")
@@ -410,16 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Validate, convert, segment and count LST20-style annotated Thai text.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    formats = (FORMAT_COLUMNAR, FORMAT_INLINE)
 
     def add_common(p, many_inputs=False):
         nargs = "+" if many_inputs else 1
         p.add_argument("inputs", nargs=nargs, metavar="PATH")
-        p.add_argument(
-            "--from",
-            dest="informat",
-            choices=(FORMAT_COLUMNAR, FORMAT_INLINE),
-            default=FORMAT_COLUMNAR,
-        )
+        p.add_argument("--from", dest="informat", choices=formats, default=FORMAT_COLUMNAR)
         p.add_argument("--strict", action="store_true", help="abort on the first parse error")
         p.add_argument("-o", "--output", default=None, help="write data here instead of stdout")
 
@@ -430,12 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_convert = sub.add_parser("convert", help="convert between columnar and inline")
     add_common(p_convert)
-    p_convert.add_argument(
-        "--to",
-        dest="outformat",
-        choices=(FORMAT_COLUMNAR, FORMAT_INLINE),
-        required=True,
-    )
+    p_convert.add_argument("--to", dest="outformat", choices=formats, required=True)
     p_convert.set_defaults(func=_cmd_convert)
 
     p_segment = sub.add_parser(
@@ -444,12 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(each input sentence block or line is treated as a paragraph)",
     )
     add_common(p_segment)
-    p_segment.add_argument(
-        "--to",
-        dest="outformat",
-        choices=(FORMAT_COLUMNAR, FORMAT_INLINE),
-        default=FORMAT_COLUMNAR,
-    )
+    p_segment.add_argument("--to", dest="outformat", choices=formats, default=FORMAT_COLUMNAR)
     p_segment.add_argument("--lexicon", default=None, help="marker lexicon config file")
     p_segment.set_defaults(func=_cmd_segment)
 
@@ -458,9 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--manifest", default=None, help="document-id to genre map")
     p_stats.add_argument("--json", action="store_true")
     p_stats.add_argument(
-        "--include-spaces",
-        action="store_true",
-        help="count white-space tokens as words",
+        "--include-spaces", action="store_true", help="count white-space tokens as words"
     )
     p_stats.set_defaults(func=_cmd_stats)
 

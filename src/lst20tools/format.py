@@ -78,11 +78,10 @@ class Token:
     clause: ClauseLabel = ClauseLabel.O
     is_space: bool = False
 
-    # Every command builds a Token per line it reads; writing the slots
-    # directly skips the generated frozen __init__'s object.__setattr__ calls.
-    # read_columnar writes them itself, without the checks its line format
-    # already guarantees, and so does _relabelled below, whose input tokens
-    # passed them; a test of each fails if it bypasses one added here.
+    # Writing the slots directly skips the generated frozen __init__'s
+    # object.__setattr__ calls. _relabelled below writes them itself, without
+    # the checks its input tokens passed; a test fails if it bypasses one
+    # added here.
     def __init__(self, surface, pos, ne=NE_OUTSIDE, clause=ClauseLabel.O, is_space=False):
         if not surface:
             raise ValueError("token surface must be non-empty")
@@ -107,9 +106,8 @@ _new_token = object.__new__  # a Token with no slot set, for the writes above
 
 def _relabelled(token: Token, clause: ClauseLabel) -> Token:
     """``token`` with clause label ``clause``: itself when it already has it,
-    else a copy whose slots are written directly, as ``read_columnar`` writes
-    them. ``token`` passed Token's checks, and the clause label is none of
-    them."""
+    else a copy whose slots are written directly. ``token`` passed Token's
+    checks, and the clause label is none of them."""
     if token.clause is clause:
         return token
     new = _new_token(Token)
@@ -192,7 +190,8 @@ def _line_chunks(text: str) -> Iterator[list[str]]:
 def read_columnar(
     text: str, doc_id: str = "doc", *, errors: Optional[list[LineError]] = None
 ) -> Document:
-    """Parse a columnar file into a Document, line by line as :func:`_line_chunks` gives them.
+    """Parse a columnar file into a Document: a Sentence of Tokens per record
+    of :func:`columnar_records`, which reads the lines and reports bad ones.
 
     In strict mode (``errors=None``) the first bad line raises
     :class:`LineError`. Passing a list switches to permissive mode: bad
@@ -200,49 +199,29 @@ def read_columnar(
     call, equal lines give one :class:`Token` object, which is safe as tokens
     are frozen; no identity is promised across calls.
     """
-    sentences: list[Sentence] = []
-    current: list[Token] = []
-    parsed: dict[str, Token] = {}  # raw line -> its token; bad lines never enter
+    parsed: dict[tuple[str, int], Token] = {}  # (word, id of its tag entry) -> its token
 
-    def flush() -> None:
-        if current:
-            sentences.append(Sentence(tuple(current)))
-            current.clear()
-
-    for line_no, raw in enumerate(chain.from_iterable(_line_chunks(text)), start=1):
-        token = parsed.get(raw)
-        if token is None:
-            word, _, tags = raw.partition("\t")
-            labels = _TAG_COLUMNS.get(tags)
-            if labels is None or not word:
-                if not raw:
-                    flush()
-                else:
-                    _fail(_line_error(line_no, raw), errors)
-                continue
-            # The line format already guarantees what Token() would check:
-            # a non-empty word, no tab or newline in it, the glyph for "_".
+    def token(word: str, labels: tuple) -> Token:
+        key = word, id(labels)  # each _TAG_COLUMNS entry lives as long as the table
+        if key not in parsed:
             is_space = word == COLUMNAR_SPACE
-            token = parsed[raw] = _new_token(Token)
-            _set_surface(token, SPACE_GLYPH if is_space else word)
-            _set_pos(token, labels[0])
-            _set_ne(token, labels[1])
-            _set_clause(token, labels[2])
-            _set_is_space(token, is_space)
-        current.append(token)
-    flush()
+            parsed[key] = Token(SPACE_GLYPH if is_space else word, *labels[:3], is_space=is_space)
+        return parsed[key]
+
+    records = columnar_records(text, errors)
+    sentences = (Sentence(tuple(map(token, words, labels))) for _, words, labels, _ in records)
     return Document(doc_id, tuple(sentences))
 
 
 def tally_columnar(text: str) -> Optional[tuple[int, int, Counter, Counter, int]]:
-    """What :func:`read_columnar` would read from a clean file, without a Token:
+    """What :func:`columnar_records` would read from a clean file, tallied:
     its sentence count, its white-space token count, its POS and NE-label
     histograms by label text and its ``B_CLS`` count, the tally that
     ``stats.tally_counts`` turns into counts.
 
     None unless every line, as :func:`_line_chunks` gives it, is blank or a
     token line (a non-empty word and a ``_TAG_COLUMNS`` tail): a bad line or
-    an empty word leaves the file to ``read_columnar``. One Python step runs
+    an empty word leaves the file to the records. One Python step runs
     per distinct line and one per distinct tag triple, none per line.
     """
     lines: Counter = Counter()
@@ -280,10 +259,12 @@ def tally_columnar(text: str) -> Optional[tuple[int, int, Counter, Counter, int]
 def columnar_records(text: str, errors: Optional[list[LineError]] = None) -> Iterator[tuple]:
     """Each input sentence of a columnar file, a run of lines between blank
     lines, as its number from 0, words (``_`` for a white-space token), lines'
-    ``_TAG_COLUMNS`` entries and space flags. Bad lines are left out, reported
-    as by :func:`read_columnar`; a sentence of only bad lines keeps its number
-    but is not yielded. Lines are parsed a chunk at a time in C-level passes,
-    and one by one only in a chunk that holds a bad line."""
+    ``_TAG_COLUMNS`` entries and space flags. A bad line is left out: under
+    ``errors=None`` it raises its :class:`LineError`, else the error is
+    appended to ``errors``. A sentence of only bad lines keeps its number but
+    is not yielded. Lines are parsed a chunk at a time in C-level passes, and
+    one by one only in a chunk that holds a bad line. Every columnar command
+    reads its input here; :func:`read_columnar` builds Tokens from them."""
     number = line_no = 0
     words, labels, started = [], [], False  # started: the open sentence has a line
     for lines in chain(_line_chunks(text), [[""]]):  # a blank line closes the last sentence
@@ -315,24 +296,32 @@ def columnar_records(text: str, errors: Optional[list[LineError]] = None) -> Ite
         started = lines[-1] != ""
 
 
-def relabel_columnar(text: str, relabel) -> Optional[str]:
-    """A clean columnar file (see :func:`tally_columnar`) with new clause
-    labels, made from its :func:`columnar_records`; None for any other file.
-    ``relabel(words, pos, ne, spaces)`` takes a paragraph's columns and gives
-    each token's new label and each sentence's half-open token range. A line
-    keeps its word, POS and NE as they were, and sentences are laid out and
-    refused as by :func:`write_columnar`."""
+def relabel_columnar(records: Iterable[tuple], relabel) -> str:
+    """The columnar text of :func:`columnar_records`' ``records`` with new
+    clause labels. ``relabel(words, pos, ne, spaces)`` takes a paragraph's
+    columns and gives each token's new label and each sentence's half-open
+    token range. A line keeps its word, POS and NE as they were, and
+    sentences are laid out and refused as by :func:`write_columnar`."""
     blocks = []
-    try:
-        for _, words, labels, spaces in columnar_records(text):
-            pos, ne, tails = (list(map(get, labels)) for get in (_FIRST, _SECOND, _FOURTH))
-            clauses, sentences = relabel(words, pos, ne, spaces)
-            for lo, hi in sentences:
-                pieces = zip(words[lo:hi], tails[lo:hi], map(_TEXT, clauses[lo:hi]), repeat("\n"))
-                blocks.append("".join(chain.from_iterable(pieces)))
-    except LineError:  # strict mode: the first bad line gives up
-        return None
+    for _, words, labels, spaces in records:
+        pos, ne, tails = (list(map(get, labels)) for get in (_FIRST, _SECOND, _FOURTH))
+        clauses, sentences = relabel(words, pos, ne, spaces)
+        for lo, hi in sentences:
+            pieces = zip(words[lo:hi], tails[lo:hi], map(_TEXT, clauses[lo:hi]), repeat("\n"))
+            blocks.append("".join(chain.from_iterable(pieces)))
     return _refuse_leading_bom("\n".join(blocks))
+
+
+# A token's columns in a record: its surface, its labels and its space flag.
+_RECORD_COLUMNS = (attrgetter("surface"), attrgetter("pos", "ne", "clause"), attrgetter("is_space"))
+
+
+def sentence_records(sentences: Iterable[Sentence]) -> Iterator[tuple]:
+    """Records as :func:`columnar_records` gives them, read off ``sentences``
+    and numbered from 0: each token's surface (the glyph for a white-space
+    token), its ``(pos, ne, clause)`` labels and its space flag."""
+    for number, sentence in enumerate(sentences):
+        yield number, *(list(map(get, sentence.tokens)) for get in _RECORD_COLUMNS)
 
 
 def _line_error(line_no: int, line: str) -> LineError:
@@ -364,18 +353,10 @@ def write_columnar(doc: Document) -> str:
     for sentence in doc.sentences:
         lines = []
         for token in sentence.tokens:
-            if token.is_space:
-                word = COLUMNAR_SPACE
-            elif token.surface == COLUMNAR_SPACE:
-                # A literal underscore word would read back as a space.
-                raise WriteError(
-                    "literal '_' surface is not representable in columnar form"
-                )
-            else:
-                word = token.surface
-            lines.append(
-                "\t".join((word, token.pos.text, token.ne.text, token.clause.text))
-            )
+            if token.surface == COLUMNAR_SPACE:  # it would read back as a space
+                raise WriteError("literal '_' surface is not representable in columnar form")
+            word = COLUMNAR_SPACE if token.is_space else token.surface
+            lines.append("\t".join((word, token.pos.text, token.ne.text, token.clause.text)))
         blocks.append("\n".join(lines) + "\n")
     return _refuse_leading_bom("\n".join(blocks))
 
@@ -411,20 +392,10 @@ def _arity_mask(chunk: str) -> int:
     mask = 0
     if n >= 2 and (n > 2 or parts[0]) and parts[-1] in POS_TAGS:
         mask |= 1 << 2
-    if (
-        n >= 3
-        and (n > 3 or parts[0])
-        and parts[-2] in POS_TAGS
-        and parts[-1] in NE_LABELS
-    ):
+    if n >= 3 and (n > 3 or parts[0]) and parts[-2] in POS_TAGS and parts[-1] in NE_LABELS:
         mask |= 1 << 3
-    if (
-        n == 4
-        and parts[0]
-        and parts[1] in POS_TAGS
-        and parts[2] in NE_LABELS
-        and parts[3] in CLAUSE_LABELS
-    ):
+    if (n == 4 and parts[0] and parts[1] in POS_TAGS and parts[2] in NE_LABELS
+            and parts[3] in CLAUSE_LABELS):
         mask |= 1 << 4
     return mask
 
@@ -521,31 +492,42 @@ def write_inline(sentences: Iterable[Sentence], layers: int = 4) -> str:
     ``layers`` selects how many annotation layers are emitted (2, 3 or 4).
     Surfaces containing ``|`` or starting with white space, non-space
     surfaces equal to the space glyph, and a first surface starting with
-    U+FEFF are rejected: they would not read back.
+    U+FEFF are rejected: they would not read back. The sentences are written
+    as their :func:`sentence_records`, by :func:`write_inline_records`.
     """
+    return write_inline_records(sentence_records(sentences), layers)
+
+
+def write_inline_records(records: Iterable[tuple], layers: int = 4) -> str:
+    """:func:`write_inline` of sentence records, as :func:`columnar_records`
+    and :func:`sentence_records` give them: a token's labels start with its
+    POS, NE and clause label. Refusals come in token order."""
     if layers not in _ARITIES:
         raise ValueError("layers must be 2, 3 or 4")
+    getters = (_FIRST, _SECOND, _THIRD)[: layers - 1]
     lines = []
-    for sentence in sentences:
-        chunks = []
-        for token in sentence.tokens:
-            surface = SPACE_GLYPH if token.is_space else token.surface
-            if "|" in surface:
-                raise WriteError("surface containing '|' is not representable inline")
-            if surface.lstrip() != surface:  # the reader would strip it off the chunk
-                raise WriteError(
-                    f"surface {surface!r} starting with white space is not representable inline"
-                )
-            if not token.is_space and surface == SPACE_GLYPH:
-                raise WriteError(
-                    f"literal {SPACE_GLYPH!r} surface is not representable inline"
-                )
-            parts = [surface, token.pos.text]
-            if layers >= 3:
-                parts.append(token.ne.text)
-            if layers == 4:
-                parts.append(token.clause.text)
-            chunks.append("/".join(parts))
-        lines.append(" | ".join(chunks) + " ||")
+    for _, words, labels, spaces in records:
+        surfaces = list(words)
+        for i in compress(count(), spaces):
+            surfaces[i] = SPACE_GLYPH
+        # C-level passes that clear most sentences of all three refusals.
+        clean = "|" not in "".join(surfaces) and list(map(str.lstrip, surfaces)) == surfaces
+        if not clean or surfaces.count(SPACE_GLYPH) > spaces.count(True):
+            _refuse_inline(surfaces, spaces)
+        texts = (map(_TEXT, map(get, labels)) for get in getters)
+        lines.append(" | ".join(map("/".join, zip(surfaces, *texts))) + " ||")
     return _refuse_leading_bom("\n".join(lines) + ("\n" if lines else ""))
 
+
+def _refuse_inline(surfaces: Sequence[str], spaces: Sequence[bool]) -> None:
+    """Raise the WriteError of a sentence's first surface that inline text
+    cannot represent."""
+    for surface, is_space in zip(surfaces, spaces):
+        if "|" in surface:
+            raise WriteError("surface containing '|' is not representable inline")
+        if surface.lstrip() != surface:  # the reader would strip it off the chunk
+            raise WriteError(
+                f"surface {surface!r} starting with white space is not representable inline"
+            )
+        if not is_space and surface == SPACE_GLYPH:
+            raise WriteError(f"literal {SPACE_GLYPH!r} surface is not representable inline")

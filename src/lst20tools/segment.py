@@ -31,8 +31,8 @@ Sentence rules, applied to each adjacent clause pair, merge rules first:
 Every rule reads a paragraph's columns, its surfaces, POS tags, NE labels
 and space flags, and no Token. ``segment_paragraphs`` reads each
 paragraph's columns off its tokens once; ``lst20 segment`` takes them from
-the lines of a clean columnar file and writes the labels back into those
-lines (``format.relabel_columnar``). Both run the same rules on them.
+the records of columnar input and writes the labels back into its lines
+(``format.relabel_columnar``). Both run the same rules on them.
 """
 
 from __future__ import annotations

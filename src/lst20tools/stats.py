@@ -8,18 +8,18 @@ number of spans.
 Only :func:`tally_counts` turns a tally, ``(sentences, white-space tokens,
 POS histogram, NE-label histogram, B_CLS count)``, into counts. A clean
 columnar file is tallied from its distinct lines (``format.tally_columnar``),
-any other input in C-level passes over its tokens (:func:`document_counts`).
+any other columnar file from its ``format.columnar_records``
+(:func:`records_counts`), and a document from the same records read off its
+tokens (:func:`document_counts`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter
 from typing import Iterable
 
-from .format import Document
+from .format import _FIRST, _SECOND, _TEXT, _THIRD, Document, sentence_records
 from .schema import ClauseLabel
 
 
@@ -62,17 +62,23 @@ class CorpusCounts:
 
 
 def document_counts(doc: Document, include_spaces: bool = False) -> CorpusCounts:
-    """Counts and histograms of one document, each item of its tally one C-level
-    pass over its tokens: ``Counter``, ``list.count`` or ``sum`` over an ``attrgetter``."""
-    tokens = list(chain.from_iterable(map(attrgetter("tokens"), doc.sentences)))
-    tally = (
-        len(doc.sentences),
-        sum(map(attrgetter("is_space"), tokens)),
-        Counter(map(attrgetter("pos.text"), tokens)),
-        Counter(map(attrgetter("ne.text"), tokens)),
-        list(map(attrgetter("clause"), tokens)).count(ClauseLabel.B_CLS),
-    )
-    return tally_counts(tally, include_spaces)
+    """Counts and histograms of one document, from its ``format.sentence_records``."""
+    return records_counts(sentence_records(doc.sentences), include_spaces)
+
+
+def records_counts(records, include_spaces: bool = False) -> CorpusCounts:
+    """Counts and histograms of one document's sentence records, as
+    ``format.columnar_records`` gives them: each histogram and the ``B_CLS``
+    count is one C-level pass over every token's labels."""
+    sentences = spaces = 0
+    labels: list = []
+    for _, _, entries, flags in records:
+        sentences += 1
+        spaces += flags.count(True)
+        labels += entries
+    pos, ne = (Counter(map(_TEXT, map(get, labels))) for get in (_FIRST, _SECOND))
+    clauses = list(map(_THIRD, labels)).count(ClauseLabel.B_CLS)
+    return tally_counts((sentences, spaces, pos, ne, clauses), include_spaces)
 
 
 def tally_counts(tally, include_spaces: bool = False) -> CorpusCounts:

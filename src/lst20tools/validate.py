@@ -16,7 +16,7 @@ from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from .format import Document, Sentence
+from .format import Document, Sentence, sentence_records
 from .schema import PosTag, scan_boundaries
 
 LAYER_POS = "POS"
@@ -79,11 +79,9 @@ def _violation_issues(violations, code_prefix, layer, sentence_idx) -> list[Lint
     ]
 
 
-# Each lint rule takes a sentence's columns, never its tokens: words (any text
-# for a white-space token), POS tags, NE and clause labels and space flags.
-# The validators read them off tokens; "labels" reads a token's three labels.
+# Each lint rule takes a sentence's columns, never its tokens: words (any text for a
+# white-space token), POS tags, NE and clause labels and space flags.
 _COLUMNS = {name: attrgetter(name) for name in ("surface", "pos", "ne", "clause", "is_space")}
-_COLUMNS["labels"] = attrgetter("pos", "ne", "clause")
 
 
 def _columns(sentence: Sentence, *names: str) -> list[list]:
@@ -187,9 +185,7 @@ def lint_document(doc: Document, extra: Optional[list[LintIssue]] = None) -> Lin
 
     ``extra`` lets callers merge in FORMAT_* issues collected while parsing.
     """
-    numbered = enumerate(doc.sentences)
-    records = ((i, *_columns(s, "surface", "labels", "is_space")) for i, s in numbered)
-    return lint_records(records, extra or ())
+    return lint_records(sentence_records(doc.sentences), extra or ())
 
 
 def lint_records(records, extra: Iterable[LintIssue] = ()) -> LintReport:

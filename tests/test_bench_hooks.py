@@ -58,15 +58,19 @@ def test_every_hook_records_its_work_through_the_cli(tmp_path, capsys):
     inline = str(tmp_path / "glimpse.inline")
     calls = [
         ["validate", "--json", str(fixtures)],
+        # Columnar input is written inline from its records, with no Token.
         ["convert", "--to", "inline", glimpse, "-o", inline],
         ["convert", "--from", "inline", "--to", "columnar", inline, "-o", str(tmp_path / "back.txt")],
         # Columnar input is linted from its columns; inline input still goes
         # through validate.lint_document.
         ["validate", "--from", "inline", inline],
         ["segment", glimpse, "-o", str(tmp_path / "seg.txt")],
-        # A clean columnar file is segmented from its lines; inline input
-        # still goes through segment.segment_paragraphs.
+        # Columnar input segmented to columnar is segmented from its records;
+        # inline input, and any input segmented to inline, still goes through
+        # segment.segment_paragraphs, and the latter through format.read_columnar
+        # and format.write_inline.
         ["segment", "--from", "inline", inline, "-o", str(tmp_path / "seg.inline.txt")],
+        ["segment", "--to", "inline", glimpse, "-o", str(tmp_path / "seg.to-inline.txt")],
         ["stats", "--json", str(fixtures)],
         # A clean columnar file is counted from its lines; inline input still
         # goes through stats.document_counts.

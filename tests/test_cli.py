@@ -804,10 +804,9 @@ def _planted_document(rng: random.Random, k: int) -> Document:
     return Document(doc.doc_id, tuple(sentences))
 
 
-# A clean columnar file written back as columnar is segmented from its lines
-# (format.relabel_columnar and segment._segment_columns); any other goes
-# through read_columnar, segment_paragraphs and write_columnar, the reference
-# these tests hold the line path to.
+# Columnar input written back as columnar is segmented from its records
+# (format.relabel_columnar and segment._segment_columns); these tests hold it
+# to the library path: read_columnar, segment_paragraphs and write_columnar.
 
 _FIXTURE_NAMES = sorted(path.name for path in corpus_samples.FIXTURE_DIR.glob("*.txt"))
 
@@ -838,16 +837,23 @@ def segment_texts(draw):
     return BOM * draw(st.integers(0, 2)) + text
 
 
-def _segment_runs(path: Path, options: list[str], capsys) -> list[tuple]:
-    """``segment``'s exit code, stdout and stderr on ``path``, then the same
-    with the line path switched off, so that the file takes the reference."""
-    runs = []
-    for relabel_columnar in (format_module.relabel_columnar, lambda text, relabel: None):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(format_module, "relabel_columnar", relabel_columnar)
-            code = main(["segment", *options, str(path)])
-        runs.append((code, *capsys.readouterr()))
-    return runs
+def _library_segment(path: Path, strict: bool, lexicon) -> tuple:
+    """``segment``'s exit code, stdout and stderr on columnar ``path`` as the
+    library path gives them: each bad line located on stderr, or under
+    ``strict`` the first one alone, then a refused write."""
+    text = path.read_bytes().decode("utf-8")
+    errors = None if strict else []
+    try:
+        doc = read_columnar(text, errors=errors)
+    except LineError as exc:
+        return 1, "", f"{path.name}: {exc}\n"
+    located = "".join(f"{path.name}: {error}\n" for error in errors or ())
+    sentences, _ = segment_module.segment_paragraphs([s.tokens for s in doc.sentences], lexicon)
+    try:
+        out = write_columnar(Document("d", tuple(sentences)))
+    except WriteError as exc:
+        return 1, "", f"{located}{path.name}: {exc}\n"
+    return int(bool(errors)), out, located
 
 
 @settings(
@@ -864,25 +870,30 @@ def test_segment_from_lines_is_the_token_path(tmp_path, capsys, text, strict, le
     # Chunks this small put chunk edges next to blank lines and blank runs.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
-        line_path, reference = _segment_runs(path, options, capsys)
-    assert line_path == reference
+        code = main(["segment", *options, str(path)])
+    reference = _library_segment(
+        path, strict, segment_module.load_marker_lexicon(_PLANTED_LEXICON) if lexicon else None
+    )
+    assert (code, *capsys.readouterr()) == reference
 
 
-def _written_or_refused(write, *args):
+def _written_or_refused(write, *args, **kwargs):
     try:
-        return write(*args)
-    except WriteError as exc:
-        return str(exc)
+        return write(*args, **kwargs)
+    except (LineError, WriteError) as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(segment_texts(), columnar_texts()), st.integers(0, 40))
-def test_relabel_columnar_gives_up_exactly_where_the_tally_does(text, chunk_chars):
-    """The line path gives up exactly on a file that is not clean as
-    ``tally_columnar`` defines it. It hands over the columns of each sentence
-    ``read_columnar`` reads, and with the labels those sentences carry it
-    writes what ``write_columnar`` writes."""
-    sentences = iter(read_columnar(text, errors=[]).sentences)
+@given(st.one_of(segment_texts(), columnar_texts()), st.integers(0, 40), st.booleans())
+def test_relabel_columnar_hands_over_what_read_columnar_reads(text, chunk_chars, strict):
+    """The records hand over the columns of each sentence ``read_columnar``
+    reads, with the same errors, or under ``strict`` the same first one; with
+    the labels those sentences carry, ``relabel_columnar`` writes what
+    ``write_columnar`` writes."""
+    reference_errors = []
+    doc = read_columnar(text, errors=reference_errors)
+    sentences = iter(doc.sentences)
 
     def keep(*columns):
         tokens = next(sentences).tokens
@@ -894,12 +905,18 @@ def test_relabel_columnar_gives_up_exactly_where_the_tally_does(text, chunk_char
         ]
         return [t.clause for t in tokens], [(0, len(tokens))]
 
+    errors = None if strict else []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
-        written = _written_or_refused(format_module.relabel_columnar, text, keep)
-    assert (written is None) == (format_module.tally_columnar(text) is None)
-    if written is not None:
-        assert written == _written_or_refused(write_columnar, read_columnar(text))
+        records = format_module.columnar_records(text, errors)
+        written = _written_or_refused(format_module.relabel_columnar, records, keep)
+    if strict and reference_errors:
+        assert written == (LineError, str(reference_errors[0]))
+        assert written == _written_or_refused(read_columnar, text)
+        return
+    assert next(sentences, None) is None
+    assert list(map(str, errors or ())) == list(map(str, reference_errors))
+    assert written == _written_or_refused(write_columnar, doc)
 
 
 class TestSegmentFromLines:
@@ -920,9 +937,10 @@ class TestSegmentFromLines:
             assert main(["segment", str(corpus_samples.FIXTURE_DIR / name)]) == 0
             assert capsys.readouterr() == expected[name]
 
-    def test_a_bad_line_falls_back_to_the_reader(self, tmp_path, capsys):
+    def test_a_bad_line_is_reported_and_left_out(self, tmp_path, capsys):
         """A file with a bad line is reported at that line and the rest of it
-        is segmented as the file without that line is."""
+        is segmented as the file without that line is, and as the library
+        path segments it."""
         lines = corpus_samples.fixture_text("glimpse.txt").split("\n")
         clean = tmp_path / "clean.txt"
         clean.write_text("\n".join(lines), encoding="utf-8")
@@ -932,9 +950,11 @@ class TestSegmentFromLines:
         assert main(["segment", str(clean)]) == 0
         segmented = capsys.readouterr().out
         assert main(["segment", str(draft)]) == 1
-        assert capsys.readouterr() == (
-            segmented, "draft.txt: line 3: expected 4 tab-separated fields, got 1\n"
-        )
+        located = "draft.txt: line 3: expected 4 tab-separated fields, got 1\n"
+        assert capsys.readouterr() == (segmented, located)
+        assert _library_segment(draft, False, None) == (1, segmented, located)
+        assert main(["segment", "--strict", str(draft)]) == 1
+        assert capsys.readouterr() == ("", located)
 
 
 class TestStatsCommand:
@@ -1036,6 +1056,28 @@ class TestFramesCommand:
         assert capsys.readouterr().err == (
             "draft.inline: sentence 0, token 1: inconsistent or missing annotation layers\n"
         )
+
+    def test_a_sentence_of_bad_lines_keeps_its_number(self, tmp_path, capsys):
+        """A usage is located by its input sentence number: the second
+        sentence below is only a bad line, and still counts."""
+        source = tmp_path / "d.txt"
+        source.write_text("ก\tNN\tO\tO\n\nbroken\n\nข\tVV\tO\tO\n", encoding="utf-8")
+        assert main(["frames", "check", "--word", "ข", str(source)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("sentence 2, token 0: ")
+        assert captured.err == "d.txt: line 3: expected 4 tab-separated fields, got 1\n"
+
+    @pytest.mark.parametrize("informat, text", [
+        ("columnar", "ก\tNN\tO\tO\n_\tPU\tO\tO\nข\tVV\tO\tO\n"),
+        ("inline", "ก/NN | ␣/PU | ข/VV ||\n"),
+    ])
+    def test_the_token_index_skips_white_space(self, tmp_path, informat, text, capsys):
+        """The printed token index counts only the sentence's tokens that are
+        not white space: ``ข`` is input token 2, printed as token 1."""
+        source = tmp_path / "d.txt"
+        source.write_text(text, encoding="utf-8")
+        assert main(["frames", "check", "--from", informat, "--word", "ข", str(source)]) == 0
+        assert capsys.readouterr().out.startswith("sentence 0, token 1: ")
 
     def test_bad_frame_file_exits_two(self, tmp_path):
         frames_file = tmp_path / "frames.txt"
@@ -1433,3 +1475,115 @@ def test_validate_columns_against_the_oracles(tmp_path, capsys, text, chunk_char
         assert strict_code == code
     else:
         assert (strict_code, strict.out, strict.err) == (1, "", f"d.txt: {first}\n")
+
+
+def test_workload_commands_never_call_read_columnar(tmp_path, monkeypatch, capsys):
+    """``convert --to inline``, ``frames check``, ``segment`` and ``stats``
+    read columnar input as records, clean or not: with ``read_columnar``
+    refusing, each gives the bytes and exit code it gives without that."""
+    lines = corpus_samples.fixture_text("glimpse.txt").split("\n")
+    lines[2:2] = ["broken line", "ก\tQQ\tO\tO"]
+    draft = tmp_path / "draft.txt"
+    draft.write_text("\n".join(lines), encoding="utf-8")
+    paths = [str(corpus_samples.FIXTURE_DIR / name) for name in _FIXTURE_NAMES] + [str(draft)]
+    argvs = [
+        argv
+        for path in paths
+        for argv in (
+            ["convert", "--to", "inline", path],
+            ["frames", "check", path, "--word", "ไม่"],
+            ["segment", path],
+            ["stats", "--json", path],
+            ["stats", path],
+        )
+    ]
+    expected = []
+    for argv in argvs:
+        expected.append((main(argv), *capsys.readouterr()))
+    assert expected[-5][0] == 1 and "draft.txt: line 4: unknown POS tag 'QQ'" in expected[-5][2]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read_columnar was called")
+
+    monkeypatch.setattr(format_module, "read_columnar", refuse)
+    for argv, reference in zip(argvs, expected):
+        assert (main(argv), *capsys.readouterr()) == reference, argv
+
+
+def _reported_lines(err: str, name: str = "d.txt") -> list[int]:
+    """The line numbers of ``name: line N: reason`` lines on stderr; any
+    other line fails."""
+    numbers = []
+    for line in err.splitlines():
+        assert line.startswith(f"{name}: line "), line
+        numbers.append(int(line.split(":")[1].removeprefix(" line ")))
+    return numbers
+
+
+def _usage_oracle(text: str, word: str) -> list[tuple[int, int]]:
+    """Each usage of ``word`` as ``frames check`` locates it: the input
+    sentence number and the index among that sentence's tokens that are not
+    white space."""
+    usages = []
+    for number, block in enumerate(columnar_input_sentences(text)):
+        tokens = [t for s in read_columnar_lines(block, []) for t in s.tokens if not t.is_space]
+        usages += [(number, i) for i, t in enumerate(tokens) if t.surface == word]
+    return usages
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damaged_columnar_texts(), st.integers(0, 40), st.integers(0, 10**6))
+def test_columnar_commands_account_for_every_line(tmp_path, capsys, text, chunk_chars, pick):
+    """Every line of a damaged columnar file is a token that ``convert --to
+    inline`` writes and ``stats`` counts, or a bad line that they report;
+    ``segment`` writes every token that is not white space (it drops white
+    space between sentences), and ``frames check`` finds every usage of a
+    word at its input sentence. Each bad line is reported at its number, on
+    stderr with exit 1, except by ``stats``, which only counts it in
+    ``format_errors``; under ``--strict`` each names the first bad line. A
+    word that starts with white space (a CR in an emptied word) cannot be
+    written inline: ``convert`` then writes nothing, and its refusal follows
+    the bad lines."""
+    errors = []
+    sentences = read_columnar_lines(text, errors)
+    bad = [e.line_no for e in errors]
+    tokens = [t for s in sentences for t in s.tokens]
+    word = tokens[pick % len(tokens)].surface if tokens else "ก"
+    path = tmp_path / "d.txt"
+    path.write_bytes(text.encode("utf-8"))
+    argvs = {
+        "convert": ["convert", "--to", "inline", str(path)],
+        "segment": ["segment", str(path)],
+        "stats": ["stats", "--json", str(path)],
+        "frames": ["frames", "check", str(path), f"--word={word}"],
+    }
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
+        runs = {}
+        for name, argv in argvs.items():
+            runs[name] = (main(argv), *capsys.readouterr())
+            strict = (main([*argv, "--strict"]), *capsys.readouterr())
+            if errors:
+                assert (strict[0], strict[2]) == (1, f"d.txt: {errors[0]}\n"), name
+    status = 1 if bad else 0
+    code, out, err = runs["convert"]
+    if any(t.surface.lstrip() != t.surface for t in tokens):
+        *located, refusal = err.splitlines(keepends=True)
+        assert (code, out, _reported_lines("".join(located))) == (1, "", bad)
+        assert refusal.startswith("d.txt: surface ") and refusal.endswith("not representable inline\n")
+    else:
+        assert (code, _reported_lines(err)) == (status, bad)
+        assert sum(line.count(" | ") + 1 for line in out.split("\n") if line) == len(tokens)
+    code, out, err = runs["segment"]
+    assert (code, _reported_lines(err)) == (status, bad)
+    written = [line for line in out.split("\n") if line and not line.startswith("_\t")]
+    assert len(written) == len([t for t in tokens if not t.is_space])
+    code, out, err = runs["stats"]
+    payload = json.loads(out)
+    assert (code, err, payload["format_errors"]) == (0, "", len(bad))
+    assert payload["counts"]["tokens"] + payload["format_errors"] == len(tokens) + len(bad)
+    code, out, err = runs["frames"]
+    assert (code, _reported_lines(err)) == (status, bad)
+    located = [tuple(map(int, line.split(":")[0].removeprefix("sentence ").split(", token ")))
+               for line in out.splitlines()[:-1] if line.startswith("sentence ")]
+    assert located == _usage_oracle(text, word)
