@@ -144,28 +144,19 @@ def _located(path: Path):
         raise _BadInput(f"{path.name}: {exc}") from None
 
 
-def _parse_document(text: str, path: Path, informat: str, strict: bool):
-    """Parse one input file; returns (Document, the readers' LineError/TokenError list)."""
-    errors: Optional[list] = None if strict else []
-    with _located(path):
-        if informat == FORMAT_COLUMNAR:
-            doc = fmt.read_columnar(text, path.name, errors=errors)
-        else:
-            doc = Document(path.name, tuple(fmt.read_inline(text, errors=errors)))
-    return doc, errors or []
+def _records(text: str, informat: str, errors: Optional[list]):
+    """The input's records: ``columnar_records`` or ``inline_records``."""
+    read = fmt.columnar_records if informat == FORMAT_COLUMNAR else fmt.inline_records
+    return read(text, errors)
 
 
 def _from_records(text: str, path: Path, args, consume, *rest):
-    """``consume(records, *rest)`` of the input's records (``columnar_records``, or
-    ``sentence_records`` of ``read_inline``'s sentences) and the exit status of the bad
+    """``consume(records, *rest)`` of the input's records and the exit status of the bad
     lines or sentences, printed as by :func:`_print_format_issues`. After a WriteError the
     rest of the records is read, so that every bad line is reported before the refusal."""
     errors: Optional[list] = None if args.strict else []
     with _located(path):
-        if args.informat == FORMAT_COLUMNAR:
-            records = fmt.columnar_records(text, errors)
-        else:
-            records = fmt.sentence_records(fmt.read_inline(text, errors=errors))
+        records = _records(text, args.informat, errors)
         try:
             result = consume(records, *rest)
         except fmt.WriteError:
@@ -217,15 +208,6 @@ def _same_file(target: os.stat_result, path: Path) -> bool:
         return False
 
 
-def _serialize(path: Path, doc: Document, outformat: str) -> str:
-    """``doc`` written in ``outformat``. What that format cannot represent is
-    reported as ``name: reason``, with exit 1."""
-    with _located(path):
-        if outformat == FORMAT_COLUMNAR:
-            return fmt.write_columnar(doc)
-        return fmt.write_inline(doc.sentences)
-
-
 def _write(output, text: str) -> None:
     with output as out:
         out.write(text)
@@ -242,14 +224,10 @@ def _cmd_validate(args) -> int:
         # One file's read, lint and write, so nothing of it is alive while
         # the next file is read.
         nonlocal had_errors, sep
-        if args.informat == FORMAT_COLUMNAR:  # linted from its columns, with no Token
-            errors: list = []
-            records = fmt.columnar_records(_read_text(path), None if args.strict else errors)
-            with _located(path):
-                report = validate_mod.lint_records(records, map(_format_issue, errors))
-        else:
-            doc, errors = _parse_document(_read_text(path), path, args.informat, args.strict)
-            report = validate_mod.lint_document(doc, extra=[_format_issue(e) for e in errors])
+        errors: list = []  # linted from its columns, with no Token
+        records = _records(_read_text(path), args.informat, None if args.strict else errors)
+        with _located(path):
+            report = validate_mod.lint_records(records, map(_format_issue, errors))
         had_errors |= report.error_count > 0
         if not args.json:
             out.write(format_report(report, path.name))
@@ -273,17 +251,15 @@ def _cmd_validate(args) -> int:
 
 def _cmd_convert(args) -> int:
     """Both formats keep all four layers: inline input defaults missing ones
-    to O. Inline to inline keeps the input's layer count. Inline text is
-    written from the input's records, columnar text from its Document."""
+    to O. Inline to inline keeps the input's layer count. Either format is
+    written from the input's records, with no Token."""
     path = _one_input(args, "convert")
     text = _read_text(path)
     if args.outformat == FORMAT_INLINE:
         layers = fmt.inline_layer_count(text) if args.informat == FORMAT_INLINE else 4
         output, status = _from_records(text, path, args, fmt.write_inline_records, layers)
     else:
-        doc, errors = _parse_document(text, path, args.informat, args.strict)
-        status = _print_format_issues(path, errors)
-        output = _serialize(path, doc, args.outformat)
+        output, status = _from_records(text, path, args, fmt.write_columnar_records)
     _write(_open_output(args, [path]), output)
     return status
 
@@ -311,13 +287,20 @@ def _segment_file(path: Path, args) -> tuple[str, int]:
     if args.informat == args.outformat == FORMAT_COLUMNAR:
         relabel = functools.partial(segment_mod._segment_columns, lexicon=lexicon)
         return _from_records(text, path, args, fmt.relabel_columnar, relabel)
-    doc, errors = _parse_document(text, path, args.informat, args.strict)
+    errors: Optional[list] = None if args.strict else []
+    with _located(path):
+        if args.informat == FORMAT_COLUMNAR:
+            sentences = fmt.read_columnar(text, path.name, errors=errors).sentences
+        else:
+            sentences = fmt.read_inline(text, errors=errors)
     del text
-    status = _print_format_issues(path, errors)
+    status = _print_format_issues(path, errors or ())
     # Each input sentence block (columnar) or line (inline) is one paragraph.
-    sentences, _ = segment_mod.segment_paragraphs([s.tokens for s in doc.sentences], lexicon)
-    del doc
-    return _serialize(path, Document(path.stem, tuple(sentences)), args.outformat), status
+    sentences, _ = segment_mod.segment_paragraphs([s.tokens for s in sentences], lexicon)
+    with _located(path):  # a refusal is reported as name: reason, with exit 1
+        if args.outformat == FORMAT_COLUMNAR:
+            return fmt.write_columnar(Document(path.stem, tuple(sentences))), status
+        return fmt.write_inline(sentences), status
 
 
 def _cmd_segment(args) -> int:
@@ -329,21 +312,16 @@ def _cmd_segment(args) -> int:
 
 def _count_file(path: Path, args) -> tuple[CorpusCounts, int]:
     """One file's counts and format-error count. A clean columnar file is
-    counted from its lines, any other columnar file from its records; inline
-    input is read into a Document, gone on return."""
+    counted from its lines, any other file from its records."""
     from . import stats as stats_mod
 
     text = _read_text(path)
-    if args.informat == FORMAT_COLUMNAR:
-        tally = fmt.tally_columnar(text)
-        if tally is not None:
-            return stats_mod.tally_counts(tally, args.include_spaces), 0
-        errors: Optional[list] = None if args.strict else []
-        records = fmt.columnar_records(text, errors)
-        with _located(path):  # the records are all read before the errors are counted
-            return stats_mod.records_counts(records, args.include_spaces), len(errors or ())
-    doc, errors = _parse_document(text, path, args.informat, args.strict)
-    return stats_mod.document_counts(doc, args.include_spaces), len(errors)
+    if args.informat == FORMAT_COLUMNAR and (tally := fmt.tally_columnar(text)) is not None:
+        return stats_mod.tally_counts(tally, args.include_spaces), 0
+    errors: Optional[list] = None if args.strict else []
+    records = _records(text, args.informat, errors)
+    with _located(path):  # the records are all read before the errors are counted
+        return stats_mod.records_counts(records, args.include_spaces), len(errors or ())
 
 
 def _cmd_stats(args) -> int:

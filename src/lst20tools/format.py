@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, compress, count, product, repeat
-from operator import attrgetter, eq, itemgetter, not_
+from operator import add, attrgetter, eq, itemgetter, ne, not_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .schema import (
@@ -199,18 +200,21 @@ def read_columnar(
     call, equal lines give one :class:`Token` object, which is safe as tokens
     are frozen; no identity is promised across calls.
     """
+    return Document(doc_id, tuple(_sentences(columnar_records(text, errors), COLUMNAR_SPACE)))
+
+
+def _sentences(records: Iterable[tuple], space_word: str) -> Iterator[Sentence]:
+    """A Sentence per record, ``space_word`` a white-space word; one Token per word and entry."""
     parsed: dict[tuple[str, int], Token] = {}  # (word, id of its tag entry) -> its token
 
     def token(word: str, labels: tuple) -> Token:
         key = word, id(labels)  # each _TAG_COLUMNS entry lives as long as the table
         if key not in parsed:
-            is_space = word == COLUMNAR_SPACE
+            is_space = word == space_word
             parsed[key] = Token(SPACE_GLYPH if is_space else word, *labels[:3], is_space=is_space)
         return parsed[key]
 
-    records = columnar_records(text, errors)
-    sentences = (Sentence(tuple(map(token, words, labels))) for _, words, labels, _ in records)
-    return Document(doc_id, tuple(sentences))
+    return (Sentence(tuple(map(token, words, labels))) for _, words, labels, _ in records)
 
 
 def tally_columnar(text: str) -> Optional[tuple[int, int, Counter, Counter, int]]:
@@ -263,8 +267,8 @@ def columnar_records(text: str, errors: Optional[list[LineError]] = None) -> Ite
     ``errors=None`` it raises its :class:`LineError`, else the error is
     appended to ``errors``. A sentence of only bad lines keeps its number but
     is not yielded. Lines are parsed a chunk at a time in C-level passes, and
-    one by one only in a chunk that holds a bad line. Every columnar command
-    reads its input here; :func:`read_columnar` builds Tokens from them."""
+    one by one only in a chunk that holds a bad line. Every command reads
+    columnar input here; :func:`read_columnar` builds Tokens from them."""
     number = line_no = 0
     words, labels, started = [], [], False  # started: the open sentence has a line
     for lines in chain(_line_chunks(text), [[""]]):  # a blank line closes the last sentence
@@ -312,16 +316,29 @@ def relabel_columnar(records: Iterable[tuple], relabel) -> str:
     return _refuse_leading_bom("\n".join(blocks))
 
 
-# A token's columns in a record: its surface, its labels and its space flag.
-_RECORD_COLUMNS = (attrgetter("surface"), attrgetter("pos", "ne", "clause"), attrgetter("is_space"))
-
-
 def sentence_records(sentences: Iterable[Sentence]) -> Iterator[tuple]:
     """Records as :func:`columnar_records` gives them, read off ``sentences``
     and numbered from 0: each token's surface (the glyph for a white-space
-    token), its ``(pos, ne, clause)`` labels and its space flag."""
+    token), its ``_TAG_COLUMNS`` entry, found by label text, and space flag."""
     for number, sentence in enumerate(sentences):
-        yield number, *(list(map(get, sentence.tokens)) for get in _RECORD_COLUMNS)
+        yield number, *_token_columns(sentence.tokens)
+
+
+def _token_columns(tokens: Sequence[Token]) -> tuple[list, list, list]:
+    keys = map("\t".join, map(attrgetter("pos.text", "ne.text", "clause.text"), tokens))
+    labels = list(map(_TAG_COLUMNS.__getitem__, keys))
+    return [t.surface for t in tokens], labels, [t.is_space for t in tokens]
+
+
+@cache
+def _entry_texts(sep: str, labels: int, end: str = "") -> dict[int, str]:
+    """What a writer puts after a word, by the id of its ``_TAG_COLUMNS`` entry:
+    ``sep`` before each of the entry's first ``labels`` label texts, then ``end``.
+    Built on first use, as at import it would cost about 1 ms."""
+    return {
+        id(entry): "".join(sep + label.text for label in entry[:labels]) + end
+        for entry in _TAG_COLUMNS.values()
+    }
 
 
 def _line_error(line_no: int, line: str) -> LineError:
@@ -343,21 +360,30 @@ def _line_error(line_no: int, line: str) -> LineError:
 
 
 def write_columnar(doc: Document) -> str:
-    """Serialize a Document: inverse of :func:`read_columnar`.
+    """Serialize a Document's :func:`sentence_records` by
+    :func:`write_columnar_records`: inverse of :func:`read_columnar`.
 
     An empty document yields the empty string; otherwise sentences are
     separated by exactly one empty line and the output ends with a newline.
     A first surface starting with U+FEFF is rejected: the reader strips it.
     """
+    return write_columnar_records(sentence_records(doc.sentences))
+
+
+def write_columnar_records(records: Iterable[tuple]) -> str:
+    """:func:`write_columnar` of sentence records, as the record readers and
+    :func:`sentence_records` give them: a white-space token's word is written
+    ``_``; any other word ``_`` is refused, as it would read back as a space."""
+    texts = _entry_texts("\t", 3, "\n")
     blocks = []
-    for sentence in doc.sentences:
-        lines = []
-        for token in sentence.tokens:
-            if token.surface == COLUMNAR_SPACE:  # it would read back as a space
-                raise WriteError("literal '_' surface is not representable in columnar form")
-            word = COLUMNAR_SPACE if token.is_space else token.surface
-            lines.append("\t".join((word, token.pos.text, token.ne.text, token.clause.text)))
-        blocks.append("\n".join(lines) + "\n")
+    for _, words, labels, spaces in records:
+        words = list(words)
+        for i in compress(count(), spaces):
+            words[i] = COLUMNAR_SPACE
+        if words.count(COLUMNAR_SPACE) > spaces.count(True):
+            raise WriteError("literal '_' surface is not representable in columnar form")
+        tails = map(texts.__getitem__, map(id, labels))
+        blocks.append("".join(chain.from_iterable(zip(words, tails))))
     return _refuse_leading_bom("\n".join(blocks))
 
 
@@ -410,15 +436,15 @@ def _sentence_mask(chunks: Sequence[str]) -> int:
 
 def _split_sentences(text: str) -> Iterator[list[str]]:
     for part in text.split("||"):
-        chunks = [c for c in map(str.strip, part.split("|")) if c]
-        if chunks:
+        if chunks := list(filter(None, map(str.strip, part.split("|")))):
             yield chunks
 
 
 def read_inline(
     text: str, *, errors: Optional[list[TokenError]] = None
 ) -> list[Sentence]:
-    """Parse inline notation into sentences.
+    """Parse inline notation into sentences: a Sentence of Tokens per record
+    of :func:`inline_records`, which reads the chunks and reports bad ones.
 
     Each sentence must carry a uniform layer count of 2 (word/POS),
     3 (+NE) or 4 (+clause); missing trailing layers default to O. A bare
@@ -428,40 +454,61 @@ def read_inline(
     Within one call, equal chunks give one Token object, safe as tokens are
     frozen; no identity is promised across calls.
     """
-    text = text.removeprefix(_BOM)
-    sentences: list[Sentence] = []
-    # One memo per layer count, as a chunk fits at most one: tagsets are
-    # disjoint, and only the bare glyph, seeded here, fits every count.
-    memos = {arity: {SPACE_GLYPH: _BARE_SPACE} for arity in _ARITIES}
-    for sent_idx, chunks in enumerate(_split_sentences(text)):
-        # So the first chunk other than the glyph fixes the sentence's count.
-        first = next((chunk for chunk in chunks if chunk != SPACE_GLYPH), SPACE_GLYPH)
-        arity = _arity_mask(first).bit_length() - 1
-        if arity < 0:
-            _fail(_inline_error(sent_idx, chunks, 0, None), errors)
-            continue
-        parsed = memos[arity]
-        tokens: list[Token] = []
-        for tok_idx, chunk in enumerate(chunks):
-            token = parsed.get(chunk)
-            if token is None:
-                parts = chunk.rsplit("/", arity - 1)
-                surface = parts[0]
-                try:  # a lookup misses when the chunk does not fit this count
-                    token = parsed[chunk] = Token(
-                        surface,
-                        POS_TAGS[parts[1]],
-                        NE_LABELS[parts[2]] if arity >= 3 else NE_OUTSIDE,
-                        CLAUSE_LABELS[parts[3]] if arity == 4 else ClauseLabel.O,
-                        is_space=surface == SPACE_GLYPH,
-                    )
-                except (LookupError, ValueError) as exc:
-                    _fail(_inline_error(sent_idx, chunks, tok_idx, exc), errors)
-                    break
-            tokens.append(token)
-        else:
-            sentences.append(Sentence(tuple(tokens)))
-    return sentences
+    return list(_sentences(inline_records(text, errors), SPACE_GLYPH))
+
+
+# By a tag tail's slash count, what its "/"-to-tab form lacks of a _TAG_COLUMNS
+# key: its missing layers, which are O. A tail with a tab has too many to match.
+_LACKING = {1: "\tO\tO", 2: "\tO", 3: ""}
+
+
+def inline_records(text: str, errors: Optional[list[TokenError]] = None) -> Iterator[tuple]:
+    """Each input sentence of inline text, as :func:`columnar_records` gives a
+    columnar one: its number from 0, surfaces (the glyph for white space),
+    ``_TAG_COLUMNS`` entries and space flags. A malformed sentence is left out
+    whole: under ``errors=None`` its :class:`TokenError` raises, else it is
+    appended to ``errors``. A sentence is read in C-level passes, at one layer
+    more than its chunks' fewest slashes (the rest are in surfaces); a bare
+    glyph, a tag tail that misses, or an empty surface or one with a tab or
+    newline sends it to the chunk-by-chunk rule, whose Tokens raise. Every
+    command reads inline input here; :func:`read_inline` builds Tokens."""
+    for number, chunks in enumerate(_split_sentences(text.removeprefix(_BOM))):
+        slashes = list(map(str.count, chunks, repeat("/")))
+        least = min(slashes)
+        if least in _LACKING:
+            parts = list(map(str.partition, chunks, repeat("/")))
+            words, tails = list(map(_FIRST, parts)), list(map(_THIRD, parts))
+            for i in compress(count(), map(ne, slashes, repeat(least))):  # a surface with a slash
+                words[i] = chunks[i].rsplit("/", least)[0]
+                tails[i] = chunks[i][len(words[i]) + 1 :]
+            tabbed = map(str.replace, tails, repeat("/"), repeat("\t"))
+            keys = map(add, tabbed, repeat(_LACKING[least]))
+            labels = list(map(_TAG_COLUMNS.get, keys))
+            joined = "".join(words)
+            if None not in labels and "" not in words and "\t" not in joined and "\n" not in joined:
+                yield number, words, labels, list(map(eq, words, repeat(SPACE_GLYPH)))
+                continue
+        if (tokens := _inline_tokens(number, chunks, errors)) is not None:
+            yield number, *_token_columns(tokens)
+
+
+def _inline_tokens(number: int, chunks: Sequence[str], errors) -> Optional[list[Token]]:
+    """A sentence's Tokens at its first non-glyph chunk's layer count, or None after its error."""
+    first = next((chunk for chunk in chunks if chunk != SPACE_GLYPH), SPACE_GLYPH)
+    arity = _arity_mask(first).bit_length() - 1
+    if arity < 0:
+        return _fail(_inline_error(number, chunks, 0, None), errors)
+    tokens: list[Token] = []
+    for tok_idx, chunk in enumerate(chunks):
+        parts = chunk.rsplit("/", arity - 1)
+        try:  # a lookup misses when the chunk does not fit this count
+            tokens.append(_BARE_SPACE if chunk == SPACE_GLYPH else Token(
+                parts[0], POS_TAGS[parts[1]], NE_LABELS[parts[2]] if arity >= 3 else NE_OUTSIDE,
+                CLAUSE_LABELS[parts[3]] if arity == 4 else ClauseLabel.O, parts[0] == SPACE_GLYPH,
+            ))
+        except (LookupError, ValueError) as exc:
+            return _fail(_inline_error(number, chunks, tok_idx, exc), errors)
+    return tokens
 
 
 def _inline_error(
@@ -499,12 +546,12 @@ def write_inline(sentences: Iterable[Sentence], layers: int = 4) -> str:
 
 
 def write_inline_records(records: Iterable[tuple], layers: int = 4) -> str:
-    """:func:`write_inline` of sentence records, as :func:`columnar_records`
-    and :func:`sentence_records` give them: a token's labels start with its
-    POS, NE and clause label. Refusals come in token order."""
+    """:func:`write_inline` of sentence records, as :func:`columnar_records`,
+    :func:`inline_records` and :func:`sentence_records` give them: a token's
+    labels are its ``_TAG_COLUMNS`` entry. Refusals come in token order."""
     if layers not in _ARITIES:
         raise ValueError("layers must be 2, 3 or 4")
-    getters = (_FIRST, _SECOND, _THIRD)[: layers - 1]
+    texts = _entry_texts("/", layers - 1)
     lines = []
     for _, words, labels, spaces in records:
         surfaces = list(words)
@@ -514,8 +561,8 @@ def write_inline_records(records: Iterable[tuple], layers: int = 4) -> str:
         clean = "|" not in "".join(surfaces) and list(map(str.lstrip, surfaces)) == surfaces
         if not clean or surfaces.count(SPACE_GLYPH) > spaces.count(True):
             _refuse_inline(surfaces, spaces)
-        texts = (map(_TEXT, map(get, labels)) for get in getters)
-        lines.append(" | ".join(map("/".join, zip(surfaces, *texts))) + " ||")
+        tails = map(texts.__getitem__, map(id, labels))
+        lines.append(" | ".join(map(add, surfaces, tails)) + " ||")
     return _refuse_leading_bom("\n".join(lines) + ("\n" if lines else ""))
 
 

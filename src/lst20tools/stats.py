@@ -8,7 +8,7 @@ number of spans.
 Only :func:`tally_counts` turns a tally, ``(sentences, white-space tokens,
 POS histogram, NE-label histogram, B_CLS count)``, into counts. A clean
 columnar file is tallied from its distinct lines (``format.tally_columnar``),
-any other columnar file from its ``format.columnar_records``
+any other file from its ``format.columnar_records`` or ``inline_records``
 (:func:`records_counts`), and a document from the same records read off its
 tokens (:func:`document_counts`).
 """
@@ -68,7 +68,7 @@ def document_counts(doc: Document, include_spaces: bool = False) -> CorpusCounts
 
 def records_counts(records, include_spaces: bool = False) -> CorpusCounts:
     """Counts and histograms of one document's sentence records, as
-    ``format.columnar_records`` gives them: each histogram and the ``B_CLS``
+    ``format.columnar_records`` and the like give them: each histogram and the ``B_CLS``
     count is one C-level pass over every token's labels."""
     sentences = spaces = 0
     labels: list = []

@@ -190,7 +190,7 @@ def lint_document(doc: Document, extra: Optional[list[LintIssue]] = None) -> Lin
 
 def lint_records(records, extra: Iterable[LintIssue] = ()) -> LintReport:
     """:func:`lint_document` on ``(index, words, labels, spaces)`` records, as
-    ``format.columnar_records`` gives them: a token's labels start with its
+    ``format.columnar_records`` and the like give them: a token's labels start with its
     POS, NE and clause. ``extra`` is read after the last record."""
     issues: list[LintIssue] = []
     for idx, words, labels, spaces in records:

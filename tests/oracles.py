@@ -9,7 +9,8 @@ clause spans by cutting at every connector and merging verbless chunks,
 inline parsing by testing every chunk of a sentence at each layer count,
 from the format's definition and the public label tables alone, before
 building any token, columnar parsing one line at a time over the whole
-file's lines, input sentences as runs of non-blank lines, and linting by the regular expression per layer plus every
+file's lines, input sentences as runs of non-blank lines or as the chunks up to
+``||``, and linting by the regular expression per layer plus every
 token rule tested on each token and each adjacent pair on its own.
 """
 
@@ -338,6 +339,15 @@ def read_inline_two_pass(
         else:
             errors.append(failure)
     return sentences
+
+
+def inline_input_sentences(text: str) -> list[str]:
+    """The text of each input sentence of inline text, in order, as inline text
+    of one sentence: a leading BOM, so that reading it strips no character of
+    the first chunk, then its chunks and ``||``. Every sentence with a chunk
+    counts, whether or not it parses."""
+    sentences = _inline_sentences(text.removeprefix("\ufeff"))
+    return ["\ufeff" + " | ".join(chunks) + " ||" for chunks in sentences]
 
 
 def read_columnar_lines(

@@ -58,22 +58,23 @@ def test_every_hook_records_its_work_through_the_cli(tmp_path, capsys):
     inline = str(tmp_path / "glimpse.inline")
     calls = [
         ["validate", "--json", str(fixtures)],
-        # Columnar input is written inline from its records, with no Token.
+        # Convert writes either format from the input's records, with no Token.
         ["convert", "--to", "inline", glimpse, "-o", inline],
         ["convert", "--from", "inline", "--to", "columnar", inline, "-o", str(tmp_path / "back.txt")],
-        # Columnar input is linted from its columns; inline input still goes
-        # through validate.lint_document.
+        # Columnar and inline input are both linted from their columns.
         ["validate", "--from", "inline", inline],
         ["segment", glimpse, "-o", str(tmp_path / "seg.txt")],
         # Columnar input segmented to columnar is segmented from its records;
         # inline input, and any input segmented to inline, still goes through
-        # segment.segment_paragraphs, and the latter through format.read_columnar
-        # and format.write_inline.
+        # segment.segment_paragraphs. Inline input segmented to columnar is the
+        # call that reaches format.read_inline and format.write_columnar, and
+        # columnar input segmented to inline the one that reaches
+        # format.read_columnar and format.write_inline.
         ["segment", "--from", "inline", inline, "-o", str(tmp_path / "seg.inline.txt")],
         ["segment", "--to", "inline", glimpse, "-o", str(tmp_path / "seg.to-inline.txt")],
         ["stats", "--json", str(fixtures)],
-        # A clean columnar file is counted from its lines; inline input still
-        # goes through stats.document_counts.
+        # A clean columnar file is counted from its lines, inline input from
+        # its records.
         ["stats", "--from", "inline", inline, "-o", str(tmp_path / "stats.txt")],
         ["frames", "check", glimpse, "--word", "ไม่", "-o", str(tmp_path / "frames.txt")],
     ]
@@ -82,6 +83,12 @@ def test_every_hook_records_its_work_through_the_cli(tmp_path, capsys):
     try:
         for argv in calls:
             assert cli.main(argv) == 0, argv
+        # No command lints or counts a Document now that inline input is read
+        # as records too, so these two hooks are reached through the library:
+        # their measure callbacks still read a real call.
+        doc = lst20tools.read_columnar(corpus_samples.fixture_text("glimpse.txt"))
+        lst20tools.lint_document(doc)
+        lst20tools.document_counts(doc)
     finally:
         tracer.uninstall()
     capsys.readouterr()

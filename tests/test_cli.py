@@ -29,14 +29,22 @@ from lst20tools import (
     read_columnar,
     read_inline,
     write_columnar,
+    write_inline,
 )
 from lst20tools import cli
 from lst20tools import format as format_module
 from lst20tools import segment as segment_module
 from lst20tools.cli import _format_issue, _json_entries, format_report, main
 from lst20tools.format import inline_layer_count
-from oracles import columnar_input_sentences, lint_oracle, read_columnar_lines
-from test_format import BOM, columnar_texts
+from lst20tools.validate import lint_records
+from oracles import (
+    columnar_input_sentences,
+    inline_input_sentences,
+    lint_oracle,
+    read_columnar_lines,
+    read_inline_two_pass,
+)
+from test_format import BOM, columnar_texts, damaged_inline_texts
 from test_validate import _oracle_view
 
 
@@ -1079,6 +1087,16 @@ class TestFramesCommand:
         assert main(["frames", "check", "--from", informat, "--word", "ข", str(source)]) == 0
         assert capsys.readouterr().out.startswith("sentence 0, token 1: ")
 
+    def test_a_word_that_starts_with_a_dash_is_given_after_an_equals_sign(
+        self, tmp_path, capsys
+    ):
+        """argparse reads ``--word -ก`` as an option with no value; the word is
+        looked up as ``--word=-ก``."""
+        source = tmp_path / "d.txt"
+        source.write_text("-ก\tNN\tO\tO\nไป\tVV\tO\tO\n", encoding="utf-8")
+        assert main(["frames", "check", str(source), "--word=-ก"]) == 0
+        assert capsys.readouterr().out.startswith("sentence 0, token 0: ")
+
     def test_bad_frame_file_exits_two(self, tmp_path):
         frames_file = tmp_path / "frames.txt"
         frames_file.write_text("X.1: _ _\n", encoding="utf-8")
@@ -1352,9 +1370,10 @@ class TestJsonBytes:
         errors = []
         if informat == "columnar":
             doc = read_columnar(text, errors=errors)
-        else:
-            doc = Document("d", tuple(read_inline(text, errors=errors)))
-        report = lint_document(doc, extra=[_format_issue(e) for e in errors])
+            report = lint_document(doc, extra=[_format_issue(e) for e in errors])
+        else:  # inline issues are located by input sentence, as the records number them
+            records = format_module.inline_records(text, errors)
+            report = lint_records(records, map(_format_issue, errors))
         argv = ["validate", "--json", "--from", informat]
         assert main([*argv, str(empty)]) == 0
         assert capsys.readouterr().out == "[]\n"
@@ -1388,11 +1407,38 @@ class TestValidateFromColumns:
 
     @pytest.mark.parametrize("name", _FIXTURE_NAMES)
     def test_fixture_report_is_lint_document(self, name):
-        from lst20tools.validate import lint_records
-
         text = corpus_samples.fixture_text(name)
         report = lint_records(format_module.columnar_records(text))
         assert report == lint_document(read_columnar(text))
+
+
+class TestInlineInputNumbers:
+    """Inline issues and usages are located by input sentence, as columnar
+    ones are: a malformed sentence keeps its number."""
+
+    def test_validate(self, tmp_path, capsys):
+        path = tmp_path / "d.inline"
+        path.write_text("a/QQ ||\nb/NN/I_PER ||\n", encoding="utf-8")
+        assert main(["validate", "--from", "inline", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "d.inline:0:0: error FORMAT_TOKEN [FORMAT] inconsistent or missing annotation layers",
+            "d.inline:1:0: error NE_ORPHAN_I [NE] I-label with no open span",
+        ]
+        assert main(["validate", "--json", "--from", "inline", str(path)]) == 1
+        entries = json.loads(capsys.readouterr().out)
+        assert [(e["code"], e["sentence"], e["token"]) for e in entries] == [
+            ("FORMAT_TOKEN", 0, 0), ("NE_ORPHAN_I", 1, 0),
+        ]
+
+    def test_frames_check(self, tmp_path, capsys):
+        path = tmp_path / "d.inline"
+        path.write_text("a/QQ ||\nข/NN ||\n", encoding="utf-8")
+        assert main(["frames", "check", "--from", "inline", "--word", "ข", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("sentence 1, token 0: ")
+        assert captured.err == (
+            "d.inline: sentence 0, token 0: inconsistent or missing annotation layers\n"
+        )
 
 
 _DAMAGE = (
@@ -1510,6 +1556,55 @@ def test_workload_commands_never_call_read_columnar(tmp_path, monkeypatch, capsy
         assert (main(argv), *capsys.readouterr()) == reference, argv
 
 
+def test_convert_builds_no_token(tmp_path, monkeypatch, capsys):
+    """``convert`` writes either format from the input's records: with the
+    Token readers and writers, and Token itself, refusing, ``convert --to
+    inline`` and ``convert --from inline --to columnar`` give the bytes and
+    exit codes they give without that. The columnar inputs are the fixtures
+    and a draft with two bad lines; the inline ones are the fixtures at each
+    layer count and a file of URL surfaces, which hold slashes."""
+    lines = corpus_samples.fixture_text("glimpse.txt").split("\n")
+    lines[2:2] = ["broken line", "ก\tQQ\tO\tO"]
+    draft = tmp_path / "draft.txt"
+    draft.write_text("\n".join(lines), encoding="utf-8")
+    urls = tmp_path / "urls.inline"
+    urls.write_text(
+        "https://www.x.co.th/news/1/2/NN/O/O | ␣/PU/O/O | ดู/VV/O/B_CLS ||\n"
+        "ที่/PS/O/O | http://a.th/b/NN/B_ORG/O ||\n",
+        encoding="utf-8",
+    )
+    columnar = [corpus_samples.FIXTURE_DIR / name for name in _FIXTURE_NAMES] + [draft]
+    inline = [urls]
+    for path in columnar[:-1]:
+        sentences = read_columnar(path.read_text(encoding="utf-8")).sentences
+        for layers in (2, 3, 4):
+            inline.append(tmp_path / f"{path.stem}.{layers}.inline")
+            inline[-1].write_text(write_inline(sentences, layers), encoding="utf-8")
+    argvs = [
+        [*argv, *strict]
+        for strict in ([], ["--strict"])
+        for argv in (
+            *(["convert", "--to", "inline", str(path)] for path in columnar),
+            *(["convert", "--from", "inline", "--to", "columnar", str(path)] for path in inline),
+        )
+    ]
+    expected = []
+    for argv in argvs:
+        expected.append((main(argv), *capsys.readouterr()))
+    assert {code for code, _, _ in expected} == {0, 1}
+
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+
+        return refused
+
+    for name in ("read_columnar", "read_inline", "write_columnar", "write_inline", "Token"):
+        monkeypatch.setattr(format_module, name, refuse(name))
+    for argv, reference in zip(argvs, expected):
+        assert (main(argv), *capsys.readouterr()) == reference, argv
+
+
 def _reported_lines(err: str, name: str = "d.txt") -> list[int]:
     """The line numbers of ``name: line N: reason`` lines on stderr; any
     other line fails."""
@@ -1587,3 +1682,78 @@ def test_columnar_commands_account_for_every_line(tmp_path, capsys, text, chunk_
     located = [tuple(map(int, line.split(":")[0].removeprefix("sentence ").split(", token ")))
                for line in out.splitlines()[:-1] if line.startswith("sentence ")]
     assert located == _usage_oracle(text, word)
+
+
+def _inline_usage_oracle(text: str, word: str) -> list[tuple[int, int]]:
+    """:func:`_usage_oracle` of inline text: each usage of ``word`` at its
+    input sentence number and its index among the sentence's tokens that are
+    not white space."""
+    usages = []
+    for number, sentence in enumerate(inline_input_sentences(text)):
+        tokens = [t for s in read_inline_two_pass(sentence, []) for t in s.tokens if not t.is_space]
+        usages += [(number, i) for i, t in enumerate(tokens) if t.surface == word]
+    return usages
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damaged_inline_texts(), st.integers(0, 10**6))
+def test_inline_commands_account_for_every_sentence(tmp_path, capsys, text, pick):
+    """Every input sentence of a damaged inline file is one whose tokens
+    ``convert --to columnar`` writes and ``stats`` counts, or a bad one that
+    they report; ``frames check`` finds every usage of a word, and
+    ``validate --json`` every issue the oracles find, at its input sentence.
+    Each bad sentence is reported, as the two-pass reference reads it, on
+    stderr with exit 1, except by ``stats``, which only counts it in
+    ``format_errors``; under ``--strict`` each names the first one. A first
+    surface that starts with a BOM cannot be written: ``convert`` then
+    writes nothing, and its refusal follows the bad sentences."""
+    errors = []
+    sentences = read_inline_two_pass(text, errors)
+    tokens = [t for s in sentences for t in s.tokens]
+    word = tokens[pick % len(tokens)].surface if tokens else "ก"
+    path = tmp_path / "d.txt"
+    path.write_bytes(text.encode("utf-8"))
+    argvs = {
+        "convert": ["convert", "--from", "inline", "--to", "columnar", str(path)],
+        "stats": ["stats", "--from", "inline", "--json", str(path)],
+        "frames": ["frames", "check", "--from", "inline", str(path), f"--word={word}"],
+        "validate": ["validate", "--from", "inline", "--json", str(path)],
+    }
+    runs = {}
+    for name, argv in argvs.items():
+        runs[name] = (main(argv), *capsys.readouterr())
+        strict = (main([*argv, "--strict"]), *capsys.readouterr())
+        if errors:
+            assert (strict[0], strict[2]) == (1, f"d.txt: {errors[0]}\n"), name
+    status = 1 if errors else 0
+    reported = "".join(f"d.txt: {error}\n" for error in errors)
+    code, out, err = runs["convert"]
+    if tokens and tokens[0].surface.startswith(BOM):
+        refusal = "d.txt: first surface starting with U+FEFF is not representable: readers strip it\n"
+        assert (code, out, err) == (1, "", reported + refusal)
+    else:
+        assert (code, err) == (status, reported)
+        assert len([line for line in out.split("\n") if line]) == len(tokens)
+    code, out, err = runs["stats"]
+    payload = json.loads(out)
+    assert (code, err, payload["format_errors"]) == (0, "", len(errors))
+    assert payload["counts"]["tokens"] == len(tokens)
+    code, out, err = runs["frames"]
+    assert (code, err) == (status, reported)
+    located = [tuple(map(int, line.split(":")[0].removeprefix("sentence ").split(", token ")))
+               for line in out.splitlines()[:-1] if line.startswith("sentence ")]
+    assert located == _inline_usage_oracle(text, word)
+    code, out, err = runs["validate"]
+    entries = json.loads(out)
+    assert [(e["sentence"], e["token"], e["message"]) for e in entries if e["code"] == "FORMAT_TOKEN"] == [
+        (error.sentence, error.token, error.reason) for error in errors
+    ]
+    issues = tuple(
+        LintIssue(Severity(e["severity"]), e["code"], e["message"], e["sentence"], e["token"], e["layer"])
+        for e in entries if e["code"] != "FORMAT_TOKEN"
+    )
+    triples = set()
+    for number, sentence in enumerate(inline_input_sentences(text)):
+        triples |= {(number, t, c) for _, t, c in lint_oracle(read_inline_two_pass(sentence, []))}
+    assert _oracle_view(LintReport(issues)) == triples
+    assert code == (1 if any(e["severity"] == "error" for e in entries) else 0)

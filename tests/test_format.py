@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 import corpus_samples
 import oracles
-from oracles import columnar_input_sentences, read_columnar_lines, read_inline_two_pass
+from oracles import (
+    columnar_input_sentences,
+    inline_input_sentences,
+    read_columnar_lines,
+    read_inline_two_pass,
+)
 from lst20tools import (
     ClauseLabel,
     Document,
@@ -713,6 +718,77 @@ def test_read_inline_matches_two_pass_reference_at_layer_edges():
     text = "".join(line + " ||\n" for line in lines)
     got = _read_either_way(read_inline, text, [])
     assert got == _read_either_way(read_inline_two_pass, text, [])
+
+
+_INLINE_DAMAGE = (
+    "bad-tag", "drop-layer", "add-layer", "empty-word", "tab-in-word", "newline-in-word",
+    "bar-in-word", "bare-glyph", "glyph-word", "url", "bom", "empty-sentence",
+)
+
+
+@st.composite
+def damaged_inline_texts(draw):
+    """A random document's inline text at 2, 3 or 4 layers with chunks damaged
+    as files come: an unknown tag, a layer dropped or added, an empty word, a
+    tab, newline or ``|`` in a word, a bare glyph or a glyph word, a URL
+    surface with extra slashes, a BOM, a sentence with no chunk; then maybe a
+    leading BOM. Random surfaces hold slashes too."""
+    rng = draw(st.randoms(use_true_random=False))
+    doc = corpus_samples.random_document(rng, max_sentences=5, max_tokens=6)
+    layers = draw(st.sampled_from([2, 3, 4]))
+    lines = write_inline(doc.sentences, layers).splitlines()
+    sentences = [line.removesuffix(" ||").split(" | ") for line in lines]
+    for kind in draw(st.lists(st.sampled_from(_INLINE_DAMAGE), max_size=6)):
+        chunks = sentences[draw(st.integers(0, len(sentences) - 1))]
+        at = draw(st.integers(0, len(chunks) - 1))
+        word, *tags = chunks[at].rsplit("/", layers - 1)
+        tail = "".join("/" + tag for tag in tags)
+        edits = {
+            "bad-tag": "/".join([word, "QQ", *tags[1:]]),
+            "drop-layer": word + tail.rpartition("/")[0],
+            "add-layer": chunks[at] + "/O",
+            "empty-word": tail,
+            "tab-in-word": word + "\tx" + tail,
+            "newline-in-word": "x\n" + word + tail,
+            "bar-in-word": word + "|x" + tail,
+            "glyph-word": SPACE_GLYPH + tail,
+            "url": "https://www.x.co.th/news/1/" + word + tail,
+            "bom": BOM + chunks[at],
+        }
+        if kind in edits:
+            chunks[at] = edits[kind]
+        else:
+            chunks.insert(at, {"bare-glyph": SPACE_GLYPH, "empty-sentence": "||"}[kind])
+    text = "\n".join(" | ".join(chunks) + " ||" for chunks in sentences)
+    return draw(st.sampled_from(["", BOM])) + text
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_inline_texts(), st.booleans())
+def test_inline_records_are_the_sentences_read_by_input_number(text, strict):
+    # Each record is one sentence the two-pass reference reads, as its words,
+    # labels and space flags, numbered by its input sentence, a malformed one
+    # included; its labels are the table's own entry. The errors, or the
+    # first one raised, are the reference's.
+    def records(text, errors):
+        found = []
+        for number, words, entries, spaces in format_module.inline_records(text, errors):
+            for entry in entries:
+                assert entry is format_module._TAG_COLUMNS["\t".join(map(str, entry[:3]))]
+            found.append((number, words, [entry[:3] for entry in entries], spaces))
+        return found
+
+    def reference(text, errors):
+        read_inline_two_pass(text, errors)
+        return [
+            (number, [t.surface for t in s.tokens],
+             [(t.pos, t.ne, t.clause) for t in s.tokens], [t.is_space for t in s.tokens])
+            for number, sentence in enumerate(inline_input_sentences(text))
+            for s in read_inline_two_pass(sentence, [])
+        ]
+
+    got = _read_either_way(records, text, None if strict else [])
+    assert got == _read_either_way(reference, text, None if strict else [])
 
 
 def test_oracles_use_no_private_name_of_the_package():

@@ -88,6 +88,19 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     assert loaded == [0, sorted(expected)]
 
 
+def test_the_writers_text_tables_are_built_on_first_use():
+    """Importing ``format`` builds no writer table: only a writer's first
+    call builds the one it uses."""
+    sizes = _fresh(
+        "import json\n"
+        "from lst20tools import format as fmt\n"
+        "before = fmt._entry_texts.cache_info().currsize\n"
+        "fmt.write_columnar_records(fmt.columnar_records('ก\\tNN\\tO\\tO\\n'))\n"
+        "print(json.dumps([before, fmt._entry_texts.cache_info().currsize]))"
+    )
+    assert sizes == [0, 1]
+
+
 def test_package_import_loads_no_submodule_and_exports_the_same_objects():
     checks = _fresh(
         "import importlib, json, sys\n"
