@@ -27,6 +27,7 @@ _EXPORTS = {
         "WriteError",
         "read_columnar",
         "read_inline",
+        "relabel_columnar",
         "space_token",
         "write_columnar",
         "write_inline",

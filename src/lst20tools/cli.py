@@ -208,9 +208,10 @@ def _same_file(target: os.stat_result, path: Path) -> bool:
         return False
 
 
-def _write(output, text: str) -> None:
+def _write(output, pieces: Sequence[str]) -> None:
+    """Write the pieces of an output built before ``output`` was opened, not joined."""
     with output as out:
-        out.write(text)
+        out.writelines(pieces)
 
 
 def _cmd_validate(args) -> int:
@@ -257,10 +258,11 @@ def _cmd_convert(args) -> int:
     text = _read_text(path)
     if args.outformat == FORMAT_INLINE:
         layers = fmt.inline_layer_count(text) if args.informat == FORMAT_INLINE else 4
-        output, status = _from_records(text, path, args, fmt.write_inline_records, layers)
+        blocks, status = _from_records(text, path, args, fmt._inline_blocks, layers)
     else:
-        output, status = _from_records(text, path, args, fmt.write_columnar_records)
-    _write(_open_output(args, [path]), output)
+        blocks, status = _from_records(text, path, args, fmt._columnar_blocks)
+    del text  # the input is not alive while the output is written
+    _write(_open_output(args, [path]), blocks)
     return status
 
 
@@ -273,8 +275,8 @@ def _load_lexicon(args) -> Optional[MarkerLexicon]:
     return None
 
 
-def _segment_file(path: Path, args) -> tuple[str, int]:
-    """The segmented output of one input and its exit status so far.
+def _segment_file(path: Path, args) -> tuple[list[str], int]:
+    """The pieces of one input's segmented output and its exit status so far.
 
     Columnar input written back as columnar is segmented from its records
     (``format.relabel_columnar``); any other input goes through the readers,
@@ -286,7 +288,7 @@ def _segment_file(path: Path, args) -> tuple[str, int]:
     text = _read_text(path)
     if args.informat == args.outformat == FORMAT_COLUMNAR:
         relabel = functools.partial(segment_mod._segment_columns, lexicon=lexicon)
-        return _from_records(text, path, args, fmt.relabel_columnar, relabel)
+        return _from_records(text, path, args, fmt._relabel_blocks, relabel)
     errors: Optional[list] = None if args.strict else []
     with _located(path):
         if args.informat == FORMAT_COLUMNAR:
@@ -299,14 +301,14 @@ def _segment_file(path: Path, args) -> tuple[str, int]:
     sentences, _ = segment_mod.segment_paragraphs([s.tokens for s in sentences], lexicon)
     with _located(path):  # a refusal is reported as name: reason, with exit 1
         if args.outformat == FORMAT_COLUMNAR:
-            return fmt.write_columnar(Document(path.stem, tuple(sentences))), status
-        return fmt.write_inline(sentences), status
+            return [fmt.write_columnar(Document(path.stem, tuple(sentences)))], status
+        return [fmt.write_inline(sentences)], status
 
 
 def _cmd_segment(args) -> int:
     path = _one_input(args, "segment")
-    output, status = _segment_file(path, args)
-    _write(_open_output(args, [path], args.lexicon), output)
+    blocks, status = _segment_file(path, args)
+    _write(_open_output(args, [path], args.lexicon), blocks)
     return status
 
 
@@ -363,7 +365,7 @@ def _cmd_stats(args) -> int:
             for key, count in sorted(hist.items()):
                 lines.append(f"{title}:{key}\t{count}")
         output = "\n".join(lines) + "\n"
-    _write(_open_output(args, inputs, args.manifest), output)
+    _write(_open_output(args, inputs, args.manifest), [output])
     return EXIT_ISSUES if skipped else EXIT_OK
 
 
@@ -380,7 +382,7 @@ def _cmd_frames(args) -> int:
 
     frameset = _load_frameset(args)
     if args.frames_command == "dump":
-        _write(_open_output(args, [], args.frames), frames_mod.dump_frameset(frameset))
+        _write(_open_output(args, [], args.frames), [frames_mod.dump_frameset(frameset)])
         return EXIT_OK
     # frames check: each usage is located by its input sentence number and
     # its index among the sentence's tokens that are not white space.
@@ -406,7 +408,7 @@ def _cmd_frames(args) -> int:
     if not lines:
         lines.append(f"no occurrences of {args.word!r}")
     lines.append("classes: " + (" ".join(sorted(classes)) if classes else "-"))
-    _write(_open_output(args, [path], args.frames), "\n".join(lines) + "\n")
+    _write(_open_output(args, [path], args.frames), ["\n".join(lines), "\n"])
     return status
 
 

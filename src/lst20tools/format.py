@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, compress, count, product, repeat
-from operator import add, attrgetter, eq, itemgetter, ne, not_
+from operator import add, and_, attrgetter, eq, itemgetter, ne, not_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .schema import (
@@ -306,14 +306,19 @@ def relabel_columnar(records: Iterable[tuple], relabel) -> str:
     columns and gives each token's new label and each sentence's half-open
     token range. A line keeps its word, POS and NE as they were, and
     sentences are laid out and refused as by :func:`write_columnar`."""
+    return "".join(_relabel_blocks(records, relabel))
+
+
+def _relabel_blocks(records: Iterable[tuple], relabel) -> list[str]:
+    """The blocks :func:`relabel_columnar` joins: sentences, and empty lines between them."""
     blocks = []
     for _, words, labels, spaces in records:
         pos, ne, tails = (list(map(get, labels)) for get in (_FIRST, _SECOND, _FOURTH))
         clauses, sentences = relabel(words, pos, ne, spaces)
         for lo, hi in sentences:
             pieces = zip(words[lo:hi], tails[lo:hi], map(_TEXT, clauses[lo:hi]), repeat("\n"))
-            blocks.append("".join(chain.from_iterable(pieces)))
-    return _refuse_leading_bom("\n".join(blocks))
+            blocks += "\n", "".join(chain.from_iterable(pieces))
+    return _refuse_leading_bom(blocks[1:])
 
 
 def sentence_records(sentences: Iterable[Sentence]) -> Iterator[tuple]:
@@ -374,6 +379,11 @@ def write_columnar_records(records: Iterable[tuple]) -> str:
     """:func:`write_columnar` of sentence records, as the record readers and
     :func:`sentence_records` give them: a white-space token's word is written
     ``_``; any other word ``_`` is refused, as it would read back as a space."""
+    return "".join(_columnar_blocks(records))
+
+
+def _columnar_blocks(records: Iterable[tuple]) -> list[str]:
+    """The blocks :func:`write_columnar_records` joins: sentences, and empty lines between them."""
     texts = _entry_texts("\t", 3, "\n")
     blocks = []
     for _, words, labels, spaces in records:
@@ -383,17 +393,17 @@ def write_columnar_records(records: Iterable[tuple]) -> str:
         if words.count(COLUMNAR_SPACE) > spaces.count(True):
             raise WriteError("literal '_' surface is not representable in columnar form")
         tails = map(texts.__getitem__, map(id, labels))
-        blocks.append("".join(chain.from_iterable(zip(words, tails))))
-    return _refuse_leading_bom("\n".join(blocks))
+        blocks += "\n", "".join(chain.from_iterable(zip(words, tails)))
+    return _refuse_leading_bom(blocks[1:])
 
 
-def _refuse_leading_bom(text: str) -> str:
-    """``text``, unless both readers would strip its first character."""
-    if text.startswith(_BOM):
+def _refuse_leading_bom(blocks: list[str]) -> list[str]:
+    """``blocks``, unless both readers would strip the first character of their text."""
+    if blocks and blocks[0].startswith(_BOM):
         raise WriteError(
             "first surface starting with U+FEFF is not representable: readers strip it"
         )
-    return text
+    return blocks
 
 
 _ARITIES = (2, 3, 4)
@@ -428,16 +438,18 @@ def _arity_mask(chunk: str) -> int:
 
 def _sentence_mask(chunks: Sequence[str]) -> int:
     """Layer counts every chunk of a sentence parses under."""
-    mask = _ANY_ARITY
-    for chunk in chunks:
-        mask &= _arity_mask(chunk)
-    return mask
+    return reduce(and_, map(_arity_mask, chunks), _ANY_ARITY)
 
 
 def _split_sentences(text: str) -> Iterator[list[str]]:
-    for part in text.split("||"):
+    """Each sentence's chunks, as of ``text.split("||")``, found one ``||`` at a time."""
+    start = end = 0
+    while end >= 0:  # -1: the last part was read
+        end = text.find("||", start)
+        part = text[start:end] if end >= 0 else text[start:]
         if chunks := list(filter(None, map(str.strip, part.split("|")))):
             yield chunks
+        start = end + 2
 
 
 def read_inline(
@@ -549,10 +561,15 @@ def write_inline_records(records: Iterable[tuple], layers: int = 4) -> str:
     """:func:`write_inline` of sentence records, as :func:`columnar_records`,
     :func:`inline_records` and :func:`sentence_records` give them: a token's
     labels are its ``_TAG_COLUMNS`` entry. Refusals come in token order."""
+    return "".join(_inline_blocks(records, layers))
+
+
+def _inline_blocks(records: Iterable[tuple], layers: int) -> list[str]:
+    """The blocks :func:`write_inline_records` joins: each sentence's line."""
     if layers not in _ARITIES:
         raise ValueError("layers must be 2, 3 or 4")
     texts = _entry_texts("/", layers - 1)
-    lines = []
+    blocks = []
     for _, words, labels, spaces in records:
         surfaces = list(words)
         for i in compress(count(), spaces):
@@ -562,8 +579,8 @@ def write_inline_records(records: Iterable[tuple], layers: int = 4) -> str:
         if not clean or surfaces.count(SPACE_GLYPH) > spaces.count(True):
             _refuse_inline(surfaces, spaces)
         tails = map(texts.__getitem__, map(id, labels))
-        lines.append(" | ".join(map(add, surfaces, tails)) + " ||")
-    return _refuse_leading_bom("\n".join(lines) + ("\n" if lines else ""))
+        blocks.append(" | ".join(map(add, surfaces, tails)) + " ||\n")
+    return _refuse_leading_bom(blocks)
 
 
 def _refuse_inline(surfaces: Sequence[str], spaces: Sequence[bool]) -> None:

@@ -16,6 +16,7 @@ from lst20tools import (
     parse_ne_label,
     read_columnar,
     space_token,
+    write_columnar,
 )
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -280,3 +281,13 @@ def random_document(
         random_sentence(rng, max_tokens) for _ in range(rng.randint(1, max_sentences))
     )
     return Document(f"doc{rng.randint(0, 10**6)}", sentences)
+
+
+def random_columnar_text(rng: random.Random, size: int) -> str:
+    """Columnar text of random documents, one after another, of at least
+    ``size`` bytes in UTF-8."""
+    texts, total = [], 0
+    while total < size:
+        texts.append(write_columnar(random_document(rng)))
+        total += len(texts[-1].encode("utf-8")) + 1
+    return "\n".join(texts)

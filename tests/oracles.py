@@ -263,10 +263,11 @@ def frame_witness(
 _INLINE_TABLES = (POS_TAGS, NE_LABELS, CLAUSE_LABELS)
 
 
-def _inline_sentences(text: str) -> list[list[str]]:
+def inline_sentence_chunks(text: str) -> list[list[str]]:
     """The chunks of each sentence of inline text: ``||`` ends a sentence,
     ``|`` separates its chunks, white space around a chunk is not part of
-    it, and a sentence with no chunk is no sentence."""
+    it, and a sentence with no chunk is no sentence. The whole text is split
+    on ``||`` up front, then each part on ``|``."""
     sentences = []
     for part in text.split("||"):
         chunks = [chunk.strip() for chunk in part.split("|")]
@@ -302,7 +303,7 @@ def read_inline_two_pass(
     permissive modes follow :func:`lst20tools.format.read_inline`.
     """
     sentences = []
-    for sent_idx, chunks in enumerate(_inline_sentences(text.removeprefix("\ufeff"))):
+    for sent_idx, chunks in enumerate(inline_sentence_chunks(text.removeprefix("\ufeff"))):
         failure = None
         shared = [k for k in (2, 3, 4) if all(_fits(chunk, k) for chunk in chunks)]
         if not shared:
@@ -346,7 +347,7 @@ def inline_input_sentences(text: str) -> list[str]:
     of one sentence: a leading BOM, so that reading it strips no character of
     the first chunk, then its chunks and ``||``. Every sentence with a chunk
     counts, whether or not it parses."""
-    sentences = _inline_sentences(text.removeprefix("\ufeff"))
+    sentences = inline_sentence_chunks(text.removeprefix("\ufeff"))
     return ["\ufeff" + " | ".join(chunks) + " ||" for chunks in sentences]
 
 

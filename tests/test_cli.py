@@ -1261,6 +1261,67 @@ def test_heap_peak_follows_the_largest_file_not_the_file_count(tmp_path, command
     assert double <= 1.15 * single, (single, double)
 
 
+@pytest.fixture(scope="module")
+def megabyte_files(tmp_path_factory):
+    """A columnar file of at least 1 MiB of random documents, and its inline form."""
+    directory = tmp_path_factory.mktemp("megabyte")
+    columnar, inline = directory / "d.txt", directory / "d.inline"
+    columnar.write_text(corpus_samples.random_columnar_text(random.Random(30), 2**20), encoding="utf-8")
+    assert main(["convert", "--to", "inline", str(columnar), "-o", str(inline)]) == 0
+    return {"columnar": columnar, "inline": inline}
+
+
+@pytest.mark.parametrize(
+    "informat, outformat, ratio", [("columnar", "inline", 4.01), ("inline", "columnar", 4.01)]
+)
+def test_convert_holds_one_copy_of_its_input_and_output(
+    tmp_path, megabyte_files, informat, outformat, ratio
+):
+    # The heap peak as a multiple of the input file's size, as measured when
+    # the writers handed their blocks to the output, with 10% slack. Reading
+    # the file sets it; a joined copy of the output, or the input kept while
+    # the output is written, would raise it.
+    source = megabyte_files[informat]
+    argv = ["convert", "--from", informat, "--to", outformat, str(source), "-o", str(tmp_path / "out")]
+    main(argv)  # one-time lazy set-up
+    peak = _heap_peak(argv)
+    assert peak <= 1.1 * ratio * source.stat().st_size, peak / source.stat().st_size
+
+
+class TestRefusedWrite:
+    """A refusal, or a bad line under ``--strict``, leaves the ``-o`` file as
+    it was: the whole output is built before the file is opened."""
+
+    @pytest.mark.parametrize(
+        "argv, text, err",
+        [
+            (
+                ["convert", "--from", "inline", "--to", "columnar"],
+                "\ufeff\ufeffก/NN | ข/VV ||\nค/NN ||\n",  # the reader strips the first BOM only
+                "first surface starting with U+FEFF is not representable: readers strip it",
+            ),
+            (
+                ["segment", "--strict"],
+                "ก\tNN\tO\tB_CLS\nข\tVV\tO\tE_CLS\n\nbroken line\n",
+                "line 4: expected 4 tab-separated fields, got 1",
+            ),
+            (
+                ["convert", "--to", "inline", "--strict"],
+                "ก\tNN\tO\tO\n\nข\tQQ\tO\tO\n",
+                "line 3: unknown POS tag 'QQ'",
+            ),
+        ],
+        ids=["convert-refusal", "segment-strict", "convert-strict"],
+    )
+    def test_the_old_output_is_left_alone(self, tmp_path, capsys, argv, text, err):
+        source, out = tmp_path / "d.txt", tmp_path / "out.txt"
+        source.write_text(text, encoding="utf-8")
+        out.write_bytes(b"old output\n")
+        assert main([*argv, str(source), "-o", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"d.txt: {err}\n")
+        assert out.read_bytes() == b"old output\n"
+
+
 class TestLineEnds:
     """Input files are read with their line ends as they are, so the readers'
     rules are the only line rules: CRLF ends a line, and a CR anywhere else
@@ -1706,7 +1767,9 @@ def test_inline_commands_account_for_every_sentence(tmp_path, capsys, text, pick
     stderr with exit 1, except by ``stats``, which only counts it in
     ``format_errors``; under ``--strict`` each names the first one. A first
     surface that starts with a BOM cannot be written: ``convert`` then
-    writes nothing, and its refusal follows the bad sentences."""
+    writes nothing, and its refusal follows the bad sentences. ``convert
+    --to inline`` writes each sentence read, and ``segment`` each token that
+    is not white space, with its word, POS and NE as read."""
     errors = []
     sentences = read_inline_two_pass(text, errors)
     tokens = [t for s in sentences for t in s.tokens]
@@ -1715,6 +1778,8 @@ def test_inline_commands_account_for_every_sentence(tmp_path, capsys, text, pick
     path.write_bytes(text.encode("utf-8"))
     argvs = {
         "convert": ["convert", "--from", "inline", "--to", "columnar", str(path)],
+        "to-inline": ["convert", "--from", "inline", "--to", "inline", str(path)],
+        "segment": ["segment", "--from", "inline", str(path)],
         "stats": ["stats", "--from", "inline", "--json", str(path)],
         "frames": ["frames", "check", "--from", "inline", str(path), f"--word={word}"],
         "validate": ["validate", "--from", "inline", "--json", str(path)],
@@ -1727,13 +1792,33 @@ def test_inline_commands_account_for_every_sentence(tmp_path, capsys, text, pick
             assert (strict[0], strict[2]) == (1, f"d.txt: {errors[0]}\n"), name
     status = 1 if errors else 0
     reported = "".join(f"d.txt: {error}\n" for error in errors)
+    refusal = "d.txt: first surface starting with U+FEFF is not representable: readers strip it\n"
     code, out, err = runs["convert"]
     if tokens and tokens[0].surface.startswith(BOM):
-        refusal = "d.txt: first surface starting with U+FEFF is not representable: readers strip it\n"
         assert (code, out, err) == (1, "", reported + refusal)
     else:
         assert (code, err) == (status, reported)
         assert len([line for line in out.split("\n") if line]) == len(tokens)
+    # Each sentence read at its input number, in order, is one line of the
+    # inline output, at the input's layer count.
+    code, out, err = runs["to-inline"]
+    if tokens and tokens[0].surface.startswith(BOM):
+        assert (code, out, err) == (1, "", reported + refusal)
+    else:
+        assert (code, err) == (status, reported)
+        by_number = [s for sentence in inline_input_sentences(text)
+                     for s in read_inline_two_pass(sentence, [])]
+        assert read_inline_two_pass(BOM + out) == by_number == sentences
+        assert out.count("\n") == len(sentences)
+    code, out, err = runs["segment"]
+    content = [(t.surface, t.pos.text, t.ne.text) for t in tokens if not t.is_space]
+    if code == 1 and err.endswith(refusal):
+        assert (out, err) == ("", reported + refusal)
+        assert content[0][0].startswith(BOM)
+    else:
+        assert (code, err) == (status, reported)
+        lines = [line.split("\t") for line in out.split("\n") if line]
+        assert [tuple(fields[:3]) for fields in lines if fields[0] != "_"] == content
     code, out, err = runs["stats"]
     payload = json.loads(out)
     assert (code, err, payload["format_errors"]) == (0, "", len(errors))

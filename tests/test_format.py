@@ -791,6 +791,23 @@ def test_inline_records_are_the_sentences_read_by_input_number(text, strict):
     assert got == _read_either_way(reference, text, None if strict else [])
 
 
+# Pieces of inline text around its separators: bars in runs of one to
+# three, white space, the glyph and chunks.
+_SPLIT_PIECES = st.one_of(
+    st.sampled_from(["|", "||", "|||", " ", "\t", "\n", "\r\n", SPACE_GLYPH, "a/NN", "ข/VV/O"]),
+    st.text(alphabet=["|", " ", "\n", "a", "/", SPACE_GLYPH], max_size=5),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_SPLIT_PIECES, max_size=30))
+def test_sentences_are_found_as_by_splitting_the_whole_text(pieces):
+    # One "||" at a time, the split finds the sentences and chunks that
+    # splitting the whole text up front finds.
+    text = "".join(pieces)
+    assert list(format_module._split_sentences(text)) == oracles.inline_sentence_chunks(text)
+
+
 def test_oracles_use_no_private_name_of_the_package():
     # An oracle built on the package's private helpers shares their faults,
     # so a test against it could not catch them.

@@ -23,11 +23,12 @@ import corpus_samples
 SRC = Path(lst20tools.__file__).resolve().parents[1]
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# The names the package exported when __init__.py imported every module.
+# The names the package exported when __init__.py imported every module, and
+# relabel_columnar, exported once segment called only the blocks of its text.
 PUBLIC = {
     "format": "FORMAT_COLUMNAR FORMAT_INLINE SPACE_GLYPH Document FormatError LineError "
-    "Sentence Token TokenError WriteError read_columnar read_inline space_token "
-    "write_columnar write_inline",
+    "Sentence Token TokenError WriteError read_columnar read_inline relabel_columnar "
+    "space_token write_columnar write_inline",
     "frames": "FramePattern FrameSet FrameSpecError classify_instance classify_lexeme "
     "compile_frame default_frameset frame_matches",
     "schema": "NE_OUTSIDE BoundaryPrefix ClauseLabel MalformedLabel NeCategory NeLabel "
