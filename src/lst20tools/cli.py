@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import format as fmt
-from .format import FORMAT_COLUMNAR, FORMAT_INLINE, Document
+from .format import FORMAT_COLUMNAR, FORMAT_INLINE
 
 # Every command reads through format; each other module is imported by the
 # commands that run it, so a call loads only the code it uses.
@@ -275,39 +275,27 @@ def _load_lexicon(args) -> Optional[MarkerLexicon]:
     return None
 
 
-def _segment_file(path: Path, args) -> tuple[list[str], int]:
-    """The pieces of one input's segmented output and its exit status so far.
-
-    Columnar input written back as columnar is segmented from its records
-    (``format.relabel_columnar``); any other input goes through the readers,
-    ``segment_paragraphs`` and the writers. The input is gone on return, so
-    it is not alive while the output is written."""
+def _cmd_segment(args) -> int:
+    """Each input sentence block (columnar) or line (inline) is one paragraph,
+    segmented from the input's records, with no Token. Columnar input written
+    back as columnar keeps its lines, relabelled (``format.relabel_columnar``);
+    any other pair writes the relabelled records with the block writers."""
     from . import segment as segment_mod
 
-    lexicon = _load_lexicon(args)
+    path = _one_input(args, "segment")
+    relabel = functools.partial(segment_mod._segment_columns, lexicon=_load_lexicon(args))
     text = _read_text(path)
     if args.informat == args.outformat == FORMAT_COLUMNAR:
-        relabel = functools.partial(segment_mod._segment_columns, lexicon=lexicon)
-        return _from_records(text, path, args, fmt._relabel_blocks, relabel)
-    errors: Optional[list] = None if args.strict else []
-    with _located(path):
-        if args.informat == FORMAT_COLUMNAR:
-            sentences = fmt.read_columnar(text, path.name, errors=errors).sentences
-        else:
-            sentences = fmt.read_inline(text, errors=errors)
-    del text
-    status = _print_format_issues(path, errors or ())
-    # Each input sentence block (columnar) or line (inline) is one paragraph.
-    sentences, _ = segment_mod.segment_paragraphs([s.tokens for s in sentences], lexicon)
-    with _located(path):  # a refusal is reported as name: reason, with exit 1
-        if args.outformat == FORMAT_COLUMNAR:
-            return [fmt.write_columnar(Document(path.stem, tuple(sentences)))], status
-        return [fmt.write_inline(sentences)], status
+        blocks, status = _from_records(text, path, args, fmt._relabel_blocks, relabel)
+    else:
+        def segmented(records):  # inline output carries all four layers
+            relabelled = fmt._relabel_records(records, relabel)
+            if args.outformat == FORMAT_COLUMNAR:
+                return fmt._columnar_blocks(relabelled)
+            return fmt._inline_blocks(relabelled, 4)
 
-
-def _cmd_segment(args) -> int:
-    path = _one_input(args, "segment")
-    blocks, status = _segment_file(path, args)
+        blocks, status = _from_records(text, path, args, segmented)
+    del text  # the input is not alive while the output is written
     _write(_open_output(args, [path], args.lexicon), blocks)
     return status
 

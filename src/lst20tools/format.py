@@ -128,8 +128,6 @@ def space_token(
     return Token(SPACE_GLYPH, pos, ne, clause, is_space=True)
 
 
-_BARE_SPACE = space_token()
-
 # Every valid "POS\tNE\tCLS" tail of a columnar line, mapped to its interned
 # labels and the line's text between word and clause label, "\tPOS\tNE\t": a
 # token line's tags are one lookup, or two with a CRLF ending.
@@ -177,11 +175,10 @@ _CHUNK_CHARS = 2048
 def _line_chunks(text: str) -> Iterator[list[str]]:
     """The lines of a columnar file, less its BOM and each line's final CR,
     split about ``_CHUNK_CHARS`` characters at a time, so that a reader holds
-    no more of them than one chunk's."""
-    text = text.removeprefix(_BOM)
+    no more of them than one chunk's. The BOM is skipped by offset, not copied."""
     if "\r" in text:  # a scan several times faster than replace's
         text = text.replace("\r\n", "\n").removesuffix("\r")
-    start = 0
+    start = text.startswith(_BOM)
     while (end := text.find("\n", start + _CHUNK_CHARS)) >= 0:
         yield text[start:end].split("\n")
         start = end + 1
@@ -321,18 +318,29 @@ def _relabel_blocks(records: Iterable[tuple], relabel) -> list[str]:
     return _refuse_leading_bom(blocks[1:])
 
 
+def _relabel_records(records: Iterable[tuple], relabel) -> Iterator[tuple]:
+    """A record per sentence that ``relabel``, as in :func:`relabel_columnar`,
+    finds in each of ``records``, with each token's ``_TAG_COLUMNS`` entry
+    swapped for the one that carries its new clause label; either block
+    writer writes them."""
+    for number, words, labels, spaces in records:
+        pos, ne = (list(map(get, labels)) for get in (_FIRST, _SECOND))
+        clauses, sentences = relabel(words, pos, ne, spaces)
+        heads = [entry[3][1:] for entry in labels]  # each key's "POS\tNE\t"
+        labels = list(map(_TAG_COLUMNS.__getitem__, map(add, heads, map(_TEXT, clauses))))
+        for lo, hi in sentences:
+            yield number, words[lo:hi], labels[lo:hi], spaces[lo:hi]
+
+
 def sentence_records(sentences: Iterable[Sentence]) -> Iterator[tuple]:
     """Records as :func:`columnar_records` gives them, read off ``sentences``
     and numbered from 0: each token's surface (the glyph for a white-space
     token), its ``_TAG_COLUMNS`` entry, found by label text, and space flag."""
     for number, sentence in enumerate(sentences):
-        yield number, *_token_columns(sentence.tokens)
-
-
-def _token_columns(tokens: Sequence[Token]) -> tuple[list, list, list]:
-    keys = map("\t".join, map(attrgetter("pos.text", "ne.text", "clause.text"), tokens))
-    labels = list(map(_TAG_COLUMNS.__getitem__, keys))
-    return [t.surface for t in tokens], labels, [t.is_space for t in tokens]
+        tokens = sentence.tokens
+        keys = map("\t".join, map(attrgetter("pos.text", "ne.text", "clause.text"), tokens))
+        labels = list(map(_TAG_COLUMNS.__getitem__, keys))
+        yield number, [t.surface for t in tokens], labels, [t.is_space for t in tokens]
 
 
 @cache
@@ -441,9 +449,9 @@ def _sentence_mask(chunks: Sequence[str]) -> int:
     return reduce(and_, map(_arity_mask, chunks), _ANY_ARITY)
 
 
-def _split_sentences(text: str) -> Iterator[list[str]]:
-    """Each sentence's chunks, as of ``text.split("||")``, found one ``||`` at a time."""
-    start = end = 0
+def _split_sentences(text: str, start: int = 0) -> Iterator[list[str]]:
+    """Each sentence's chunks, as of ``text[start:].split("||")``, found one ``||`` at a time."""
+    end = 0
     while end >= 0:  # -1: the last part was read
         end = text.find("||", start)
         part = text[start:end] if end >= 0 else text[start:]
@@ -482,9 +490,10 @@ def inline_records(text: str, errors: Optional[list[TokenError]] = None) -> Iter
     appended to ``errors``. A sentence is read in C-level passes, at one layer
     more than its chunks' fewest slashes (the rest are in surfaces); a bare
     glyph, a tag tail that misses, or an empty surface or one with a tab or
-    newline sends it to the chunk-by-chunk rule, whose Tokens raise. Every
-    command reads inline input here; :func:`read_inline` builds Tokens."""
-    for number, chunks in enumerate(_split_sentences(text.removeprefix(_BOM))):
+    newline sends it to :func:`_inline_columns`, which checks it chunk by
+    chunk. A leading BOM is skipped by offset. Every command reads inline
+    input here, and none builds a Token; :func:`read_inline` does."""
+    for number, chunks in enumerate(_split_sentences(text, text.startswith(_BOM))):
         slashes = list(map(str.count, chunks, repeat("/")))
         least = min(slashes)
         if least in _LACKING:
@@ -500,38 +509,28 @@ def inline_records(text: str, errors: Optional[list[TokenError]] = None) -> Iter
             if None not in labels and "" not in words and "\t" not in joined and "\n" not in joined:
                 yield number, words, labels, list(map(eq, words, repeat(SPACE_GLYPH)))
                 continue
-        if (tokens := _inline_tokens(number, chunks, errors)) is not None:
-            yield number, *_token_columns(tokens)
+        if (columns := _inline_columns(number, chunks, errors)) is not None:
+            yield number, *columns
 
 
-def _inline_tokens(number: int, chunks: Sequence[str], errors) -> Optional[list[Token]]:
-    """A sentence's Tokens at its first non-glyph chunk's layer count, or None after its error."""
-    first = next((chunk for chunk in chunks if chunk != SPACE_GLYPH), SPACE_GLYPH)
-    arity = _arity_mask(first).bit_length() - 1
-    if arity < 0:
-        return _fail(_inline_error(number, chunks, 0, None), errors)
-    tokens: list[Token] = []
-    for tok_idx, chunk in enumerate(chunks):
-        parts = chunk.rsplit("/", arity - 1)
-        try:  # a lookup misses when the chunk does not fit this count
-            tokens.append(_BARE_SPACE if chunk == SPACE_GLYPH else Token(
-                parts[0], POS_TAGS[parts[1]], NE_LABELS[parts[2]] if arity >= 3 else NE_OUTSIDE,
-                CLAUSE_LABELS[parts[3]] if arity == 4 else ClauseLabel.O, parts[0] == SPACE_GLYPH,
-            ))
-        except (LookupError, ValueError) as exc:
-            return _fail(_inline_error(number, chunks, tok_idx, exc), errors)
-    return tokens
-
-
-def _inline_error(
-    sent_idx: int, chunks: Sequence[str], tok_idx: int, exc: Optional[Exception]
-) -> TokenError:
-    """The error of a sentence that failed at chunk ``tok_idx`` with ``exc``: a
-    layer-count mismatch if any, else every chunk fits and ``exc`` is the first."""
-    if not _sentence_mask(chunks):
+def _inline_columns(number: int, chunks: Sequence[str], errors) -> Optional[tuple]:
+    """A sentence's words, ``_TAG_COLUMNS`` entries and space flags, or None
+    after its error. The layer counts come first: unless every chunk fits one,
+    the first chunk that fits none, else the first, is reported. A fit finds
+    each tag and a non-empty surface, so a tab or newline in a surface is the
+    one error left. A bare glyph is a white-space token tagged ``PU``."""
+    if not (mask := _sentence_mask(chunks)):
         bad = next((i for i, c in enumerate(chunks) if not _arity_mask(c)), 0)
-        return TokenError(sent_idx, bad, "inconsistent or missing annotation layers")
-    return TokenError(sent_idx, tok_idx, str(exc))
+        return _fail(TokenError(number, bad, "inconsistent or missing annotation layers"), errors)
+    slashes = mask.bit_length() - 2  # a tag tail's, at the layer count every chunk fits
+    parts = [[c, "PU", "O", "O"] if c == SPACE_GLYPH else c.rsplit("/", slashes) for c in chunks]
+    words = list(map(_FIRST, parts))
+    for i, word in enumerate(words):
+        if "\t" in word or "\n" in word:
+            reason = "token surface must not contain tab or newline"
+            return _fail(TokenError(number, i, reason), errors)
+    labels = [_TAG_COLUMNS["\t".join(tags) + _LACKING[len(tags)]] for _, *tags in parts]
+    return words, labels, list(map(eq, words, repeat(SPACE_GLYPH)))
 
 
 def inline_layer_count(text: str) -> int:

@@ -29,10 +29,12 @@ Sentence rules, applied to each adjacent clause pair, merge rules first:
   identical stretches merge, differing stretches split.
 
 Every rule reads a paragraph's columns, its surfaces, POS tags, NE labels
-and space flags, and no Token. ``segment_paragraphs`` reads each
-paragraph's columns off its tokens once; ``lst20 segment`` takes them from
-the records of columnar input and writes the labels back into its lines
-(``format.relabel_columnar``). Both run the same rules on them.
+and space flags, and no Token. ``segment_paragraphs``, library API that no
+command calls, reads each paragraph's columns off its tokens once. The
+``segment`` command takes them from the input's records in either format:
+columnar input written back as columnar gets the labels written into its
+lines (``format.relabel_columnar``), and any other pair writes relabelled
+records. Both run the same rules on them.
 """
 
 from __future__ import annotations

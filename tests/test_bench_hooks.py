@@ -63,13 +63,9 @@ def test_every_hook_records_its_work_through_the_cli(tmp_path, capsys):
         ["convert", "--from", "inline", "--to", "columnar", inline, "-o", str(tmp_path / "back.txt")],
         # Columnar and inline input are both linted from their columns.
         ["validate", "--from", "inline", inline],
+        # Segment relabels the input's records in every format pair, so no
+        # call reaches segment.segment_paragraphs or a Token reader or writer.
         ["segment", glimpse, "-o", str(tmp_path / "seg.txt")],
-        # Columnar input segmented to columnar is segmented from its records;
-        # inline input, and any input segmented to inline, still goes through
-        # segment.segment_paragraphs. Inline input segmented to columnar is the
-        # call that reaches format.read_inline and format.write_columnar, and
-        # columnar input segmented to inline the one that reaches
-        # format.read_columnar and format.write_inline.
         ["segment", "--from", "inline", inline, "-o", str(tmp_path / "seg.inline.txt")],
         ["segment", "--to", "inline", glimpse, "-o", str(tmp_path / "seg.to-inline.txt")],
         ["stats", "--json", str(fixtures)],
@@ -83,12 +79,15 @@ def test_every_hook_records_its_work_through_the_cli(tmp_path, capsys):
     try:
         for argv in calls:
             assert cli.main(argv) == 0, argv
-        # No command lints or counts a Document now that inline input is read
-        # as records too, so these two hooks are reached through the library:
-        # their measure callbacks still read a real call.
+        # No command reads, lints, counts, segments or writes a Token, so
+        # these hooks are reached through the library: their measure
+        # callbacks still read a real call.
         doc = lst20tools.read_columnar(corpus_samples.fixture_text("glimpse.txt"))
         lst20tools.lint_document(doc)
         lst20tools.document_counts(doc)
+        sentences, _ = lst20tools.segment_paragraphs([s.tokens for s in doc.sentences])
+        lst20tools.write_columnar(lst20tools.Document("glimpse", tuple(sentences)))
+        lst20tools.read_inline(lst20tools.write_inline(sentences))
     finally:
         tracer.uninstall()
     capsys.readouterr()

@@ -812,9 +812,10 @@ def _planted_document(rng: random.Random, k: int) -> Document:
     return Document(doc.doc_id, tuple(sentences))
 
 
-# Columnar input written back as columnar is segmented from its records
-# (format.relabel_columnar and segment._segment_columns); these tests hold it
-# to the library path: read_columnar, segment_paragraphs and write_columnar.
+# Segment relabels the input's records in every format pair (columnar back
+# to columnar by format.relabel_columnar, any other pair by the block writers)
+# with segment._segment_columns; these tests hold it to the library path:
+# read_columnar or read_inline, segment_paragraphs, then a Token writer.
 
 _FIXTURE_NAMES = sorted(path.name for path in corpus_samples.FIXTURE_DIR.glob("*.txt"))
 
@@ -845,33 +846,49 @@ def segment_texts(draw):
     return BOM * draw(st.integers(0, 2)) + text
 
 
-def _library_segment(path: Path, strict: bool, lexicon) -> tuple:
-    """``segment``'s exit code, stdout and stderr on columnar ``path`` as the
-    library path gives them: each bad line located on stderr, or under
+def _library_segment(
+    path: Path, strict: bool, lexicon, informat: str = "columnar", outformat: str = "columnar"
+) -> tuple:
+    """``segment``'s exit code, stdout and stderr on ``path`` as the library
+    path gives them: each bad line or sentence located on stderr, or under
     ``strict`` the first one alone, then a refused write."""
     text = path.read_bytes().decode("utf-8")
     errors = None if strict else []
     try:
-        doc = read_columnar(text, errors=errors)
-    except LineError as exc:
+        if informat == "columnar":
+            sentences = read_columnar(text, errors=errors).sentences
+        else:
+            sentences = read_inline(text, errors=errors)
+    except (LineError, TokenError) as exc:
         return 1, "", f"{path.name}: {exc}\n"
     located = "".join(f"{path.name}: {error}\n" for error in errors or ())
-    sentences, _ = segment_module.segment_paragraphs([s.tokens for s in doc.sentences], lexicon)
+    sentences, _ = segment_module.segment_paragraphs([s.tokens for s in sentences], lexicon)
     try:
-        out = write_columnar(Document("d", tuple(sentences)))
+        if outformat == "columnar":
+            out = write_columnar(Document("d", tuple(sentences)))
+        else:
+            out = write_inline(sentences)
     except WriteError as exc:
         return 1, "", f"{located}{path.name}: {exc}\n"
     return int(bool(errors)), out, located
 
 
+_FORMAT_PAIRS = [(i, o) for i in ("columnar", "inline") for o in ("columnar", "inline")]
+
+
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(segment_texts(), st.booleans(), st.booleans(), st.integers(0, 40))
-def test_segment_from_lines_is_the_token_path(tmp_path, capsys, text, strict, lexicon, chunk_chars):
+@given(st.data(), st.sampled_from(_FORMAT_PAIRS), st.booleans(), st.booleans(), st.integers(0, 40))
+def test_segment_from_lines_is_the_token_path(
+    tmp_path, capsys, data, pair, strict, lexicon, chunk_chars
+):
+    informat, outformat = pair
+    texts = segment_texts() if informat == "columnar" else damaged_inline_texts()
+    text = data.draw(texts, label="text")
     path = tmp_path / "d.txt"
     path.write_bytes(text.encode("utf-8"))
-    options = ["--strict"] if strict else []
+    options = ["--from", informat, "--to", outformat] + (["--strict"] if strict else [])
     if lexicon:
         (tmp_path / "lex.cfg").write_text(_PLANTED_LEXICON, encoding="utf-8")
         options += ["--lexicon", str(tmp_path / "lex.cfg")]
@@ -880,7 +897,11 @@ def test_segment_from_lines_is_the_token_path(tmp_path, capsys, text, strict, le
         patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
         code = main(["segment", *options, str(path)])
     reference = _library_segment(
-        path, strict, segment_module.load_marker_lexicon(_PLANTED_LEXICON) if lexicon else None
+        path,
+        strict,
+        segment_module.load_marker_lexicon(_PLANTED_LEXICON) if lexicon else None,
+        informat,
+        outformat,
     )
     assert (code, *capsys.readouterr()) == reference
 
@@ -1263,26 +1284,42 @@ def test_heap_peak_follows_the_largest_file_not_the_file_count(tmp_path, command
 
 @pytest.fixture(scope="module")
 def megabyte_files(tmp_path_factory):
-    """A columnar file of at least 1 MiB of random documents, and its inline form."""
+    """A columnar file of at least 1 MiB of random documents, its inline form,
+    and each with a leading BOM."""
     directory = tmp_path_factory.mktemp("megabyte")
     columnar, inline = directory / "d.txt", directory / "d.inline"
     columnar.write_text(corpus_samples.random_columnar_text(random.Random(30), 2**20), encoding="utf-8")
     assert main(["convert", "--to", "inline", str(columnar), "-o", str(inline)]) == 0
-    return {"columnar": columnar, "inline": inline}
+    files = {"columnar": columnar, "inline": inline}
+    for name, path in list(files.items()):
+        files[f"{name}-bom"] = directory / f"bom-{path.name}"
+        files[f"{name}-bom"].write_bytes(BOM.encode("utf-8") + path.read_bytes())
+    return files
 
 
 @pytest.mark.parametrize(
-    "informat, outformat, ratio", [("columnar", "inline", 4.01), ("inline", "columnar", 4.01)]
+    "command, source, outformat, ratio",
+    [
+        pytest.param("convert", "columnar", "inline", 4.01, id="columnar-inline-4.01"),
+        pytest.param("convert", "inline", "columnar", 4.01, id="inline-columnar-4.01"),
+        pytest.param("convert", "columnar-bom", "inline", 4.01, id="bom-columnar-inline-4.01"),
+        pytest.param("convert", "inline-bom", "columnar", 4.01, id="bom-inline-columnar-4.01"),
+        pytest.param("segment", "columnar", "inline", 4.01, id="segment-columnar-inline-4.01"),
+        pytest.param("segment", "inline", "columnar", 4.01, id="segment-inline-columnar-4.01"),
+        pytest.param("segment", "inline", "inline", 4.01, id="segment-inline-inline-4.01"),
+    ],
 )
 def test_convert_holds_one_copy_of_its_input_and_output(
-    tmp_path, megabyte_files, informat, outformat, ratio
+    tmp_path, megabyte_files, command, source, outformat, ratio
 ):
     # The heap peak as a multiple of the input file's size, as measured when
     # the writers handed their blocks to the output, with 10% slack. Reading
-    # the file sets it; a joined copy of the output, or the input kept while
-    # the output is written, would raise it.
-    source = megabyte_files[informat]
-    argv = ["convert", "--from", informat, "--to", outformat, str(source), "-o", str(tmp_path / "out")]
+    # the file sets it; a joined copy of the output, the input kept while the
+    # output is written, a copy of the input made to drop its BOM, or a Token
+    # per input token would raise it.
+    informat = source.removesuffix("-bom")
+    source = megabyte_files[source]
+    argv = [command, "--from", informat, "--to", outformat, str(source), "-o", str(tmp_path / "out")]
     main(argv)  # one-time lazy set-up
     peak = _heap_peak(argv)
     assert peak <= 1.1 * ratio * source.stat().st_size, peak / source.stat().st_size
@@ -1617,13 +1654,17 @@ def test_workload_commands_never_call_read_columnar(tmp_path, monkeypatch, capsy
         assert (main(argv), *capsys.readouterr()) == reference, argv
 
 
-def test_convert_builds_no_token(tmp_path, monkeypatch, capsys):
-    """``convert`` writes either format from the input's records: with the
-    Token readers and writers, and Token itself, refusing, ``convert --to
-    inline`` and ``convert --from inline --to columnar`` give the bytes and
-    exit codes they give without that. The columnar inputs are the fixtures
+def test_no_command_builds_a_token(tmp_path, monkeypatch, capsys):
+    """Every command reads and writes either format through records: with the
+    Token readers and writers, ``segment_paragraphs``, ``_relabelled`` and
+    Token itself refusing, ``validate`` (text and ``--json``), ``stats
+    --json``, ``frames check``, ``convert`` both ways and ``segment`` in all
+    four format pairs give the bytes and exit codes they give without that,
+    permissive and under ``--strict``. The columnar inputs are the fixtures
     and a draft with two bad lines; the inline ones are the fixtures at each
-    layer count and a file of URL surfaces, which hold slashes."""
+    layer count, a file of URL surfaces, which hold slashes, and a file whose
+    sentences take the chunk-by-chunk path: a bare glyph, an unknown tag and
+    a tab in a surface."""
     lines = corpus_samples.fixture_text("glimpse.txt").split("\n")
     lines[2:2] = ["broken line", "ก\tQQ\tO\tO"]
     draft = tmp_path / "draft.txt"
@@ -1634,19 +1675,32 @@ def test_convert_builds_no_token(tmp_path, monkeypatch, capsys):
         "ที่/PS/O/O | http://a.th/b/NN/B_ORG/O ||\n",
         encoding="utf-8",
     )
+    doubtful = tmp_path / "doubtful.inline"
+    doubtful.write_text(
+        "ไม่/NG/O/B_CLS | ␣ | ดู/VV/O/E_CLS ||\nก/QQ/O/O ||\nไม่/NG/O/O | ข\tค/NN/O/O ||\n"
+        "ไม่/VV | ␣ ||\n",
+        encoding="utf-8",
+    )
     columnar = [corpus_samples.FIXTURE_DIR / name for name in _FIXTURE_NAMES] + [draft]
-    inline = [urls]
+    inline = [urls, doubtful]
     for path in columnar[:-1]:
         sentences = read_columnar(path.read_text(encoding="utf-8")).sentences
         for layers in (2, 3, 4):
             inline.append(tmp_path / f"{path.stem}.{layers}.inline")
             inline[-1].write_text(write_inline(sentences, layers), encoding="utf-8")
     argvs = [
-        [*argv, *strict]
+        [*argv, "--from", informat, str(path), *strict]
         for strict in ([], ["--strict"])
+        for informat, paths in (("columnar", columnar), ("inline", inline))
+        for path in paths
         for argv in (
-            *(["convert", "--to", "inline", str(path)] for path in columnar),
-            *(["convert", "--from", "inline", "--to", "columnar", str(path)] for path in inline),
+            ["validate"],
+            ["validate", "--json"],
+            ["stats", "--json"],
+            ["frames", "check", "--word", "ไม่"],
+            ["convert", "--to", "inline" if informat == "columnar" else "columnar"],
+            ["segment", "--to", "columnar"],
+            ["segment", "--to", "inline"],
         )
     ]
     expected = []
@@ -1660,8 +1714,10 @@ def test_convert_builds_no_token(tmp_path, monkeypatch, capsys):
 
         return refused
 
-    for name in ("read_columnar", "read_inline", "write_columnar", "write_inline", "Token"):
+    names = ("read_columnar", "read_inline", "write_columnar", "write_inline", "Token", "_relabelled")
+    for name in names:
         monkeypatch.setattr(format_module, name, refuse(name))
+    monkeypatch.setattr(segment_module, "segment_paragraphs", refuse("segment_paragraphs"))
     for argv, reference in zip(argvs, expected):
         assert (main(argv), *capsys.readouterr()) == reference, argv
 
