@@ -9,6 +9,7 @@ path.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import functools
 import os
@@ -18,7 +19,7 @@ from collections import Counter, deque
 from itertools import compress
 from operator import not_
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import format as fmt
 from .format import FORMAT_COLUMNAR, FORMAT_INLINE
@@ -34,10 +35,12 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_ISSUES = 1
 EXIT_USAGE = 2
+_READ_BYTES = 2048  # an input file is read and decoded this many bytes at a time
 
 
-def format_report(report: LintReport, filename: str = "") -> str:
-    """Render a lint report as human-readable text."""
+def format_report(report: LintReport, filename: str = "") -> list[str]:
+    """Render a lint report as human-readable text: its lines, each with its
+    newline, to be written one after another."""
     prefix = f"{filename}:" if filename else ""
     lines = []
     for issue in report.issues:
@@ -46,12 +49,11 @@ def format_report(report: LintReport, filename: str = "") -> str:
             if issue.sentence is not None
             else "-:-"
         )
-        lines.append(
-            f"{prefix}{where}: {issue.severity.value} {issue.code} [{issue.layer}] {issue.message}"
-        )
-    summary = f"{report.error_count} errors, {report.warning_count} warnings"
+        severity = issue.severity.value
+        lines.append(f"{prefix}{where}: {severity} {issue.code} [{issue.layer}] {issue.message}\n")
+    summary = f"{report.error_count} errors, {report.warning_count} warnings\n"
     lines.append(f"{filename}: {summary}" if filename else summary)
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _json_entries(entries: list[dict]) -> str:
@@ -94,20 +96,28 @@ class _BadInput(Exception):
     """
 
 
-def _read_text(path: Path) -> str:
-    """Every input file is read here, so every command names one that is not
-    UTF-8. Only a regular file is opened: reading a FIFO or device may block.
-    Line ends are left as they are, for the readers' own rules: a CR is a
-    line end only before LF."""
+def _read_pieces(path: Path) -> Iterator[str]:
+    """An input file's text in pieces, decoded ``_READ_BYTES`` at a time: no
+    command holds a whole file. A file that is not UTF-8 is named with the
+    error of decoding it whole, at its position in the file. Only a regular
+    file is opened: reading a FIFO or device may block. Line ends are left as
+    they are, for the readers' own rules."""
     try:
         mode = path.stat().st_mode
         if stat.S_ISDIR(mode):
             raise _BadInput(f"{path.name}: is a directory; subdirectories are not read")
         if not stat.S_ISREG(mode):
             raise _BadInput(f"{path.name}: not a regular file")
-        with open(path, encoding="utf-8", newline="") as file:
-            return file.read()
+        decode = codecs.getincrementaldecoder("utf-8")().decode
+        with open(path, "rb", buffering=0) as file:
+            while block := file.read(_READ_BYTES):
+                yield decode(block)
+        yield decode(b"", final=True)
     except UnicodeDecodeError as exc:
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:  # the error at its position in the file
+            exc = whole
         raise _BadInput(f"{path.name}: {exc}") from None
     except OSError as exc:  # a dangling link, a link loop, no read permission
         raise _BadInput(f"{path.name}: {exc.strerror}") from None
@@ -136,35 +146,39 @@ def _one_input(args, name: str) -> Path:
 
 
 @contextlib.contextmanager
-def _located(path: Path):
-    """Report a reader's error under ``--strict``, or a writer's refusal, as ``name: reason``."""
+def _located(path: Path, pieces: Iterator[str]):
+    """Report a reader's error under ``--strict``, or a writer's refusal, as
+    ``name: reason``, once the rest of the input's ``pieces`` is decoded: a bad
+    byte later in the file is reported instead, as when files were decoded whole."""
     try:
         yield
     except fmt.FormatError as exc:
+        deque(pieces, maxlen=0)
         raise _BadInput(f"{path.name}: {exc}") from None
 
 
-def _records(text: str, informat: str, errors: Optional[list]):
-    """The input's records: ``columnar_records`` or ``inline_records``."""
+def _records(path: Path, informat: str, errors: Optional[list]):
+    """The input's :func:`_read_pieces` and their ``columnar_records`` or ``inline_records``."""
     read = fmt.columnar_records if informat == FORMAT_COLUMNAR else fmt.inline_records
-    return read(text, errors)
+    pieces = _read_pieces(path)
+    return pieces, read(pieces, errors)
 
 
-def _from_records(text: str, path: Path, args, consume, *rest):
+def _from_records(path: Path, args, consume, *rest):
     """``consume(records, *rest)`` of the input's records and the exit status of the bad
     lines or sentences, printed as by :func:`_print_format_issues`. After a WriteError the
-    rest of the records is read, so that every bad line is reported before the refusal."""
+    rest of the records is read, so that every bad line is reported before the refusal.
+    A bad byte is reported alone: no bad line is printed before it."""
     errors: Optional[list] = None if args.strict else []
-    with _located(path):
-        records = _records(text, args.informat, errors)
+    pieces, records = _records(path, args.informat, errors)
+    with _located(path, pieces):
         try:
             result = consume(records, *rest)
         except fmt.WriteError:
             deque(records, maxlen=0)  # under --strict, a later bad line is reported instead
+            _print_format_issues(path, errors or ())
             raise
-        finally:
-            status = _print_format_issues(path, errors or ())
-    return result, status
+    return result, _print_format_issues(path, errors or ())
 
 
 def _format_issue(err: fmt.FormatError) -> LintIssue:
@@ -226,12 +240,12 @@ def _cmd_validate(args) -> int:
         # the next file is read.
         nonlocal had_errors, sep
         errors: list = []  # linted from its columns, with no Token
-        records = _records(_read_text(path), args.informat, None if args.strict else errors)
-        with _located(path):
+        pieces, records = _records(path, args.informat, None if args.strict else errors)
+        with _located(path, pieces):
             report = validate_mod.lint_records(records, map(_format_issue, errors))
         had_errors |= report.error_count > 0
         if not args.json:
-            out.write(format_report(report, path.name))
+            out.writelines(format_report(report, path.name))
         elif entries := report.to_dicts():
             for entry in entries:
                 entry["file"] = path.name
@@ -255,13 +269,12 @@ def _cmd_convert(args) -> int:
     to O. Inline to inline keeps the input's layer count. Either format is
     written from the input's records, with no Token."""
     path = _one_input(args, "convert")
-    text = _read_text(path)
     if args.outformat == FORMAT_INLINE:
-        layers = fmt.inline_layer_count(text) if args.informat == FORMAT_INLINE else 4
-        blocks, status = _from_records(text, path, args, fmt._inline_blocks, layers)
+        # Inline to inline reads the input twice: first for its layer count.
+        layers = fmt.inline_layer_count(_read_pieces(path)) if args.informat == FORMAT_INLINE else 4
+        blocks, status = _from_records(path, args, fmt._inline_blocks, layers)
     else:
-        blocks, status = _from_records(text, path, args, fmt._columnar_blocks)
-    del text  # the input is not alive while the output is written
+        blocks, status = _from_records(path, args, fmt._columnar_blocks)
     _write(_open_output(args, [path]), blocks)
     return status
 
@@ -284,9 +297,8 @@ def _cmd_segment(args) -> int:
 
     path = _one_input(args, "segment")
     relabel = functools.partial(segment_mod._segment_columns, lexicon=_load_lexicon(args))
-    text = _read_text(path)
     if args.informat == args.outformat == FORMAT_COLUMNAR:
-        blocks, status = _from_records(text, path, args, fmt._relabel_blocks, relabel)
+        blocks, status = _from_records(path, args, fmt._relabel_blocks, relabel)
     else:
         def segmented(records):  # inline output carries all four layers
             relabelled = fmt._relabel_records(records, relabel)
@@ -294,23 +306,22 @@ def _cmd_segment(args) -> int:
                 return fmt._columnar_blocks(relabelled)
             return fmt._inline_blocks(relabelled, 4)
 
-        blocks, status = _from_records(text, path, args, segmented)
-    del text  # the input is not alive while the output is written
+        blocks, status = _from_records(path, args, segmented)
     _write(_open_output(args, [path], args.lexicon), blocks)
     return status
 
 
 def _count_file(path: Path, args) -> tuple[CorpusCounts, int]:
     """One file's counts and format-error count. A clean columnar file is
-    counted from its lines, any other file from its records."""
+    counted from its lines, any other file from its records: a columnar file
+    that is not clean is read a second time."""
     from . import stats as stats_mod
 
-    text = _read_text(path)
-    if args.informat == FORMAT_COLUMNAR and (tally := fmt.tally_columnar(text)) is not None:
+    if args.informat == FORMAT_COLUMNAR and (tally := fmt.tally_columnar(_read_pieces(path))):
         return stats_mod.tally_counts(tally, args.include_spaces), 0
     errors: Optional[list] = None if args.strict else []
-    records = _records(text, args.informat, errors)
-    with _located(path):  # the records are all read before the errors are counted
+    pieces, records = _records(path, args.informat, errors)
+    with _located(path, pieces):  # the records are all read before the errors are counted
         return stats_mod.records_counts(records, args.include_spaces), len(errors or ())
 
 
@@ -391,7 +402,7 @@ def _cmd_frames(args) -> int:
                     lines.append(f"sentence {number}, token {index}: {ids}")
         return lines
 
-    lines, status = _from_records(_read_text(path), path, args, usages)
+    lines, status = _from_records(path, args, usages)
     classes = frames_mod.classify_lexeme(matched_ids)
     if not lines:
         lines.append(f"no occurrences of {args.word!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import chain, compress, count, product, repeat
 from operator import add, and_, attrgetter, eq, itemgetter, ne, not_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .schema import (
     CLAUSE_LABELS,
@@ -170,19 +170,45 @@ def _fail(exc: FormatError, errors: Optional[list]) -> None:
 
 
 _CHUNK_CHARS = 2048
+_Text = Union[str, Iterable[str]]  # what the readers take: a whole text, or its pieces
 
 
-def _line_chunks(text: str) -> Iterator[list[str]]:
-    """The lines of a columnar file, less its BOM and each line's final CR,
-    split about ``_CHUNK_CHARS`` characters at a time, so that a reader holds
-    no more of them than one chunk's. The BOM is skipped by offset, not copied."""
-    if "\r" in text:  # a scan several times faster than replace's
-        text = text.replace("\r\n", "\n").removesuffix("\r")
-    start = text.startswith(_BOM)
-    while (end := text.find("\n", start + _CHUNK_CHARS)) >= 0:
-        yield text[start:end].split("\n")
-        start = end + 1
-    yield text[start:].split("\n")
+def _parts(text: _Text, sep: str, skip_bom: bool) -> Iterator[str]:
+    """A text, whole or as an iterable of its pieces (a file's decoded blocks),
+    cut at the last ``sep`` of each piece: ``sep.join`` of the parts is the
+    text. What follows that ``sep``, a partial line or sentence, or a CR that
+    may pair with the next piece's LF, is carried over to the next cut; a
+    ``sep`` split between two pieces stays inside a part. A whole text is
+    taken ``_CHUNK_CHARS`` characters at a time, less a leading BOM under
+    ``skip_bom`` by its offset; a piece loses it by a copy."""
+    pieces = text
+    if isinstance(text, str):
+        step = max(_CHUNK_CHARS, 1)
+        start, skip_bom = skip_bom and text.startswith(_BOM), False
+        pieces = (text[i : i + step] for i in range(start, len(text), step))
+    held: list[str] = []  # the text since the last cut, in pieces
+    for piece in pieces:
+        if skip_bom and piece:
+            piece, skip_bom = piece.removeprefix(_BOM), False
+        if sep in piece:
+            joined = "".join(held) + piece
+            cut = joined.rfind(sep)
+            yield joined[:cut]
+            held = [joined[cut + len(sep) :]]
+        else:
+            held.append(piece)
+    yield "".join(held)
+
+
+def _line_chunks(text: _Text) -> Iterator[list[str]]:
+    """The lines of a columnar file, whole or in pieces, less its BOM and each
+    line's final CR, a part (see :func:`_parts`) at a time, so that a reader
+    holds no more of them than one part's. A part ends before an LF, so a CRLF
+    never straddles two."""
+    for part in _parts(text, "\n", True):
+        if "\r" in part:  # a scan several times faster than replace's
+            part = part.replace("\r\n", "\n").removesuffix("\r")
+        yield part.split("\n")
 
 
 def read_columnar(
@@ -214,11 +240,11 @@ def _sentences(records: Iterable[tuple], space_word: str) -> Iterator[Sentence]:
     return (Sentence(tuple(map(token, words, labels))) for _, words, labels, _ in records)
 
 
-def tally_columnar(text: str) -> Optional[tuple[int, int, Counter, Counter, int]]:
-    """What :func:`columnar_records` would read from a clean file, tallied:
-    its sentence count, its white-space token count, its POS and NE-label
-    histograms by label text and its ``B_CLS`` count, the tally that
-    ``stats.tally_counts`` turns into counts.
+def tally_columnar(text: _Text) -> Optional[tuple[int, int, Counter, Counter, int]]:
+    """What :func:`columnar_records` would read from a clean file, whole or in
+    pieces, tallied: its sentence count, its white-space token count, its POS
+    and NE-label histograms by label text and its ``B_CLS`` count, the tally
+    that ``stats.tally_counts`` turns into counts.
 
     None unless every line, as :func:`_line_chunks` gives it, is blank or a
     token line (a non-empty word and a ``_TAG_COLUMNS`` tail): a bad line or
@@ -257,12 +283,13 @@ def tally_columnar(text: str) -> Optional[tuple[int, int, Counter, Counter, int]
     return sentences + last, spaces, pos, ne, clauses
 
 
-def columnar_records(text: str, errors: Optional[list[LineError]] = None) -> Iterator[tuple]:
+def columnar_records(text: _Text, errors: Optional[list[LineError]] = None) -> Iterator[tuple]:
     """Each input sentence of a columnar file, a run of lines between blank
     lines, as its number from 0, words (``_`` for a white-space token), lines'
-    ``_TAG_COLUMNS`` entries and space flags. A bad line is left out: under
-    ``errors=None`` it raises its :class:`LineError`, else the error is
-    appended to ``errors``. A sentence of only bad lines keeps its number but
+    ``_TAG_COLUMNS`` entries and space flags. The file is given whole or in
+    pieces (see :func:`_parts`), and read a piece at a time. A bad line is
+    left out: under ``errors=None`` it raises its :class:`LineError`, else
+    the error is appended to ``errors``. A sentence of only bad lines keeps its number but
     is not yielded. Lines are parsed a chunk at a time in C-level passes, and
     one by one only in a chunk that holds a bad line. Every command reads
     columnar input here; :func:`read_columnar` builds Tokens from them."""
@@ -449,15 +476,15 @@ def _sentence_mask(chunks: Sequence[str]) -> int:
     return reduce(and_, map(_arity_mask, chunks), _ANY_ARITY)
 
 
-def _split_sentences(text: str, start: int = 0) -> Iterator[list[str]]:
-    """Each sentence's chunks, as of ``text[start:].split("||")``, found one ``||`` at a time."""
-    end = 0
-    while end >= 0:  # -1: the last part was read
-        end = text.find("||", start)
-        part = text[start:end] if end >= 0 else text[start:]
-        if chunks := list(filter(None, map(str.strip, part.split("|")))):
-            yield chunks
-        start = end + 2
+def _split_sentences(text: _Text, skip_bom: bool = False) -> Iterator[list[str]]:
+    """Each sentence's chunks, as of ``text.split("||")``, of a text whole or
+    in pieces, a part (see :func:`_parts`) at a time. A part ends before a
+    ``||``, so a sentence never straddles two, and in a run of bars the bars
+    that are not cut off are empty chunks, which are dropped."""
+    for part in _parts(text, "||", skip_bom):
+        for sentence in part.split("||"):
+            if chunks := list(filter(None, map(str.strip, sentence.split("|")))):
+                yield chunks
 
 
 def read_inline(
@@ -482,8 +509,9 @@ def read_inline(
 _LACKING = {1: "\tO\tO", 2: "\tO", 3: ""}
 
 
-def inline_records(text: str, errors: Optional[list[TokenError]] = None) -> Iterator[tuple]:
-    """Each input sentence of inline text, as :func:`columnar_records` gives a
+def inline_records(text: _Text, errors: Optional[list[TokenError]] = None) -> Iterator[tuple]:
+    """Each input sentence of inline text, whole or in pieces, read as
+    :func:`columnar_records` reads a columnar file and given as it gives a
     columnar one: its number from 0, surfaces (the glyph for white space),
     ``_TAG_COLUMNS`` entries and space flags. A malformed sentence is left out
     whole: under ``errors=None`` its :class:`TokenError` raises, else it is
@@ -491,9 +519,9 @@ def inline_records(text: str, errors: Optional[list[TokenError]] = None) -> Iter
     more than its chunks' fewest slashes (the rest are in surfaces); a bare
     glyph, a tag tail that misses, or an empty surface or one with a tab or
     newline sends it to :func:`_inline_columns`, which checks it chunk by
-    chunk. A leading BOM is skipped by offset. Every command reads inline
+    chunk. A leading BOM is skipped. Every command reads inline
     input here, and none builds a Token; :func:`read_inline` does."""
-    for number, chunks in enumerate(_split_sentences(text, text.startswith(_BOM))):
+    for number, chunks in enumerate(_split_sentences(text, skip_bom=True)):
         slashes = list(map(str.count, chunks, repeat("/")))
         least = min(slashes)
         if least in _LACKING:
@@ -533,8 +561,9 @@ def _inline_columns(number: int, chunks: Sequence[str], errors) -> Optional[tupl
     return words, labels, list(map(eq, words, repeat(SPACE_GLYPH)))
 
 
-def inline_layer_count(text: str) -> int:
-    """Largest uniform layer count found in the inline text (default 4)."""
+def inline_layer_count(text: _Text) -> int:
+    """Largest uniform layer count found in the inline text, whole or in
+    pieces (default 4)."""
     best = 0
     for chunks in _split_sentences(text):
         mask = _sentence_mask(chunks)

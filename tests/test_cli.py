@@ -60,7 +60,7 @@ def fixture_copy(tmp_path):
 
 class TestFormatReport:
     def test_empty_report_text(self):
-        assert format_report(LintReport(())) == "0 errors, 0 warnings\n"
+        assert format_report(LintReport(())) == ["0 errors, 0 warnings\n"]
 
     def test_text_lines_carry_location_and_code(self, fixture_copy):
         text = corpus_samples.fixture_text("glimpse.txt").replace(
@@ -68,7 +68,8 @@ class TestFormatReport:
         )
         report = lint_document(read_columnar(text, "mutated"))
         rendered = format_report(report, filename="mutated.txt")
-        assert "mutated.txt:1:2: error NE_ORPHAN_I" in rendered
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in rendered)
+        assert any(line.startswith("mutated.txt:1:2: error NE_ORPHAN_I") for line in rendered)
 
 
 class TestValidateCommand:
@@ -295,6 +296,96 @@ class TestBadInputFile:
         assert main([*argv, str(unreadable / "b.txt")]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "b.txt: Permission denied\n")
+
+
+def _bad_byte_data(head: str, unit: str, at: int = 20_000) -> bytes:
+    """``head``, copies of ``unit`` and blank lines up to byte ``at``, a 0xFF
+    there, then more copies of ``unit``."""
+    data = head.encode("utf-8")
+    data += unit.encode("utf-8") * ((at - len(data)) // len(unit.encode("utf-8")))
+    return data + b"\n" * (at - len(data)) + b"\xff" + unit.encode("utf-8") * 10
+
+
+#: By input format: a file whose first line or sentence is bad, with a 0xFF
+#: at byte 20,000, past the first block a streaming reader decodes; and one
+#: whose second sentence the writer refuses before that byte.
+_BAD_BYTE_FILES = {
+    "columnar": _bad_byte_data("broken line\n", "ก\tNN\tO\tB_CLS\nข\tVV\tO\tE_CLS\n\n"),
+    "inline": _bad_byte_data("broken line ||\n", "ก/NN/O/B_CLS | ข/VV/O/E_CLS ||\n"),
+    "columnar-refused": _bad_byte_data("broken line\n\na|b\tNN\tO\tO\n\n", "ก\tNN\tO\tO\n\n"),
+    "inline-refused": _bad_byte_data("broken line ||\n_/NN ||\n", "ก/NN ||\n"),
+}
+_SINGLE_INPUT = [
+    ["convert", "--to", "inline"],
+    ["convert", "--to", "columnar"],
+    ["segment"],
+    ["segment", "--to", "inline"],
+    ["frames", "check", "--word", "ก"],
+]
+
+
+class TestBadByteAfterTheFirstBlock:
+    """A file that is not UTF-8 is reported alone, as ``name: message`` with
+    the position of its first bad byte in the file, and exit 1, however far
+    into the file that byte lies. No bad line or sentence before it is
+    printed, under ``--strict`` or not, nor a writer's refusal, and an
+    existing ``-o`` file is left as it was."""
+
+    @staticmethod
+    def _expected(data: bytes) -> str:
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"d.txt: {exc}\n"
+        raise AssertionError("the data decodes")
+
+    @pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["permissive", "strict"])
+    @pytest.mark.parametrize("output", [False, True], ids=["stdout", "old-output"])
+    @pytest.mark.parametrize("argv", _SINGLE_INPUT, ids=" ".join)
+    @pytest.mark.parametrize("source", list(_BAD_BYTE_FILES))
+    def test_single_input_commands(self, tmp_path, capsys, source, argv, output, strict):
+        data = _BAD_BYTE_FILES[source]
+        path, out = tmp_path / "d.txt", tmp_path / "out.txt"
+        path.write_bytes(data)
+        out.write_bytes(b"old output\n")
+        informat = source.removesuffix("-refused")
+        call = [*argv, "--from", informat, *strict, str(path)] + (["-o", str(out)] if output else [])
+        assert main(call) == 1
+        assert capsys.readouterr() == ("", self._expected(data))
+        assert "position 20000: invalid start byte" in self._expected(data)
+        assert out.read_bytes() == b"old output\n"
+
+    @pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["permissive", "strict"])
+    @pytest.mark.parametrize(
+        "argv", [["validate"], ["validate", "--json"], ["stats"], ["stats", "--json"]], ids=" ".join
+    )
+    @pytest.mark.parametrize("source", list(_BAD_BYTE_FILES))
+    def test_many_input_commands(self, tmp_path, capsys, source, argv, strict):
+        data = _BAD_BYTE_FILES[source]
+        (tmp_path / "in").mkdir()
+        (tmp_path / "none").mkdir()
+        path = tmp_path / "in" / "d.txt"
+        path.write_bytes(data)
+        informat = ["--from", source.removesuffix("-refused")]
+        assert main([*argv, *informat, *strict, str(tmp_path / "none")]) == 0
+        nothing = capsys.readouterr().out  # the output of no file
+        assert main([*argv, *informat, *strict, str(path)]) == 1
+        assert capsys.readouterr() == (nothing, self._expected(data))
+
+    def test_a_character_split_between_blocks_and_one_cut_off_at_the_end(self, tmp_path, capsys):
+        # A word of 3,000 Thai characters, 3 bytes each, from byte 0: every
+        # power of two past 2 falls inside a character.
+        text = "ก" * 3000 + "\tNN\tO\tO\n\nข\tVV\tO\tO\n"
+        path = tmp_path / "d.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert main(["convert", "--to", "inline", str(path)]) == 0
+        assert capsys.readouterr() == (write_inline(read_columnar(text).sentences), "")
+        data = text.encode("utf-8") + "ค".encode("utf-8")[:2]
+        path.write_bytes(data)
+        for argv in (["convert", "--to", "inline"], ["validate"], ["stats"]):
+            assert main([*argv, str(path)]) == 1
+            assert capsys.readouterr().err == self._expected(data)
+        assert "unexpected end of data" in self._expected(data)
 
 
 class TestBadConfigFile:
@@ -1156,7 +1247,7 @@ def _release_shard(directory: Path) -> Path:
 class TestValidateWritesAsItGoes:
     """validate writes each file's report once it has linted that file. The
     bytes are those of one json.dumps over every file's entries, or of the
-    files' format_report texts one after another."""
+    files' format_report lines one after another."""
 
     @staticmethod
     def _run(argv, capsys):
@@ -1215,7 +1306,7 @@ class TestValidateWritesAsItGoes:
         path = tmp_path / "a.txt"
         path.write_text(_lst20_sized_text(random.Random(3)), encoding="utf-8")
         report = lint_document(read_columnar(path.read_text(encoding="utf-8"), "a"))
-        assert self._run(["validate", str(path)], capsys)[1] == format_report(report, "a.txt")
+        assert self._run(["validate", str(path)], capsys)[1] == "".join(format_report(report, "a.txt"))
 
     @pytest.mark.parametrize(
         "argv,digest",
@@ -1285,7 +1376,7 @@ def test_heap_peak_follows_the_largest_file_not_the_file_count(tmp_path, command
 @pytest.fixture(scope="module")
 def megabyte_files(tmp_path_factory):
     """A columnar file of at least 1 MiB of random documents, its inline form,
-    and each with a leading BOM."""
+    each with a leading BOM, and the columnar file with CRLF line ends."""
     directory = tmp_path_factory.mktemp("megabyte")
     columnar, inline = directory / "d.txt", directory / "d.inline"
     columnar.write_text(corpus_samples.random_columnar_text(random.Random(30), 2**20), encoding="utf-8")
@@ -1294,32 +1385,40 @@ def megabyte_files(tmp_path_factory):
     for name, path in list(files.items()):
         files[f"{name}-bom"] = directory / f"bom-{path.name}"
         files[f"{name}-bom"].write_bytes(BOM.encode("utf-8") + path.read_bytes())
+    files["columnar-crlf"] = directory / "crlf-d.txt"
+    files["columnar-crlf"].write_bytes(columnar.read_bytes().replace(b"\n", b"\r\n"))
     return files
 
 
+_INLINE_OUT = ["--to", "inline"]
+_FROM_INLINE = ["--from", "inline"]
+
+
 @pytest.mark.parametrize(
-    "command, source, outformat, ratio",
+    "argv, source, ratio",
     [
-        pytest.param("convert", "columnar", "inline", 4.01, id="columnar-inline-4.01"),
-        pytest.param("convert", "inline", "columnar", 4.01, id="inline-columnar-4.01"),
-        pytest.param("convert", "columnar-bom", "inline", 4.01, id="bom-columnar-inline-4.01"),
-        pytest.param("convert", "inline-bom", "columnar", 4.01, id="bom-inline-columnar-4.01"),
-        pytest.param("segment", "columnar", "inline", 4.01, id="segment-columnar-inline-4.01"),
-        pytest.param("segment", "inline", "columnar", 4.01, id="segment-inline-columnar-4.01"),
-        pytest.param("segment", "inline", "inline", 4.01, id="segment-inline-inline-4.01"),
+        pytest.param(["convert", *_INLINE_OUT], "columnar", 2.02, id="columnar-inline-2.02"),
+        pytest.param(["convert", *_FROM_INLINE, "--to", "columnar"], "inline", 1.67, id="inline-columnar-1.67"),
+        pytest.param(["convert", *_FROM_INLINE, *_INLINE_OUT], "inline", 1.81, id="inline-inline-1.81"),
+        pytest.param(["convert", *_INLINE_OUT], "columnar-bom", 2.02, id="bom-columnar-inline-2.02"),
+        pytest.param(["convert", *_FROM_INLINE, "--to", "columnar"], "inline-bom", 1.67, id="bom-inline-columnar-1.67"),
+        pytest.param(["convert", *_INLINE_OUT], "columnar-crlf", 1.92, id="crlf-columnar-inline-1.92"),
+        pytest.param(["segment", *_INLINE_OUT], "columnar", 2.15, id="segment-columnar-inline-2.15"),
+        pytest.param(["segment", *_FROM_INLINE], "inline", 1.78, id="segment-inline-columnar-1.78"),
+        pytest.param(["segment", *_FROM_INLINE, *_INLINE_OUT], "inline", 1.93, id="segment-inline-inline-1.93"),
+        pytest.param(["frames", "check", "--word", "ไม่"], "columnar", 0.08, id="frames-check-0.08"),
+        pytest.param(["validate"], "columnar", 5.09, id="validate-5.09"),
     ],
 )
-def test_convert_holds_one_copy_of_its_input_and_output(
-    tmp_path, megabyte_files, command, source, outformat, ratio
-):
+def test_command_holds_its_output_not_its_input(tmp_path, megabyte_files, argv, source, ratio):
     # The heap peak as a multiple of the input file's size, as measured when
-    # the writers handed their blocks to the output, with 10% slack. Reading
-    # the file sets it; a joined copy of the output, the input kept while the
-    # output is written, a copy of the input made to drop its BOM, or a Token
-    # per input token would raise it.
-    informat = source.removesuffix("-bom")
+    # input files were read a block at a time, with 10% slack. The output
+    # blocks set it, or for validate the report; frames check holds little
+    # more than one block's records. The file's whole text, a copy of the
+    # input made to drop its BOM or its CRs, a joined copy of the output or
+    # of validate's report, or a Token per input token would raise it.
     source = megabyte_files[source]
-    argv = [command, "--from", informat, "--to", outformat, str(source), "-o", str(tmp_path / "out")]
+    argv = [*argv, str(source), "-o", str(tmp_path / "out")]
     main(argv)  # one-time lazy set-up
     peak = _heap_peak(argv)
     assert peak <= 1.1 * ratio * source.stat().st_size, peak / source.stat().st_size

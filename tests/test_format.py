@@ -808,6 +808,57 @@ def test_sentences_are_found_as_by_splitting_the_whole_text(pieces):
     assert list(format_module._split_sentences(text)) == oracles.inline_sentence_chunks(text)
 
 
+@st.composite
+def split_texts(draw, texts):
+    """A text of ``texts``, maybe with a BOM put in, and its pieces: cut
+    anywhere, at either end or twice at one place (an empty piece), inside a
+    CRLF pair, between two bars of a ``||`` or ``|||`` and on either side of
+    a BOM."""
+    text = draw(texts)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + BOM + text[at:]
+    inside = [i for i in range(1, len(text)) if text[i - 1 : i + 1] in ("\r\n", "||")]
+    inside += [i + side for i, c in enumerate(text) if c == BOM for side in (0, 1)]
+    anywhere = st.integers(0, len(text))
+    cuts = sorted(draw(st.lists(st.one_of(anywhere, st.sampled_from(inside)) if inside else anywhere, max_size=12)))
+    return text, [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+
+
+def _read_or_raised(read, text, strict):
+    errors = None if strict else []
+    try:
+        records = list(read(text, errors))
+    except (LineError, TokenError) as error:
+        return "raised", str(error)
+    return records, [str(error) for error in errors or []]
+
+
+_BARS_TEXTS = st.lists(_SPLIT_PIECES, max_size=30).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("columnar"), split_texts(columnar_texts())),
+        st.tuples(st.just("inline"), split_texts(damaged_inline_texts())),
+        st.tuples(st.just("inline"), split_texts(_BARS_TEXTS)),
+    ),
+    st.booleans(),
+)
+def test_pieces_read_as_the_whole_text(source, strict):
+    # Where a text is cut into pieces, as a file is decoded a block at a
+    # time, changes no record, error or tally of the readers that take it.
+    informat, (text, pieces) = source
+    if informat == "columnar":
+        read = format_module.columnar_records
+        assert format_module.tally_columnar(iter(pieces)) == format_module.tally_columnar(text)
+    else:
+        read = format_module.inline_records
+        assert inline_layer_count(iter(pieces)) == inline_layer_count(text)
+    assert _read_or_raised(read, iter(pieces), strict) == _read_or_raised(read, text, strict)
+
+
 def test_oracles_use_no_private_name_of_the_package():
     # An oracle built on the package's private helpers shares their faults,
     # so a test against it could not catch them.
