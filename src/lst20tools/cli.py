@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_ISSUES = 1
 EXIT_USAGE = 2
 _READ_BYTES = 2048  # an input file is read and decoded this many bytes at a time
+_JSON_BATCH = 256  # validate --json encodes this many issues at a time
 
 
 def format_report(report: LintReport, filename: str = "") -> list[str]:
@@ -249,8 +250,9 @@ def _cmd_validate(args) -> int:
         elif entries := report.to_dicts():
             for entry in entries:
                 entry["file"] = path.name
-            out.write(sep + _json_entries(entries))
-            sep = ",\n"
+            for start in range(0, len(entries), _JSON_BATCH):  # no whole-report text is built
+                out.write(sep + _json_entries(entries[start : start + _JSON_BATCH]))
+                sep = ",\n"
 
     with _open_output(args, inputs) as out:
         for path in inputs:

@@ -200,15 +200,15 @@ def _parts(text: _Text, sep: str, skip_bom: bool) -> Iterator[str]:
     yield "".join(held)
 
 
-def _line_chunks(text: _Text) -> Iterator[list[str]]:
-    """The lines of a columnar file, whole or in pieces, less its BOM and each
+def _line_blocks(text: _Text) -> Iterator[str]:
+    """The text of a columnar file, whole or in pieces, less its BOM and each
     line's final CR, a part (see :func:`_parts`) at a time, so that a reader
-    holds no more of them than one part's. A part ends before an LF, so a CRLF
+    holds no more of it than one part. A part ends before an LF, so a CRLF
     never straddles two."""
     for part in _parts(text, "\n", True):
         if "\r" in part:  # a scan several times faster than replace's
             part = part.replace("\r\n", "\n").removesuffix("\r")
-        yield part.split("\n")
+        yield part
 
 
 def read_columnar(
@@ -240,47 +240,33 @@ def _sentences(records: Iterable[tuple], space_word: str) -> Iterator[Sentence]:
     return (Sentence(tuple(map(token, words, labels))) for _, words, labels, _ in records)
 
 
-def tally_columnar(text: _Text) -> Optional[tuple[int, int, Counter, Counter, int]]:
+def tally_columnar(text: _Text) -> Optional[tuple[int, int, dict]]:
     """What :func:`columnar_records` would read from a clean file, whole or in
-    pieces, tallied: its sentence count, its white-space token count, its POS
-    and NE-label histograms by label text and its ``B_CLS`` count, the tally
-    that ``stats.tally_counts`` turns into counts.
+    pieces, tallied: its sentence count, its white-space token count and the
+    count of each ``_TAG_COLUMNS`` entry, which ``stats.tally_counts`` counts.
 
-    None unless every line, as :func:`_line_chunks` gives it, is blank or a
-    token line (a non-empty word and a ``_TAG_COLUMNS`` tail): a bad line or
-    an empty word leaves the file to the records. One Python step runs
-    per distinct line and one per distinct tag triple, none per line.
+    None unless every line, as :func:`_line_blocks` gives it, is blank or a
+    token line (a non-empty word and a ``_TAG_COLUMNS`` tail): the first block
+    with a bad line or an empty word ends the read and leaves the file to the
+    records. Each block's tag tails are counted in one C-level pass, and its
+    ``_`` and empty words on its text: one Python step runs per distinct tail.
     """
-    lines: Counter = Counter()
-    sentences = last = 0  # a sentence ends at a non-empty line before an empty one
-    for chunk in _line_chunks(text):
-        lines.update(chunk)
-        flags = bytes(map(bool, chunk))
+    tails: Counter = Counter()
+    sentences = spaces = last = known = 0  # known: the tails checked so far
+    for block in _line_blocks(text):
+        if block.startswith("\t") or "\n\t" in block:  # an empty word
+            return None
+        lines = block.split("\n")
+        flags = bytes(map(bool, lines))
+        tails.update(map(_THIRD, map(str.partition, compress(lines, flags), repeat("\t"))))
+        if len(tails) > known and not tails.keys() <= _TAG_COLUMNS.keys():
+            return None  # a bad tail, or the "" of a line with no tab
+        known = len(tails)
+        spaces += block.count("\n_\t") + block.startswith("_\t")
+        # A sentence ends at a non-empty line before an empty one.
         sentences += flags.count(b"\x01\x00") + (last > flags[0])
         last = flags[-1]
-    del lines[""]
-    spaces = 0
-    tails: dict[str, int] = {}  # a plain dict: a Counter's += is slower
-    count = tails.get
-    for line, n in lines.items():
-        word, _, tail = line.partition("\t")
-        if not word:
-            return None
-        if word == COLUMNAR_SPACE:
-            spaces += n
-        tails[tail] = count(tail, 0) + n
-    pos: Counter = Counter()
-    ne: Counter = Counter()
-    clauses = 0
-    for tail, n in tails.items():
-        labels = _TAG_COLUMNS.get(tail)
-        if labels is None:
-            return None
-        pos[labels[0].text] += n
-        ne[labels[1].text] += n
-        if labels[2] is ClauseLabel.B_CLS:
-            clauses += n
-    return sentences + last, spaces, pos, ne, clauses
+    return sentences + last, spaces, {_TAG_COLUMNS[tail]: n for tail, n in tails.items()}
 
 
 def columnar_records(text: _Text, errors: Optional[list[LineError]] = None) -> Iterator[tuple]:
@@ -295,7 +281,8 @@ def columnar_records(text: _Text, errors: Optional[list[LineError]] = None) -> I
     columnar input here; :func:`read_columnar` builds Tokens from them."""
     number = line_no = 0
     words, labels, started = [], [], False  # started: the open sentence has a line
-    for lines in chain(_line_chunks(text), [[""]]):  # a blank line closes the last sentence
+    chunks = map(str.split, _line_blocks(text), repeat("\n"))
+    for lines in chain(chunks, [[""]]):  # a blank line closes the last sentence
         parts = list(map(str.partition, lines, repeat("\t")))
         chunk_words = list(map(_FIRST, parts))
         chunk_labels = list(map(_TAG_COLUMNS.get, map(_THIRD, parts)))
@@ -362,12 +349,18 @@ def _relabel_records(records: Iterable[tuple], relabel) -> Iterator[tuple]:
 def sentence_records(sentences: Iterable[Sentence]) -> Iterator[tuple]:
     """Records as :func:`columnar_records` gives them, read off ``sentences``
     and numbered from 0: each token's surface (the glyph for a white-space
-    token), its ``_TAG_COLUMNS`` entry, found by label text, and space flag."""
+    token), its ``_TAG_COLUMNS`` entry, found by its label objects, and space flag."""
+    entries = _entries_by_labels()
     for number, sentence in enumerate(sentences):
         tokens = sentence.tokens
-        keys = map("\t".join, map(attrgetter("pos.text", "ne.text", "clause.text"), tokens))
-        labels = list(map(_TAG_COLUMNS.__getitem__, keys))
+        labels = list(map(entries.__getitem__, map(attrgetter("pos", "ne", "clause"), tokens)))
         yield number, [t.surface for t in tokens], labels, [t.is_space for t in tokens]
+
+
+@cache
+def _entries_by_labels() -> dict[tuple, tuple]:
+    """Each ``_TAG_COLUMNS`` entry by its labels, which hash by identity; built on first use."""
+    return {entry[:3]: entry for entry in _TAG_COLUMNS.values()}
 
 
 @cache
@@ -382,7 +375,7 @@ def _entry_texts(sep: str, labels: int, end: str = "") -> dict[int, str]:
 
 
 def _line_error(line_no: int, line: str) -> LineError:
-    """The error of a line, as :func:`_line_chunks` gives it, that is not blank
+    """The error of a line, as :func:`_line_blocks` gives it, that is not blank
     and missed ``_TAG_COLUMNS`` or has an empty word: its field count, word or first bad column."""
     fields = line.split("\t")
     if len(fields) != 4:

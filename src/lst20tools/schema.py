@@ -34,6 +34,8 @@ class _TextEnum(Enum):
     def __str__(self) -> str:
         return self.text
 
+    __hash__ = object.__hash__  # members are singletons; Enum's own hash is a Python call
+
 
 class PosTag(_TextEnum):
     """The sixteen part-of-speech tags."""

@@ -6,11 +6,10 @@ clauses are counted by their B-labels, which by BIEO legality is the
 number of spans.
 
 Only :func:`tally_counts` turns a tally, ``(sentences, white-space tokens,
-POS histogram, NE-label histogram, B_CLS count)``, into counts. A clean
-columnar file is tallied from its distinct lines (``format.tally_columnar``),
-any other file from its ``format.columnar_records`` or ``inline_records``
-(:func:`records_counts`), and a document from the same records read off its
-tokens (:func:`document_counts`).
+count of each _TAG_COLUMNS entry)``, into counts. A clean columnar file is
+tallied a block at a time by ``format.tally_columnar``, any other file from
+its ``format.columnar_records`` or ``inline_records`` (:func:`records_counts`),
+and a document from the same records read off its tokens (:func:`document_counts`).
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .format import _FIRST, _SECOND, _TEXT, _THIRD, Document, sentence_records
-from .schema import ClauseLabel
+from .format import Document, sentence_records
+from .schema import BoundaryPrefix, ClauseLabel
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,25 +67,29 @@ def document_counts(doc: Document, include_spaces: bool = False) -> CorpusCounts
 
 def records_counts(records, include_spaces: bool = False) -> CorpusCounts:
     """Counts and histograms of one document's sentence records, as
-    ``format.columnar_records`` and the like give them: each histogram and the ``B_CLS``
-    count is one C-level pass over every token's labels."""
+    ``format.columnar_records`` and the like give them: a record's
+    ``_TAG_COLUMNS`` entries are counted in one C-level pass."""
     sentences = spaces = 0
-    labels: list = []
-    for _, _, entries, flags in records:
+    entries: Counter = Counter()
+    for _, _, labels, flags in records:
         sentences += 1
         spaces += flags.count(True)
-        labels += entries
-    pos, ne = (Counter(map(_TEXT, map(get, labels))) for get in (_FIRST, _SECOND))
-    clauses = list(map(_THIRD, labels)).count(ClauseLabel.B_CLS)
-    return tally_counts((sentences, spaces, pos, ne, clauses), include_spaces)
+        entries.update(labels)
+    return tally_counts((sentences, spaces, entries), include_spaces)
 
 
 def tally_counts(tally, include_spaces: bool = False) -> CorpusCounts:
     """The counts of a document tallied as ``(sentences, white-space tokens,
-    POS histogram, NE-label histogram, B_CLS count)``: entities per category
-    from the B labels, and tokens as the POS histogram's total."""
-    sentences, spaces, pos, labels, clauses = tally
-    ne = Counter({text[2:]: n for text, n in labels.items() if text.startswith("B_")})
+    count of each _TAG_COLUMNS entry)``, one Python step per distinct entry:
+    entities per category from the B labels, tokens as the POS histogram's total."""
+    sentences, spaces, entries = tally
+    pos, ne, clauses = Counter(), Counter(), 0
+    for (tag, label, clause, _), n in entries.items():
+        pos[tag.text] += n
+        if label.prefix is BoundaryPrefix.B:
+            ne[label.category.text] += n
+        if clause is ClauseLabel.B_CLS:
+            clauses += n
     tokens = sum(pos.values())
     words = tokens if include_spaces else tokens - spaces
     return CorpusCounts(1, sentences, clauses, sum(ne.values()), words, tokens, pos, ne)

@@ -1376,7 +1376,8 @@ def test_heap_peak_follows_the_largest_file_not_the_file_count(tmp_path, command
 @pytest.fixture(scope="module")
 def megabyte_files(tmp_path_factory):
     """A columnar file of at least 1 MiB of random documents, its inline form,
-    each with a leading BOM, and the columnar file with CRLF line ends."""
+    each with a leading BOM, and the columnar file with CRLF line ends and
+    with one bad line 40 lines before its end."""
     directory = tmp_path_factory.mktemp("megabyte")
     columnar, inline = directory / "d.txt", directory / "d.inline"
     columnar.write_text(corpus_samples.random_columnar_text(random.Random(30), 2**20), encoding="utf-8")
@@ -1387,11 +1388,21 @@ def megabyte_files(tmp_path_factory):
         files[f"{name}-bom"].write_bytes(BOM.encode("utf-8") + path.read_bytes())
     files["columnar-crlf"] = directory / "crlf-d.txt"
     files["columnar-crlf"].write_bytes(columnar.read_bytes().replace(b"\n", b"\r\n"))
+    lines = columnar.read_text(encoding="utf-8").split("\n")
+    files["columnar-bad"] = directory / "bad-d.txt"
+    lines.insert(-40, "broken line")
+    files["columnar-bad"].write_text("\n".join(lines), encoding="utf-8")
     return files
 
 
 _INLINE_OUT = ["--to", "inline"]
 _FROM_INLINE = ["--from", "inline"]
+# The figures, as read on Python 3.10, of the cases whose peak dicts set:
+# a dict takes more room before 3.11 (an issue's is 360 bytes there, against
+# 272). The ids give 3.11's, the benchmark's interpreter.
+_BEFORE_3_11 = {
+    "validate-json-8.77": 10.67, "stats-json-0.15": 0.166, "stats-json-bad-line-0.13": 0.144,
+}
 
 
 @pytest.mark.parametrize(
@@ -1408,15 +1419,25 @@ _FROM_INLINE = ["--from", "inline"]
         pytest.param(["segment", *_FROM_INLINE, *_INLINE_OUT], "inline", 1.93, id="segment-inline-inline-1.93"),
         pytest.param(["frames", "check", "--word", "ไม่"], "columnar", 0.08, id="frames-check-0.08"),
         pytest.param(["validate"], "columnar", 5.09, id="validate-5.09"),
+        pytest.param(["validate", "--json"], "columnar", 8.77, id="validate-json-8.77"),
+        pytest.param(["stats", "--json"], "columnar", 0.15, id="stats-json-0.15"),
+        pytest.param(["stats", "--json"], "columnar-bad", 0.13, id="stats-json-bad-line-0.13"),
     ],
 )
-def test_command_holds_its_output_not_its_input(tmp_path, megabyte_files, argv, source, ratio):
+def test_command_holds_its_output_not_its_input(request, tmp_path, megabyte_files, argv, source, ratio):
     # The heap peak as a multiple of the input file's size, as measured when
     # input files were read a block at a time, with 10% slack. The output
-    # blocks set it, or for validate the report; frames check holds little
-    # more than one block's records. The file's whole text, a copy of the
-    # input made to drop its BOM or its CRs, a joined copy of the output or
-    # of validate's report, or a Token per input token would raise it.
+    # blocks set it, or for validate the report, and for validate --json the
+    # report and its dicts; frames check holds little more than one block's
+    # records, and stats one block's lines and its count of each tag tail or
+    # table entry, whether its line tally reads the file or declines it for a
+    # bad line. The file's whole text, a copy of the input made to drop its
+    # BOM or its CRs, a joined copy of the output or of validate's report,
+    # the encoded text of every issue at once, a tally of every distinct
+    # line, a list of every token's labels or a Token per input token would
+    # raise it.
+    if sys.version_info < (3, 11):
+        ratio = _BEFORE_3_11.get(request.node.callspec.id, ratio)
     source = megabyte_files[source]
     argv = [*argv, str(source), "-o", str(tmp_path / "out")]
     main(argv)  # one-time lazy set-up

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import corpus_samples
 from corpus_samples import load_fixture, tok
 from lst20tools import Document, Sentence, read_columnar, space_token, write_columnar
+from lst20tools import cli as cli_module
 from lst20tools import format as format_module
 from lst20tools.cli import main
 from lst20tools.format import SPACE_GLYPH, tally_columnar
@@ -264,6 +265,12 @@ _HAND_CASES = {
     "CRLF": "ก\tNN\tO\tB_CLS\r\n_\tPU\tO\tE_CLS\r\n\r\nข\tVV\tO\tO\r",
     "CR in a space word": "_\r\tPU\tO\tO\n",
     "two CRs at a line end": "ก\tNN\tO\tO\r\r\n",
+    "space word after a line": "ก\tNN\tO\tO\n_\tPU\tO\tO\n\n_\tPU\tO\tO\n",
+    "empty word first": "\tNN\tO\tO\nก\tNN\tO\tO\n",
+    "empty word after a blank line": "ก\tNN\tO\tO\n\n\tNN\tO\tO\n",
+    "bare _ line": "ก\tNN\tO\tO\n_\nข\tNN\tO\tO\n",
+    # Longer than a block of the default size, so the bad line is only in the last.
+    "bad line last": "ก\tNN\tO\tB_CLS\n_\tPU\tO\tI_CLS\nข\tVV\tO\tE_CLS\n\n" * 100 + "broken\n",
 }
 
 
@@ -274,11 +281,16 @@ def test_a_crlf_file_is_tallied_as_its_lf_file():
 
 
 @pytest.mark.parametrize("text", _HAND_CASES.values(), ids=_HAND_CASES.keys())
-def test_hand_cases_match_the_reference_path(tmp_path, capsys, text):
-    _assert_tally_is_the_reference(text)
+def test_hand_cases_match_the_reference_path(tmp_path, capsys, monkeypatch, text):
     path = tmp_path / "d.txt"
     path.write_text(text, encoding="utf-8")
-    _assert_stats_as_the_reference_path(path, capsys)
+    # A text read a character or a byte at a time is cut into a block per
+    # line, so that each line is in turn the first of its block.
+    for size in (1, 20, 2048):
+        monkeypatch.setattr(format_module, "_CHUNK_CHARS", size)
+        monkeypatch.setattr(cli_module, "_READ_BYTES", size)
+        _assert_tally_is_the_reference(text)
+        _assert_stats_as_the_reference_path(path, capsys)
 
 
 def test_space_word_counts_as_a_word_only_when_asked():
