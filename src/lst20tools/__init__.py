@@ -12,7 +12,8 @@ the modules they use.
 __version__ = "0.1.0"
 
 # Each submodule and the names the package exports from it. The command-line
-# front end exports none.
+# front end exports none, and neither does _tokens: format hands out its Token
+# layer, so that no command loads it.
 _EXPORTS = {
     "format": (
         "FORMAT_COLUMNAR",
@@ -77,6 +78,7 @@ _EXPORTS = {
         "validate_token_tags",
     ),
     "cli": (),
+    "_tokens": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

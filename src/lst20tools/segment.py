@@ -42,10 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from itertools import compress, count, repeat
 from operator import attrgetter, is_, not_
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .format import Sentence, Token, _relabelled
 from .schema import NE_OUTSIDE, BoundaryPrefix, ClauseLabel, PosTag
+
+if TYPE_CHECKING:
+    from ._tokens import Sentence, Token
 
 _SUBORDINATE_CONNECTORS = ("ซึ่ง", "ที่", "ถ้า", "ว่า", "ผู้")
 _COHESIVE_MARKERS = ("อย่างไรก็ตาม", "นอกจากนี้", "แต่ทว่า", "ในที่สุด")
@@ -374,6 +376,7 @@ def segment_paragraphs(
     space between clauses of one sentence is kept with clause label O.
     White space with an NE label is part of a name and always kept.
     """
+    from ._tokens import Sentence, _relabelled
     sentences: list[Sentence] = []
     paragraph_starts: list[int] = []
     for tokens in paragraphs:

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .format import Document, sentence_records
 from .schema import BoundaryPrefix, ClauseLabel
+
+if TYPE_CHECKING:
+    from ._tokens import Document
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,6 +64,7 @@ class CorpusCounts:
 
 def document_counts(doc: Document, include_spaces: bool = False) -> CorpusCounts:
     """Counts and histograms of one document, from its ``format.sentence_records``."""
+    from ._tokens import sentence_records
     return records_counts(sentence_records(doc.sentences), include_spaces)
 
 

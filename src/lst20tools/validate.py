@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .format import Document, Sentence, sentence_records
 from .schema import PosTag, scan_boundaries
+
+if TYPE_CHECKING:
+    from ._tokens import Document, Sentence
 
 LAYER_POS = "POS"
 LAYER_NE = "NE"
@@ -185,6 +187,7 @@ def lint_document(doc: Document, extra: Optional[list[LintIssue]] = None) -> Lin
 
     ``extra`` lets callers merge in FORMAT_* issues collected while parsing.
     """
+    from ._tokens import sentence_records
     return lint_records(sentence_records(doc.sentences), extra or ())
 
 

@@ -8,6 +8,7 @@ test process has imported every module long since.
 
 import json
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -153,3 +154,91 @@ def test_readme_library_snippet_runs(tmp_path):
     # Development mode prints a ResourceWarning for a file left open, which
     # leaves the exit status 0: only the empty stderr catches it.
     _fresh(snippet.group(1), cwd=tmp_path, options=["-X", "dev"])
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_no_command_loads_the_token_layer(tmp_path, command):
+    """No command loads ``_tokens``, and ``convert`` loads neither
+    ``dataclasses`` nor ``inspect``. Only the modules loaded beyond those
+    the interpreter had at start count, so a ``site`` that preloads some of
+    them does not fail the test."""
+    argv = [*_COMMANDS[command][0], "-o", str(tmp_path / "out")]
+    status, loaded = _fresh(
+        "import json, sys\n"
+        "start = set(sys.modules)\n"
+        "from lst20tools import cli\n"
+        f"status = cli.main({argv!r})\n"
+        "print(json.dumps([status, sorted(set(sys.modules) - start)]))"
+    )
+    assert status == 0
+    assert "lst20tools._tokens" not in loaded
+    if command == "convert":
+        assert {"dataclasses", "inspect"}.isdisjoint(loaded), loaded
+
+
+def test_format_alone_loads_no_dataclasses():
+    loaded = _fresh(
+        "import json, sys\n"
+        "start = set(sys.modules)\n"
+        "import lst20tools.format\n"
+        "print(json.dumps(sorted(set(sys.modules) - start)))"
+    )
+    assert {"dataclasses", "inspect", "lst20tools._tokens"}.isdisjoint(loaded), loaded
+
+
+# The names of the Token layer, which format hands out from _tokens.
+TOKEN_LAYER = (
+    "Token Sentence Document space_token read_columnar read_inline write_columnar "
+    "write_inline sentence_records _relabelled _sentences _entries_by_labels"
+).split()
+
+
+def test_the_token_layer_is_one_object_by_every_path():
+    """After only ``import lst20tools.cli``, as perfbench's worker and tracer
+    import the package, each Token-layer name gives one object through the
+    package (for the names it exports), through ``format`` as an attribute
+    and by ``from lst20tools.format import``, and ``dir`` of ``format``
+    lists it."""
+    checks = _fresh(
+        "import json\n"
+        "import lst20tools.cli\n"
+        "import lst20tools\n"
+        f"names = {TOKEN_LAYER!r}\n"
+        "fmt = lst20tools.format\n"
+        "differ = []\n"
+        "for name in names:\n"
+        "    namespace = {}\n"
+        "    exec(f'from lst20tools.format import {name} as found', namespace)\n"
+        "    same = namespace['found'] is getattr(fmt, name) is getattr(lst20tools._tokens, name)\n"
+        "    if name in lst20tools.__all__:\n"
+        "        same = same and getattr(lst20tools, name) is getattr(fmt, name)\n"
+        "    if not same:\n"
+        "        differ.append(name)\n"
+        "print(json.dumps([differ, sorted(set(names) - set(dir(fmt)))]))"
+    )
+    assert checks == [[], []]
+
+
+# A Token, a Sentence and a Document as the pickle module wrote them when
+# format defined the three classes (protocol 4): they name lst20tools.format.
+_PICKLED = (
+    b"\x80\x04\x95=\x01\x00\x00\x00\x00\x00\x00\x8c\x11lst20tools.format\x94\x8c\x05Token"
+    b"\x94\x93\x94)\x81\x94]\x94(\x8c\x15\xe0\xb8\x81\xe0\xb8\xa3\xe0\xb8\xb8\xe0\xb8\x87"
+    b"\xe0\xb9\x80\xe0\xb8\x97\xe0\xb8\x9e\x94\x8c\x11lst20tools.schema\x94\x8c\x06PosTag"
+    b"\x94\x93\x94\x8c\x02NN\x94\x85\x94R\x94h\x06\x8c\x07NeLabel\x94\x93\x94\x8c\x05B_LOC"
+    b"\x94\x85\x94R\x94h\x06\x8c\x0bClauseLabel\x94\x93\x94\x8c\x05B_CLS\x94\x85\x94R\x94"
+    b"\x89ebh\x00\x8c\x08Sentence\x94\x93\x94)\x81\x94]\x94h\x03h\x02)\x81\x94]\x94(\x8c"
+    b"\x03\xe2\x90\xa3\x94h\x08\x8c\x02PU\x94\x85\x94R\x94h\r\x8c\x01O\x94\x85\x94R\x94h"
+    b"\x12h \x85\x94R\x94\x88ebh\x02)\x81\x94]\x94(\x8c\x06\xe0\xb8\x94\xe0\xb8\xb9\x94h"
+    b'\x08\x8c\x02VV\x94\x85\x94R\x94h"h\x12\x8c\x05E_CLS\x94\x85\x94R\x94\x89eb\x87\x94'
+    b"abh\x00\x8c\x08Document\x94\x93\x94)\x81\x94]\x94(\x8c\x06T00126\x94h\x18\x85\x94eb"
+    b"\x87\x94."
+)
+
+
+def test_pickles_that_name_format_still_load():
+    from lst20tools import ClauseLabel, Document, PosTag, Sentence, Token, parse_ne_label, space_token
+
+    token = Token("กรุงเทพ", PosTag.NN, parse_ne_label("B_LOC"), ClauseLabel.B_CLS)
+    sentence = Sentence((token, space_token(), Token("ดู", PosTag.VV, clause=ClauseLabel.E_CLS)))
+    assert pickle.loads(_PICKLED) == (token, sentence, Document("T00126", (sentence,)))
