@@ -30,7 +30,7 @@ if TYPE_CHECKING:
     from .frames import FrameSet
     from .segment import MarkerLexicon
     from .stats import CorpusCounts
-    from .validate import LintIssue, LintReport
+    from .validate import LintReport
 
 EXIT_OK = 0
 EXIT_ISSUES = 1
@@ -147,50 +147,27 @@ def _one_input(args, name: str) -> Path:
 
 
 @contextlib.contextmanager
-def _located(path: Path, pieces: Iterator[str]):
-    """Report a reader's error under ``--strict``, or a writer's refusal, as
-    ``name: reason``, once the rest of the input's ``pieces`` is decoded: a bad
-    byte later in the file is reported instead, as when files were decoded whole."""
+def _reading(path: Path, args):
+    """The input's records, read from its :func:`_read_pieces` by ``--from``'s reader,
+    and the list of its bad lines or sentences: empty under ``--strict``, where the
+    first one is raised. A reader's error or a writer's refusal is reported as ``name:
+    reason`` once the rest of the input is decoded: a bad byte later in the file is
+    reported instead. After a WriteError the rest of the records is read, and its bad
+    lines are printed before the refusal; a bad byte is reported alone."""
+    read = fmt.columnar_records if args.informat == FORMAT_COLUMNAR else fmt.inline_records
+    errors: list = []
+    pieces = _read_pieces(path)
+    records = read(pieces, None if args.strict else errors)
     try:
-        yield
+        try:
+            yield records, errors
+        except fmt.WriteError:
+            deque(records, maxlen=0)  # under --strict, a later bad line is reported instead
+            _print_format_issues(path, errors)
+            raise
     except fmt.FormatError as exc:
         deque(pieces, maxlen=0)
         raise _BadInput(f"{path.name}: {exc}") from None
-
-
-def _records(path: Path, informat: str, errors: Optional[list]):
-    """The input's :func:`_read_pieces` and their ``columnar_records`` or ``inline_records``."""
-    read = fmt.columnar_records if informat == FORMAT_COLUMNAR else fmt.inline_records
-    pieces = _read_pieces(path)
-    return pieces, read(pieces, errors)
-
-
-def _from_records(path: Path, args, consume, *rest):
-    """``consume(records, *rest)`` of the input's records and the exit status of the bad
-    lines or sentences, printed as by :func:`_print_format_issues`. After a WriteError the
-    rest of the records is read, so that every bad line is reported before the refusal.
-    A bad byte is reported alone: no bad line is printed before it."""
-    errors: Optional[list] = None if args.strict else []
-    pieces, records = _records(path, args.informat, errors)
-    with _located(path, pieces):
-        try:
-            result = consume(records, *rest)
-        except fmt.WriteError:
-            deque(records, maxlen=0)  # under --strict, a later bad line is reported instead
-            _print_format_issues(path, errors or ())
-            raise
-    return result, _print_format_issues(path, errors or ())
-
-
-def _format_issue(err: fmt.FormatError) -> LintIssue:
-    """A reader's LineError or TokenError as a FORMAT_LINE/FORMAT_TOKEN lint issue."""
-    from .validate import LAYER_FORMAT, LintIssue, Severity
-
-    if isinstance(err, fmt.LineError):
-        return LintIssue(Severity.ERROR, "FORMAT_LINE", str(err), None, None, LAYER_FORMAT)
-    return LintIssue(
-        Severity.ERROR, "FORMAT_TOKEN", err.reason, err.sentence, err.token, LAYER_FORMAT
-    )
 
 
 def _print_format_issues(path: Path, errors: Sequence[fmt.FormatError]) -> int:
@@ -240,10 +217,8 @@ def _cmd_validate(args) -> int:
         # One file's read, lint and write, so nothing of it is alive while
         # the next file is read.
         nonlocal had_errors, sep
-        errors: list = []  # linted from its columns, with no Token
-        pieces, records = _records(path, args.informat, None if args.strict else errors)
-        with _located(path, pieces):
-            report = validate_mod.lint_records(records, map(_format_issue, errors))
+        with _reading(path, args) as (records, errors):  # linted from its columns, with no Token
+            report = validate_mod.lint_records(records, map(validate_mod._format_issue, errors))
         had_errors |= report.error_count > 0
         if not args.json:
             out.writelines(format_report(report, path.name))
@@ -271,12 +246,14 @@ def _cmd_convert(args) -> int:
     to O. Inline to inline keeps the input's layer count. Either format is
     written from the input's records, with no Token."""
     path = _one_input(args, "convert")
-    if args.outformat == FORMAT_INLINE:
-        # Inline to inline reads the input twice: first for its layer count.
-        layers = fmt.inline_layer_count(_read_pieces(path)) if args.informat == FORMAT_INLINE else 4
-        blocks, status = _from_records(path, args, fmt._inline_blocks, layers)
-    else:
-        blocks, status = _from_records(path, args, fmt._columnar_blocks)
+    with _reading(path, args) as (records, errors):
+        if args.outformat == FORMAT_COLUMNAR:
+            blocks = fmt._columnar_blocks(records)
+        elif args.informat == FORMAT_COLUMNAR:
+            blocks = fmt._inline_blocks(records, 4)
+        else:  # inline to inline reads the input twice: first for its layer count
+            blocks = fmt._inline_blocks(records, fmt.inline_layer_count(_read_pieces(path)))
+    status = _print_format_issues(path, errors)
     _write(_open_output(args, [path]), blocks)
     return status
 
@@ -293,22 +270,20 @@ def _load_lexicon(args) -> Optional[MarkerLexicon]:
 def _cmd_segment(args) -> int:
     """Each input sentence block (columnar) or line (inline) is one paragraph,
     segmented from the input's records, with no Token. Columnar input written
-    back as columnar keeps its lines, relabelled (``format.relabel_columnar``);
-    any other pair writes the relabelled records with the block writers."""
+    back as columnar keeps its lines, relabelled (``format._relabel_blocks``);
+    any other pair writes ``format._relabel_records`` with the block writers."""
     from . import segment as segment_mod
 
     path = _one_input(args, "segment")
     relabel = functools.partial(segment_mod._segment_columns, lexicon=_load_lexicon(args))
-    if args.informat == args.outformat == FORMAT_COLUMNAR:
-        blocks, status = _from_records(path, args, fmt._relabel_blocks, relabel)
-    else:
-        def segmented(records):  # inline output carries all four layers
-            relabelled = fmt._relabel_records(records, relabel)
-            if args.outformat == FORMAT_COLUMNAR:
-                return fmt._columnar_blocks(relabelled)
-            return fmt._inline_blocks(relabelled, 4)
-
-        blocks, status = _from_records(path, args, segmented)
+    with _reading(path, args) as (records, errors):
+        if args.informat == args.outformat == FORMAT_COLUMNAR:
+            blocks = fmt._relabel_blocks(records, relabel)
+        elif args.outformat == FORMAT_COLUMNAR:
+            blocks = fmt._columnar_blocks(fmt._relabel_records(records, relabel))
+        else:  # inline output carries all four layers
+            blocks = fmt._inline_blocks(fmt._relabel_records(records, relabel), 4)
+    status = _print_format_issues(path, errors)
     _write(_open_output(args, [path], args.lexicon), blocks)
     return status
 
@@ -321,10 +296,8 @@ def _count_file(path: Path, args) -> tuple[CorpusCounts, int]:
 
     if args.informat == FORMAT_COLUMNAR and (tally := fmt.tally_columnar(_read_pieces(path))):
         return stats_mod.tally_counts(tally, args.include_spaces), 0
-    errors: Optional[list] = None if args.strict else []
-    pieces, records = _records(path, args.informat, errors)
-    with _located(path, pieces):  # the records are all read before the errors are counted
-        return stats_mod.records_counts(records, args.include_spaces), len(errors or ())
+    with _reading(path, args) as (records, errors):  # all read before the errors are counted
+        return stats_mod.records_counts(records, args.include_spaces), len(errors)
 
 
 def _cmd_stats(args) -> int:
@@ -389,9 +362,8 @@ def _cmd_frames(args) -> int:
     # its index among the sentence's tokens that are not white space.
     path = _one_input(args, "frames check")
     matched_ids: set[str] = set()
-
-    def usages(records) -> list[str]:
-        lines = []
+    lines = []
+    with _reading(path, args) as (records, errors):
         for number, words, labels, spaces in records:
             if args.word in words:  # a C-level test that most sentences fail
                 kept = list(map(not_, spaces))
@@ -402,9 +374,7 @@ def _cmd_frames(args) -> int:
                     matched_ids.update(matched)
                     ids = " ".join(sorted(matched)) or "-"
                     lines.append(f"sentence {number}, token {index}: {ids}")
-        return lines
-
-    lines, status = _from_records(path, args, usages)
+    status = _print_format_issues(path, errors)
     classes = frames_mod.classify_lexeme(matched_ids)
     if not lines:
         lines.append(f"no occurrences of {args.word!r}")

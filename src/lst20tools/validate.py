@@ -16,6 +16,7 @@ from itertools import islice
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from .format import FormatError, LineError
 from .schema import PosTag, scan_boundaries
 
 if TYPE_CHECKING:
@@ -79,6 +80,15 @@ def _violation_issues(violations, code_prefix, layer, sentence_idx) -> list[Lint
         LintIssue(Severity.ERROR, f"{code_prefix}_{rule}", message, sentence_idx, index, layer)
         for rule, index, message in violations
     ]
+
+
+def _format_issue(err: FormatError) -> LintIssue:
+    """A reader's LineError or TokenError as a FORMAT_LINE/FORMAT_TOKEN lint issue."""
+    if isinstance(err, LineError):
+        return LintIssue(Severity.ERROR, "FORMAT_LINE", str(err), None, None, LAYER_FORMAT)
+    return LintIssue(
+        Severity.ERROR, "FORMAT_TOKEN", err.reason, err.sentence, err.token, LAYER_FORMAT
+    )
 
 
 # Each lint rule takes a sentence's columns, never its tokens: words (any text for a

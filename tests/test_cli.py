@@ -31,12 +31,13 @@ from lst20tools import (
     write_columnar,
     write_inline,
 )
+from lst20tools import _tokens as tokens_module
 from lst20tools import cli
 from lst20tools import format as format_module
 from lst20tools import segment as segment_module
-from lst20tools.cli import _format_issue, _json_entries, format_report, main
+from lst20tools.cli import _json_entries, format_report, main
 from lst20tools.format import inline_layer_count
-from lst20tools.validate import lint_records
+from lst20tools.validate import _format_issue, lint_records
 from oracles import (
     columnar_input_sentences,
     inline_input_sentences,
@@ -1776,8 +1777,8 @@ def test_workload_commands_never_call_read_columnar(tmp_path, monkeypatch, capsy
 
 def test_no_command_builds_a_token(tmp_path, monkeypatch, capsys):
     """Every command reads and writes either format through records: with the
-    Token readers and writers, ``segment_paragraphs``, ``_relabelled`` and
-    Token itself refusing, ``validate`` (text and ``--json``), ``stats
+    Token readers and writers, ``sentence_records``, ``_relabelled`` and Token
+    itself refusing, ``validate`` (text and ``--json``), ``stats
     --json``, ``frames check``, ``convert`` both ways and ``segment`` in all
     four format pairs give the bytes and exit codes they give without that,
     permissive and under ``--strict``. The columnar inputs are the fixtures
@@ -1834,12 +1835,66 @@ def test_no_command_builds_a_token(tmp_path, monkeypatch, capsys):
 
         return refused
 
-    names = ("read_columnar", "read_inline", "write_columnar", "write_inline", "Token", "_relabelled")
-    for name in names:
-        monkeypatch.setattr(format_module, name, refuse(name))
-    monkeypatch.setattr(segment_module, "segment_paragraphs", refuse("segment_paragraphs"))
+    # The stand-ins go where the Token layer reads them, the globals of
+    # _tokens, and on format for a command's fmt.X lookup. format goes first:
+    # its __getattr__ would hand out a stand-in already set on _tokens as the
+    # value to restore. segment_paragraphs needs no stand-in: it takes Tokens
+    # and relabels them through _tokens._relabelled.
+    names = ("Token", "_relabelled", "sentence_records", "read_columnar", "read_inline",
+             "write_columnar", "write_inline")
+    for module in (format_module, tokens_module):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse(name))
     for argv, reference in zip(argvs, expected):
         assert (main(argv), *capsys.readouterr()) == reference, argv
+
+
+def test_each_command_reads_its_input_once(tmp_path, monkeypatch, capsys):
+    """How many times each command opens its input, counted at
+    ``cli._read_pieces``, permissive and under ``--strict``, on a fixture, its
+    inline form and the fixture with a bad line. Every command reads its input
+    once but two: inline-to-inline ``convert`` reads it first for its layer
+    count, and ``stats`` reads a columnar file with a bad line again for its
+    records after its line tally is declined."""
+    text = corpus_samples.fixture_text("glimpse.txt")
+    clean = tmp_path / "clean.txt"
+    clean.write_text(text, encoding="utf-8")
+    draft = tmp_path / "draft.txt"
+    draft.write_text(text.replace("\n", "\nbroken line\n", 1), encoding="utf-8")
+    inline = tmp_path / "clean.inline"
+    inline.write_text(write_inline(read_columnar(text).sentences), encoding="utf-8")
+    reads = []
+    read_pieces = cli._read_pieces
+
+    def counted(path):
+        reads.append(path)
+        return read_pieces(path)
+
+    monkeypatch.setattr(cli, "_read_pieces", counted)
+
+    def expected_reads(argv, informat, path):
+        if argv[0] == "convert" and informat == argv[-1] == "inline":
+            return 2  # first for the layer count
+        if argv[0] == "stats" and path == draft:
+            return 2  # the declined tally, then the records
+        return 1
+
+    commands = [
+        ["validate"],
+        ["validate", "--json"],
+        ["stats", "--json"],
+        ["frames", "check", "--word", "ไม่"],
+        *(["convert", "--to", to] for to in ("columnar", "inline")),
+        *(["segment", "--to", to] for to in ("columnar", "inline")),
+    ]
+    for strict in ([], ["--strict"]):
+        for informat, path in (("columnar", clean), ("columnar", draft), ("inline", inline)):
+            for argv in commands:
+                reads.clear()
+                status = main([*argv, "--from", informat, str(path), *strict, "-o", str(tmp_path / "out")])
+                capsys.readouterr()
+                assert status in (0, 1), argv
+                assert reads == [path] * expected_reads(argv, informat, path), (argv, path.name, strict)
 
 
 def _reported_lines(err: str, name: str = "d.txt") -> list[int]:
