@@ -18,11 +18,10 @@ plus VV.6, adjective and adverb require any one of their frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .schema import PosTag
+from .schema import PosTag, _Frozen
 
 
 class FrameSpecError(ValueError):
@@ -35,25 +34,26 @@ class SlotKind(Enum):
     PHRASE = "phrase"
 
 
-@dataclass(frozen=True, slots=True)
-class FrameSlot:
-    kind: SlotKind
-    tag: Optional[PosTag] = None
-    optional: bool = False
+class FrameSlot(_Frozen):
+    _fields = __slots__ = ("kind", "tag", "optional")
+
+    def __init__(
+        self, kind: SlotKind, tag: Optional[PosTag] = None, optional: bool = False
+    ) -> None:
+        self._set_slots((kind, tag, optional))
 
 
-@dataclass(frozen=True, slots=True)
-class FramePattern:
-    frame_id: str
-    slots: tuple[FrameSlot, ...]
-    #: The fewest and the most tokens the slots before the hole can cover,
-    #: then the same after it; "most" is inf when a phrase is on that side.
-    window: tuple = field(init=False, repr=False, compare=False)
+class FramePattern(_Frozen):
+    # window holds the fewest and the most tokens the slots before the hole
+    # can cover, then the same after it; "most" is inf when a phrase is on
+    # that side.
+    _fields = ("frame_id", "slots")
+    __slots__ = (*_fields, "window")
 
-    def __post_init__(self) -> None:
+    def __init__(self, frame_id: str, slots: tuple[FrameSlot, ...]) -> None:
         holes = 0
         fewest, most = [0, 0], [0, 0]
-        for slot in self.slots:
+        for slot in slots:
             if slot.kind is SlotKind.HOLE:
                 holes += 1
             else:
@@ -61,20 +61,21 @@ class FramePattern:
                 most[holes > 0] += math.inf if slot.kind is SlotKind.PHRASE else 1
         if holes != 1:
             raise FrameSpecError(
-                f"frame {self.frame_id or '<anonymous>'} needs exactly one hole, got {holes}"
+                f"frame {frame_id or '<anonymous>'} needs exactly one hole, got {holes}"
             )
-        object.__setattr__(self, "window", (fewest[0], most[0], fewest[1], most[1]))
+        self._set_slots((frame_id, slots, (fewest[0], most[0], fewest[1], most[1])))
 
     def spec(self) -> str:
         return " ".join(_SPECS[slot] for slot in self.slots)
 
 
-@dataclass(frozen=True, slots=True)
-class FrameMatch:
+class FrameMatch(_Frozen):
     """Witness alignment: one half-open token range per slot, in order."""
 
-    frame_id: str
-    alignment: tuple[tuple[int, int], ...]
+    _fields = __slots__ = ("frame_id", "alignment")
+
+    def __init__(self, frame_id: str, alignment: tuple[tuple[int, int], ...]) -> None:
+        self._set_slots((frame_id, alignment))
 
 
 #: Every slot a spec item can name, shared by all frames.
@@ -188,17 +189,17 @@ ADJECTIVE_FRAMES = frozenset({"AJ.1", "AJ.2", "AJ.3", "AJ.4"})
 ADVERB_FRAMES = frozenset({"AV.1", "AV.2", "AV.3", "AV.4"})
 
 
-@dataclass(frozen=True, slots=True)
-class FrameSet:
-    frames: tuple[FramePattern, ...]
+class FrameSet(_Frozen):
+    _fields = __slots__ = ("frames",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "frames", tuple(self.frames))
+    def __init__(self, frames: Iterable[FramePattern]) -> None:
+        frames = tuple(frames)
         seen = set()
-        for frame in self.frames:
+        for frame in frames:
             if frame.frame_id in seen:
                 raise FrameSpecError(f"duplicate frame id {frame.frame_id!r}")
             seen.add(frame.frame_id)
+        self._set_slots((frames,))
 
 
 def default_frameset() -> FrameSet:

@@ -24,6 +24,53 @@ class UnknownCategory(MalformedLabel):
     """A well-shaped boundary label whose category is not in the tagset."""
 
 
+class _Frozen:
+    """Base of the library's frozen value classes: a command that loads them
+    loads no ``dataclasses``, which imports ``inspect`` and ``ast``.
+
+    A subclass names its constructor's fields in ``_fields``, which equality,
+    hash and repr read, and lists them, then any field it derives from them,
+    in ``__slots__``. Its ``__init__`` fills the slots in that order with
+    ``_set_slots``. Pickle and copy save and restore every slot, with no
+    ``__init__`` call."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # Each slot's own descriptor writes it: object.__setattr__ looks it up by name.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _set_slots(self, values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    __setstate__ = _set_slots
+
+    def __getstate__(self) -> list:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class _TextEnum(Enum):
     """An enum whose members also carry their value as ``text``, a plain
     attribute: ``value`` is an enum property, far slower to read."""

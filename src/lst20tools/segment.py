@@ -39,12 +39,11 @@ records. Both run the same rules on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from itertools import compress, count, repeat
 from operator import attrgetter, is_, not_
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .schema import NE_OUTSIDE, BoundaryPrefix, ClauseLabel, PosTag
+from .schema import NE_OUTSIDE, BoundaryPrefix, ClauseLabel, PosTag, _Frozen
 
 if TYPE_CHECKING:
     from ._tokens import Sentence, Token
@@ -81,33 +80,27 @@ class ConfigError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True, slots=True)
-class MarkerLexicon:
+class MarkerLexicon(_Frozen):
     """Surface-form lists that drive segmentation.
 
     Categories may overlap: the same surface can be, say, both a particle
     and a question adverb; POS tags disambiguate at match time.
+    ``clause_markers`` is the union of the five clause-marker categories
+    (R2 adjacency test).
     """
 
-    subordinate_connectors: frozenset[str]
-    cohesive_markers: frozenset[str]
-    list_markers: frozenset[str]
-    particles: frozenset[str]
-    question_adverbs: frozenset[str]
-    reporting_verbs: frozenset[str]
-    # The union of the five clause-marker categories (R2 adjacency test).
-    clause_markers: frozenset[str] = field(init=False, repr=False, compare=False)
+    _fields = ("subordinate_connectors", "cohesive_markers", "list_markers", "particles",
+               "question_adverbs", "reporting_verbs")
+    __slots__ = (*_fields, "clause_markers")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "clause_markers",
-            self.subordinate_connectors
-            | self.cohesive_markers
-            | self.list_markers
-            | self.particles
-            | self.question_adverbs,
-        )
+    def __init__(self, subordinate_connectors: frozenset[str], cohesive_markers: frozenset[str],
+                 list_markers: frozenset[str], particles: frozenset[str],
+                 question_adverbs: frozenset[str], reporting_verbs: frozenset[str]) -> None:
+        self._set_slots((subordinate_connectors, cohesive_markers, list_markers, particles,
+                         question_adverbs, reporting_verbs))
+        markers = (self.subordinate_connectors | self.cohesive_markers | self.list_markers
+                   | self.particles | self.question_adverbs)
+        object.__setattr__(self, "clause_markers", markers)
 
     @classmethod
     def default(cls) -> "MarkerLexicon":
@@ -121,7 +114,7 @@ class MarkerLexicon:
         )
 
 
-_LEXICON_SECTIONS = tuple(f.name for f in fields(MarkerLexicon) if f.init)
+_LEXICON_SECTIONS = MarkerLexicon._fields
 _DEFAULT_LEXICON = MarkerLexicon.default()
 
 

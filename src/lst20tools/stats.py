@@ -15,28 +15,28 @@ and a document from the same records read off its tokens (:func:`document_counts
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .schema import BoundaryPrefix, ClauseLabel
+from .schema import BoundaryPrefix, ClauseLabel, _Frozen
 
 if TYPE_CHECKING:
     from ._tokens import Document
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusCounts:
+class CorpusCounts(_Frozen):
     """The six corpus counts plus the POS histogram (every token's tag) and
-    the NE histogram (entities per category); ``+`` sums them all."""
+    the NE histogram (entities per category); ``+`` sums them all. A histogram
+    not given is a new, empty Counter."""
 
-    documents: int = 0
-    sentences: int = 0
-    clauses: int = 0
-    named_entities: int = 0
-    words: int = 0
-    tokens: int = 0
-    pos: Counter = field(default_factory=Counter)
-    ne: Counter = field(default_factory=Counter)
+    _fields = __slots__ = (
+        "documents", "sentences", "clauses", "named_entities", "words", "tokens", "pos", "ne"
+    )
+
+    def __init__(self, documents: int = 0, sentences: int = 0, clauses: int = 0,
+                 named_entities: int = 0, words: int = 0, tokens: int = 0,
+                 pos: Optional[Counter] = None, ne: Optional[Counter] = None) -> None:
+        self._set_slots((documents, sentences, clauses, named_entities, words, tokens,
+                         Counter() if pos is None else pos, Counter() if ne is None else ne))
 
     def __add__(self, other: "CorpusCounts") -> "CorpusCounts":
         return CorpusCounts(

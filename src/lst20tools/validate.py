@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .format import FormatError, LineError
-from .schema import PosTag, scan_boundaries
+from .schema import PosTag, _Frozen, scan_boundaries
 
 if TYPE_CHECKING:
     from ._tokens import Document, Sentence
@@ -33,14 +32,12 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True, slots=True)
-class LintIssue:
-    severity: Severity
-    code: str
-    message: str
-    sentence: Optional[int]
-    token: Optional[int]
-    layer: str
+class LintIssue(_Frozen):
+    _fields = __slots__ = ("severity", "code", "message", "sentence", "token", "layer")
+
+    def __init__(self, severity: Severity, code: str, message: str,
+                 sentence: Optional[int], token: Optional[int], layer: str) -> None:
+        self._set_slots((severity, code, message, sentence, token, layer))
 
     def to_dict(self) -> dict:
         return {
@@ -56,20 +53,17 @@ class LintIssue:
 _SEVERITY = attrgetter("severity")
 
 
-@dataclass(frozen=True, slots=True)
-class LintReport:
-    issues: tuple[LintIssue, ...]
-    # Counted once, when the report is built, in C-level passes that compare
-    # severities by identity: hashing a Severity runs Enum's Python __hash__.
-    error_count: int = field(init=False, repr=False, compare=False)
-    warning_count: int = field(init=False, repr=False, compare=False)
+class LintReport(_Frozen):
+    # error_count and warning_count are counted once, when the report is built,
+    # in C-level passes that compare severities by identity: hashing a Severity
+    # runs Enum's Python __hash__.
+    _fields = ("issues",)
+    __slots__ = (*_fields, "error_count", "warning_count")
 
-    def __post_init__(self) -> None:
-        issues = tuple(self.issues)
+    def __init__(self, issues: Iterable[LintIssue]) -> None:
+        issues = tuple(issues)
         errors = list(map(_SEVERITY, issues)).count(Severity.ERROR)
-        object.__setattr__(self, "issues", issues)
-        object.__setattr__(self, "error_count", errors)
-        object.__setattr__(self, "warning_count", len(issues) - errors)
+        self._set_slots((issues, errors, len(issues) - errors))
 
     def to_dicts(self) -> list[dict]:
         return [issue.to_dict() for issue in self.issues]

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -238,10 +237,10 @@ class TestWindow:
 
     def test_replace_recomputes_and_equality_ignores_window(self):
         frame = compile_frame("_ VV", "x")
-        wider = dataclasses.replace(frame, slots=compile_frame("_ *").slots)
+        wider = FramePattern(frame.frame_id, compile_frame("_ *").slots)
         assert wider.window == (0, 0, 1, math.inf)
         assert "window" not in repr(frame)
-        narrow = dataclasses.replace(frame)
+        narrow = FramePattern(*(getattr(frame, name) for name in FramePattern._fields))
         object.__setattr__(narrow, "window", (0, 0, 0, 0))
         assert narrow == frame and hash(narrow) == hash(frame)
 

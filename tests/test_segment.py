@@ -1,6 +1,6 @@
 import ast
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,7 @@ import corpus_samples
 from corpus_samples import toks
 from lst20tools import PosTag, Token, space_token
 from lst20tools import segment
-from lst20tools.schema import ClauseLabel, parse_ne_label
+from lst20tools.schema import NE_OUTSIDE, ClauseLabel, parse_ne_label
 from lst20tools.segment import (
     ConfigError,
     MarkerLexicon,
@@ -23,8 +23,14 @@ from lst20tools.segment import (
     load_marker_lexicon,
     segment_paragraphs,
 )
-from lst20tools.validate import Severity, lint_document, validate_clause_sequence
-from lst20tools.format import Document, Sentence
+from lst20tools.validate import Severity, lint_document, lint_records, validate_clause_sequence
+from lst20tools.format import (
+    Document,
+    Sentence,
+    columnar_records,
+    relabel_columnar,
+    write_columnar,
+)
 from oracles import bieo_spans, clause_spans, r2_space_splits
 
 
@@ -97,7 +103,7 @@ class TestLexicon:
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         }
-        categories = {f.name for f in fields(MarkerLexicon) if f.init}
+        categories = set(MarkerLexicon._fields)
         assert categories - read == set()
 
 
@@ -565,6 +571,19 @@ def test_detect_clauses_matches_chunk_and_merge_oracle_on_long_paragraphs(tokens
 _MARKER_WORDS = (("ว่า", PosTag.CC), ("ซึ่ง", PosTag.CC), ("เช่น", PosTag.CC), ("นะ", PosTag.PA))
 
 
+def _plant_markers(rng, tokens):
+    """``tokens`` with clause markers and verbs planted in place of some words."""
+    planted = []
+    for token in tokens:
+        if not token.is_space and rng.random() < 0.2:
+            surface, pos = rng.choice(_MARKER_WORDS)
+            token = replace(token, surface=surface, pos=pos)
+        elif not token.is_space and rng.random() < 0.3:
+            token = replace(token, pos=PosTag.VV)
+        planted.append(token)
+    return planted
+
+
 def _ne_issues(sentences):
     report = lint_document(Document("d", tuple(sentences)))
     return [issue for issue in report.issues if issue.layer == "NE"]
@@ -583,14 +602,7 @@ def test_segmenting_keeps_named_entities_whole(rng):
     doc = corpus_samples.random_document(rng, max_sentences=6, max_tokens=30)
     paragraphs = []
     for sentence in doc.sentences:
-        tokens = []
-        for token in sentence.tokens:
-            if not token.is_space and rng.random() < 0.2:
-                surface, pos = rng.choice(_MARKER_WORDS)
-                token = replace(token, surface=surface, pos=pos)
-            elif not token.is_space and rng.random() < 0.3:
-                token = replace(token, pos=PosTag.VV)
-            tokens.append(token)
+        tokens = _plant_markers(rng, sentence.tokens)
         paragraphs.append(Sentence(tuple(tokens)))
     assert not _ne_issues(paragraphs)
     sentences, _ = segment_paragraphs([p.tokens for p in paragraphs])
@@ -627,14 +639,7 @@ def test_relabelled_tokens_are_as_if_constructed(rng):
     doc = corpus_samples.random_document(rng, max_sentences=6, max_tokens=40)
     paragraphs = []
     for sentence in doc.sentences:
-        tokens = []
-        for token in sentence.tokens:
-            if not token.is_space and rng.random() < 0.2:
-                surface, pos = rng.choice(_MARKER_WORDS)
-                token = replace(token, surface=surface, pos=pos)
-            elif not token.is_space and rng.random() < 0.3:
-                token = replace(token, pos=PosTag.VV)
-            tokens.append(token)
+        tokens = _plant_markers(rng, sentence.tokens)
         paragraphs.append(tokens)
     _assert_relabelled_as_if_constructed(paragraphs)
 
@@ -673,3 +678,59 @@ def test_segment_paragraphs_reads_each_paragraphs_columns_once(monkeypatch):
     with pytest.raises(ValueError) as refused:
         segment_paragraphs([[]])
     assert str(refused.value) == "paragraph must contain at least one token"
+
+
+def _segmented(text: str) -> str:
+    """Columnar ``text`` segmented as ``lst20 segment`` segments it: from the
+    text's records, each relabelled and written back as columnar lines."""
+    return relabel_columnar(columnar_records(text), segment._segment_columns)
+
+
+def _rows(text: str) -> list[list[tuple]]:
+    """Each sentence of columnar ``text`` as its tokens' word, POS, NE and space flag."""
+    return [
+        [(word, entry[0], entry[1], space) for word, entry, space in zip(words, labels, spaces)]
+        for _, words, labels, spaces in columnar_records(text)
+    ]
+
+
+def _is_gap(row) -> bool:
+    """Whether a token is one the segmenter may drop: a space outside every name."""
+    return row[3] and row[2] is NE_OUTSIDE
+
+
+def _assert_segmenter_invariants(text: str) -> None:
+    """The three promises of ``segment`` on columnar ``text``: the output
+    lints with no error; its word, POS and NE columns are the input's, less
+    white space outside every sentence; and segmenting it again changes no
+    byte."""
+    out = _segmented(text)
+    errors = [i for i in lint_records(columnar_records(out)).issues if i.severity is Severity.ERROR]
+    assert errors == []
+    rows = [row for sentence in _rows(text) for row in sentence]
+    at = 0
+    for sentence in _rows(out):
+        while at < len(rows) and _is_gap(rows[at]):
+            at += 1
+        assert rows[at : at + len(sentence)] == sentence
+        at += len(sentence)
+    assert all(map(_is_gap, rows[at:]))
+    assert _segmented(out) == out
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in corpus_samples.FIXTURE_DIR.glob("*.txt")))
+def test_segmenter_invariants_on_the_fixtures(name):
+    _assert_segmenter_invariants(corpus_samples.fixture_text(name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_segmenter_invariants_with_planted_markers(rng):
+    doc = corpus_samples.random_document(rng, max_sentences=6, max_tokens=40)
+    sentences = [Sentence(tuple(_plant_markers(rng, s.tokens))) for s in doc.sentences]
+    _assert_segmenter_invariants(write_columnar(Document(doc.doc_id, tuple(sentences))))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_segmenter_invariants_on_random_documents(seed):
+    _assert_segmenter_invariants(corpus_samples.random_columnar_text(random.Random(seed), 2**19))

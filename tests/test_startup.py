@@ -158,10 +158,9 @@ def test_readme_library_snippet_runs(tmp_path):
 
 @pytest.mark.parametrize("command", _COMMANDS)
 def test_no_command_loads_the_token_layer(tmp_path, command):
-    """No command loads ``_tokens``, and ``convert`` loads neither
-    ``dataclasses`` nor ``inspect``. Only the modules loaded beyond those
-    the interpreter had at start count, so a ``site`` that preloads some of
-    them does not fail the test."""
+    """No command loads ``_tokens``, ``dataclasses`` or ``inspect``. Only the
+    modules loaded beyond those the interpreter had at start count, so a
+    ``site`` that preloads some of them does not fail the test."""
     argv = [*_COMMANDS[command][0], "-o", str(tmp_path / "out")]
     status, loaded = _fresh(
         "import json, sys\n"
@@ -171,18 +170,27 @@ def test_no_command_loads_the_token_layer(tmp_path, command):
         "print(json.dumps([status, sorted(set(sys.modules) - start)]))"
     )
     assert status == 0
-    assert "lst20tools._tokens" not in loaded
-    if command == "convert":
-        assert {"dataclasses", "inspect"}.isdisjoint(loaded), loaded
+    assert {"dataclasses", "inspect", "lst20tools._tokens"}.isdisjoint(loaded), loaded
+
+
+def _loaded_by_import(module: str) -> list[str]:
+    """The modules a fresh ``import lst20tools.<module>`` loads."""
+    return _fresh(
+        "import json, sys\n"
+        "start = set(sys.modules)\n"
+        f"import lst20tools.{module}\n"
+        "print(json.dumps(sorted(set(sys.modules) - start)))"
+    )
 
 
 def test_format_alone_loads_no_dataclasses():
-    loaded = _fresh(
-        "import json, sys\n"
-        "start = set(sys.modules)\n"
-        "import lst20tools.format\n"
-        "print(json.dumps(sorted(set(sys.modules) - start)))"
-    )
+    loaded = _loaded_by_import("format")
+    assert {"dataclasses", "inspect", "lst20tools._tokens"}.isdisjoint(loaded), loaded
+
+
+@pytest.mark.parametrize("module", ["validate", "segment", "stats", "frames"])
+def test_each_command_module_alone_loads_no_dataclasses(module):
+    loaded = _loaded_by_import(module)
     assert {"dataclasses", "inspect", "lst20tools._tokens"}.isdisjoint(loaded), loaded
 
 
