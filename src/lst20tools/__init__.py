@@ -12,8 +12,7 @@ the modules they use.
 __version__ = "0.1.0"
 
 # Each submodule and the names the package exports from it. The command-line
-# front end exports none, and neither does _tokens: format hands out its Token
-# layer, so that no command loads it.
+# front end exports none.
 _EXPORTS = {
     "format": (
         "FORMAT_COLUMNAR",
@@ -78,7 +77,6 @@ _EXPORTS = {
         "validate_token_tags",
     ),
     "cli": (),
-    "_tokens": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

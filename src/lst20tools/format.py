@@ -9,8 +9,9 @@ Inline: tokens separated by ``|``, annotation layers separated by ``/``
 is the glyph ``SPACE_GLYPH`` (U+2423).
 
 Every command reads and writes records (see :func:`columnar_records`). The
-Token layer over them lives in ``_tokens``, loaded the first time one of its
-names is read here (PEP 562), so that no command imports ``dataclasses``.
+Token layer at the end of this module, library API that no command runs, is
+a view over them: frozen :class:`Token`, :class:`Sentence` and
+:class:`Document` values, and readers and writers that build and read them.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .schema import (
     CLAUSE_LABELS,
     NE_LABELS,
+    NE_OUTSIDE,
     POS_TAGS,
     ClauseLabel,
     MalformedLabel,
     NeLabel,
     PosTag,
     UnknownTag,
+    _Frozen,
     parse_clause_label,
     parse_ne_label,
     parse_pos_tag,
@@ -42,13 +45,6 @@ _BOM = "\ufeff"
 
 FORMAT_COLUMNAR = "columnar"
 FORMAT_INLINE = "inline"
-
-# The names of the Token layer that this module hands out from ``_tokens``.
-_TOKEN_NAMES = frozenset(
-    "Token Sentence Document space_token read_columnar read_inline write_columnar "
-    "write_inline sentence_records _relabelled _sentences _entries_by_labels".split()
-)
-
 
 class FormatError(ValueError):
     """Base class for serialization problems."""
@@ -460,12 +456,146 @@ def _refuse_inline(surfaces: Sequence[str], spaces: Sequence[bool]) -> None:
             raise WriteError(f"literal {SPACE_GLYPH!r} surface is not representable inline")
 
 
-def __getattr__(name: str):
-    if name not in _TOKEN_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import _tokens
-    return getattr(_tokens, name)
+class Token(_Frozen):
+    """One annotated word: surface text plus its POS, NE and clause labels."""
+
+    _fields = __slots__ = ("surface", "pos", "ne", "clause", "is_space")
+
+    # _relabelled below fills a copy's slots itself, without the checks its
+    # input token passed; a test fails if it bypasses one added here.
+    def __init__(self, surface: str, pos: PosTag, ne: NeLabel = NE_OUTSIDE,
+                 clause: ClauseLabel = ClauseLabel.O, is_space: bool = False) -> None:
+        if not surface:
+            raise ValueError("token surface must be non-empty")
+        if "\t" in surface or "\n" in surface:
+            raise ValueError("token surface must not contain tab or newline")
+        if is_space and surface != SPACE_GLYPH:
+            raise ValueError(f"space tokens use the canonical surface {SPACE_GLYPH!r}")
+        self._set_slots((surface, pos, ne, clause, is_space))
 
 
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_TOKEN_NAMES})
+def _token_columns(tokens: Sequence[Token], *names: str) -> list[list]:
+    """The named fields of ``tokens``, each read off them in one C-level pass:
+    the columns that the lint and segmentation rules take."""
+    return [list(map(attrgetter(name), tokens)) for name in names]
+
+
+def _relabelled(token: Token, clause: ClauseLabel) -> Token:
+    """``token`` with clause label ``clause``: itself when it already has it,
+    else a copy whose slots are written directly. ``token`` passed Token's
+    checks, and the clause label is none of them."""
+    if token.clause is clause:
+        return token
+    new = object.__new__(Token)
+    new._set_slots((token.surface, token.pos, token.ne, clause, token.is_space))
+    return new
+
+
+def space_token(
+    pos: PosTag = PosTag.PU, ne: NeLabel = NE_OUTSIDE, clause: ClauseLabel = ClauseLabel.O
+) -> Token:
+    return Token(SPACE_GLYPH, pos, ne, clause, is_space=True)
+
+
+class Sentence(_Frozen):
+    _fields = __slots__ = ("tokens",)
+
+    def __init__(self, tokens: Iterable[Token]) -> None:
+        tokens = tuple(tokens)
+        if not tokens:
+            raise ValueError("sentence must contain at least one token")
+        self._set_slots((tokens,))
+
+
+class Document(_Frozen):
+    _fields = __slots__ = ("doc_id", "sentences")
+
+    def __init__(self, doc_id: str, sentences: Iterable[Sentence] = ()) -> None:
+        sentences = tuple(sentences)
+        if not doc_id:
+            raise ValueError("document id must be non-empty")
+        self._set_slots((doc_id, sentences))
+
+
+def read_columnar(
+    text: str, doc_id: str = "doc", *, errors: Optional[list[LineError]] = None
+) -> Document:
+    """Parse a columnar file into a Document: a Sentence of Tokens per record
+    of :func:`columnar_records`, which reads the lines and reports bad ones.
+
+    In strict mode (``errors=None``) the first bad line raises
+    :class:`LineError`. Passing a list switches to permissive mode: bad
+    lines are skipped and their errors appended to the list. Within one
+    call, equal lines give one :class:`Token` object, which is safe as tokens
+    are frozen; no identity is promised across calls.
+    """
+    return Document(doc_id, tuple(_sentences(columnar_records(text, errors), COLUMNAR_SPACE)))
+
+
+def _sentences(records: Iterable[tuple], space_word: str) -> Iterator[Sentence]:
+    """A Sentence per record, ``space_word`` a white-space word; one Token per word and entry."""
+    parsed: dict[tuple[str, int], Token] = {}  # (word, id of its tag entry) -> its token
+
+    def token(word: str, labels: tuple) -> Token:
+        key = word, id(labels)  # each _TAG_COLUMNS entry lives as long as the table
+        if key not in parsed:
+            is_space = word == space_word
+            parsed[key] = Token(SPACE_GLYPH if is_space else word, *labels[:3], is_space=is_space)
+        return parsed[key]
+
+    return (Sentence(tuple(map(token, words, labels))) for _, words, labels, _ in records)
+
+
+def sentence_records(sentences: Iterable[Sentence]) -> Iterator[tuple]:
+    """Records as :func:`columnar_records` gives them, read off ``sentences``
+    and numbered from 0: each token's surface (the glyph for a white-space
+    token), its ``_TAG_COLUMNS`` entry, found by its label objects, and space flag."""
+    entries = _entries_by_labels()
+    for number, sentence in enumerate(sentences):
+        tokens = sentence.tokens
+        labels = list(map(entries.__getitem__, map(attrgetter("pos", "ne", "clause"), tokens)))
+        yield number, [t.surface for t in tokens], labels, [t.is_space for t in tokens]
+
+
+@cache
+def _entries_by_labels() -> dict[tuple, tuple]:
+    """Each ``_TAG_COLUMNS`` entry by its labels, which hash by identity; built on first use."""
+    return {entry[:3]: entry for entry in _TAG_COLUMNS.values()}
+
+
+def write_columnar(doc: Document) -> str:
+    """Serialize a Document's :func:`sentence_records` by
+    :func:`write_columnar_records`: inverse of :func:`read_columnar`.
+
+    An empty document yields the empty string; otherwise sentences are
+    separated by exactly one empty line and the output ends with a newline.
+    A first surface starting with U+FEFF is rejected: the reader strips it.
+    """
+    return write_columnar_records(sentence_records(doc.sentences))
+
+
+def read_inline(text: str, *, errors: Optional[list[TokenError]] = None) -> list[Sentence]:
+    """Parse inline notation into sentences: a Sentence of Tokens per record
+    of :func:`inline_records`, which reads the chunks and reports bad ones.
+
+    Each sentence must carry a uniform layer count of 2 (word/POS),
+    3 (+NE) or 4 (+clause); missing trailing layers default to O. A bare
+    ``SPACE_GLYPH`` chunk is accepted at any arity as a white-space token.
+    Strict/permissive modes work as in :func:`read_columnar`; in permissive
+    mode a malformed sentence is skipped whole, never silently truncated.
+    Within one call, equal chunks give one Token object, safe as tokens are
+    frozen; no identity is promised across calls.
+    """
+    return list(_sentences(inline_records(text, errors), SPACE_GLYPH))
+
+
+def write_inline(sentences: Iterable[Sentence], layers: int = 4) -> str:
+    """Serialize sentences in inline notation, one sentence per line.
+
+    ``layers`` selects how many annotation layers are emitted (2, 3 or 4).
+    Surfaces containing ``|`` or starting with white space, non-space
+    surfaces equal to the space glyph, and a first surface starting with
+    U+FEFF are rejected: they would not read back. The sentences are written
+    as their :func:`sentence_records`, by :func:`write_inline_records`.
+    """
+    return write_inline_records(sentence_records(sentences), layers)

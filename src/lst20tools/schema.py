@@ -29,10 +29,10 @@ class _Frozen:
     loads no ``dataclasses``, which imports ``inspect`` and ``ast``.
 
     A subclass names its constructor's fields in ``_fields``, which equality,
-    hash and repr read, and lists them, then any field it derives from them,
-    in ``__slots__``. Its ``__init__`` fills the slots in that order with
-    ``_set_slots``. Pickle and copy save and restore every slot, with no
-    ``__init__`` call."""
+    hash, repr and ``match`` by position read, and lists them, then any field
+    it derives from them, in ``__slots__``. Its ``__init__`` fills the slots
+    in that order with ``_set_slots``. Pickle and copy save and restore every
+    slot, with no ``__init__`` call."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -40,6 +40,7 @@ class _Frozen:
     def __init_subclass__(cls) -> None:
         # Each slot's own descriptor writes it: object.__setattr__ looks it up by name.
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls.__match_args__ = cls._fields
 
     def _set_slots(self, values) -> None:
         for setter, value in zip(self._setters, values):

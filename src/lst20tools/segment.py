@@ -40,13 +40,11 @@ records. Both run the same rules on them.
 from __future__ import annotations
 
 from itertools import compress, count, repeat
-from operator import attrgetter, is_, not_
-from typing import TYPE_CHECKING, Optional, Sequence
+from operator import is_, not_
+from typing import Optional, Sequence
 
+from .format import Sentence, Token, _relabelled, _token_columns
 from .schema import NE_OUTSIDE, BoundaryPrefix, ClauseLabel, PosTag, _Frozen
-
-if TYPE_CHECKING:
-    from ._tokens import Sentence, Token
 
 _SUBORDINATE_CONNECTORS = ("ซึ่ง", "ที่", "ถ้า", "ว่า", "ผู้")
 _COHESIVE_MARKERS = ("อย่างไรก็ตาม", "นอกจากนี้", "แต่ทว่า", "ในที่สุด")
@@ -163,15 +161,11 @@ def _trim(spaces, ne, start: int, end: int) -> Optional[tuple[int, int]]:
     return start, end
 
 
-_SURFACE, _POS, _NE, _IS_SPACE = map(attrgetter, ("surface", "pos", "ne", "is_space"))
 _VV = PosTag.VV
 _VERBAL = (PosTag.VV, PosTag.AX, PosTag.NG)
-
-
-def _columns(tokens: Sequence[Token]) -> list[list]:
-    """A paragraph's surfaces, POS tags, NE labels and space flags, each read
-    off its tokens in one C-level pass: the columns the rules below take."""
-    return [list(map(get, tokens)) for get in (_SURFACE, _POS, _NE, _IS_SPACE)]
+# The columns the rules below take: a paragraph's surfaces, POS tags, NE
+# labels and space flags.
+_RULE_COLUMNS = ("surface", "pos", "ne", "is_space")
 
 
 def _where(flags) -> list[int]:
@@ -264,7 +258,7 @@ def detect_clauses(
     """
     if not tokens:
         raise ValueError("paragraph must contain at least one token")
-    return _clause_spans(*_columns(tokens), lexicon or _DEFAULT_LEXICON)
+    return _clause_spans(*_token_columns(tokens, *_RULE_COLUMNS), lexicon or _DEFAULT_LEXICON)
 
 
 def _subject_stretch(words: Sequence[str], tags: Sequence[PosTag]) -> tuple[str, ...]:
@@ -329,7 +323,7 @@ def aggregate_sentences(
     Paragraph boundaries (S1) are enforced by construction: callers pass
     one paragraph's clauses at a time.
     """
-    surfaces, pos, _, spaces = _columns(tokens)
+    surfaces, pos, spaces = _token_columns(tokens, "surface", "pos", "is_space")
     return _sentence_spans(clauses, surfaces, pos, spaces, lexicon or _DEFAULT_LEXICON)
 
 
@@ -369,14 +363,13 @@ def segment_paragraphs(
     space between clauses of one sentence is kept with clause label O.
     White space with an NE label is part of a name and always kept.
     """
-    from ._tokens import Sentence, _relabelled
     sentences: list[Sentence] = []
     paragraph_starts: list[int] = []
     for tokens in paragraphs:
         if not tokens:
             raise ValueError("paragraph must contain at least one token")
         paragraph_starts.append(len(sentences))
-        labels, spans = _segment_columns(*_columns(tokens), lexicon)
+        labels, spans = _segment_columns(*_token_columns(tokens, *_RULE_COLUMNS), lexicon)
         for lo, hi in spans:
             sentences.append(Sentence(tuple(map(_relabelled, tokens[lo:hi], labels[lo:hi]))))
     return sentences, paragraph_starts

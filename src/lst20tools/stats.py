@@ -15,12 +15,10 @@ and a document from the same records read off its tokens (:func:`document_counts
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
+from .format import Document, sentence_records
 from .schema import BoundaryPrefix, ClauseLabel, _Frozen
-
-if TYPE_CHECKING:
-    from ._tokens import Document
 
 
 class CorpusCounts(_Frozen):
@@ -64,7 +62,6 @@ class CorpusCounts(_Frozen):
 
 def document_counts(doc: Document, include_spaces: bool = False) -> CorpusCounts:
     """Counts and histograms of one document, from its ``format.sentence_records``."""
-    from ._tokens import sentence_records
     return records_counts(sentence_records(doc.sentences), include_spaces)
 
 

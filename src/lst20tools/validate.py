@@ -13,13 +13,10 @@ import string
 from enum import Enum
 from itertools import islice
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
-from .format import FormatError, LineError
+from .format import Document, FormatError, LineError, Sentence, _token_columns, sentence_records
 from .schema import PosTag, _Frozen, scan_boundaries
-
-if TYPE_CHECKING:
-    from ._tokens import Document, Sentence
 
 LAYER_POS = "POS"
 LAYER_NE = "NE"
@@ -87,13 +84,6 @@ def _format_issue(err: FormatError) -> LintIssue:
 
 # Each lint rule takes a sentence's columns, never its tokens: words (any text for a
 # white-space token), POS tags, NE and clause labels and space flags.
-_COLUMNS = {name: attrgetter(name) for name in ("surface", "pos", "ne", "clause", "is_space")}
-
-
-def _columns(sentence: Sentence, *names: str) -> list[list]:
-    return [list(map(_COLUMNS[name], sentence.tokens)) for name in names]
-
-
 def _ne_rule(ne, sentence_idx) -> list[LintIssue]:
     return _violation_issues(scan_boundaries(ne)[0], "NE", LAYER_NE, sentence_idx)
 
@@ -118,12 +108,12 @@ def _clause_rule(clauses, poses, sentence_idx) -> list[LintIssue]:
 
 def validate_ne_sequence(sentence: Sentence, sentence_idx: int = 0) -> list[LintIssue]:
     """BIEO legality of the NE layer. Lone B is a legal single-token entity."""
-    return _ne_rule(*_columns(sentence, "ne"), sentence_idx)
+    return _ne_rule(*_token_columns(sentence.tokens, "ne"), sentence_idx)
 
 
 def validate_clause_sequence(sentence: Sentence, sentence_idx: int = 0) -> list[LintIssue]:
     """Clause-layer legality plus the verb-content and singleton warnings."""
-    return _clause_rule(*_columns(sentence, "clause", "pos"), sentence_idx)
+    return _clause_rule(*_token_columns(sentence.tokens, "clause", "pos"), sentence_idx)
 
 
 _URL = re.compile(r"^(?:https?://|www\.)[\x21-\x7e]*$").match
@@ -175,7 +165,7 @@ def _token_rule(words, poses, spaces, sentence_idx) -> list[LintIssue]:
 
 def validate_token_tags(sentence: Sentence, sentence_idx: int = 0) -> list[LintIssue]:
     """Token-level rules: space POS, split URLs, split punctuation runs."""
-    return _token_rule(*_columns(sentence, "surface", "pos", "is_space"), sentence_idx)
+    return _token_rule(*_token_columns(sentence.tokens, "surface", "pos", "is_space"), sentence_idx)
 
 
 def _sort_key(issue: LintIssue):
@@ -191,7 +181,6 @@ def lint_document(doc: Document, extra: Optional[list[LintIssue]] = None) -> Lin
 
     ``extra`` lets callers merge in FORMAT_* issues collected while parsing.
     """
-    from ._tokens import sentence_records
     return lint_records(sentence_records(doc.sentences), extra or ())
 
 

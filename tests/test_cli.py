@@ -31,7 +31,6 @@ from lst20tools import (
     write_columnar,
     write_inline,
 )
-from lst20tools import _tokens as tokens_module
 from lst20tools import cli
 from lst20tools import format as format_module
 from lst20tools import segment as segment_module
@@ -1835,16 +1834,13 @@ def test_no_command_builds_a_token(tmp_path, monkeypatch, capsys):
 
         return refused
 
-    # The stand-ins go where the Token layer reads them, the globals of
-    # _tokens, and on format for a command's fmt.X lookup. format goes first:
-    # its __getattr__ would hand out a stand-in already set on _tokens as the
-    # value to restore. segment_paragraphs needs no stand-in: it takes Tokens
-    # and relabels them through _tokens._relabelled.
+    # The stand-ins go in format's globals, where the Token layer and a
+    # command's fmt.X lookup read them. segment_paragraphs needs no stand-in:
+    # it takes Tokens.
     names = ("Token", "_relabelled", "sentence_records", "read_columnar", "read_inline",
              "write_columnar", "write_inline")
-    for module in (format_module, tokens_module):
-        for name in names:
-            monkeypatch.setattr(module, name, refuse(name))
+    for name in names:
+        monkeypatch.setattr(format_module, name, refuse(name))
     for argv, reference in zip(argvs, expected):
         assert (main(argv), *capsys.readouterr()) == reference, argv
 

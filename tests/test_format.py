@@ -1,9 +1,7 @@
 import ast
 import copy
-import dataclasses
 import pickle
 import random
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -69,14 +67,15 @@ class TestToken:
 
     def test_fields_are_frozen(self):
         token = Token("a", PosTag.NN)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             token.surface = "b"
 
     def test_replace_runs_the_constructor_checks(self):
         token = Token("a", PosTag.NN)
         with pytest.raises(ValueError, match="^token surface must be non-empty$"):
-            replace(token, surface="")
-        assert replace(token, surface="b") == Token("b", PosTag.NN)
+            Token("", token.pos, token.ne, token.clause, token.is_space)
+        changed = Token("b", token.pos, token.ne, token.clause, token.is_space)
+        assert changed == Token("b", PosTag.NN)
 
     def test_keyword_construction_equals_positional(self):
         ne = NE_LABELS["B_PER"]
@@ -96,8 +95,8 @@ class TestToken:
         assert hash(cloned) == hash(token)
 
     def test_slots_follow_the_field_order(self):
-        # format.py binds one slot setter per name in __slots__, in order.
-        assert Token.__slots__ == tuple(f.name for f in dataclasses.fields(Token))
+        # _Frozen binds one slot setter per name in __slots__, in order.
+        assert Token.__slots__ == Token._fields
 
     def test_sentence_must_be_non_empty(self):
         with pytest.raises(ValueError):
@@ -440,10 +439,12 @@ def test_inline_round_trip_at_every_layer_count(sentences, layers):
     expected = [
         Sentence(
             tuple(
-                replace(
-                    token,
+                Token(
+                    token.surface,
+                    token.pos,
                     ne=token.ne if layers >= 3 else NE_OUTSIDE,
                     clause=token.clause if layers == 4 else ClauseLabel.O,
+                    is_space=token.is_space,
                 )
                 for token in sentence.tokens
             )
@@ -587,8 +588,8 @@ def test_columnar_records_are_the_sentences_read_by_input_number(text, strict, c
 
 def _assert_tokens_as_if_constructed(text):
     """Every token ``read_columnar`` builds equals, and hashes as, the one
-    ``Token()`` builds from its fields; ``replace`` works on it; and equal
-    lines of the call give one object."""
+    ``Token()`` builds from its fields; a copy with a new clause label builds;
+    and equal lines of the call give one object."""
     errors = []
     doc = read_columnar(text, "d", errors=errors)
     bad = {error.line_no for error in errors}
@@ -603,7 +604,8 @@ def _assert_tokens_as_if_constructed(text):
     for raw, token in zip(lines, tokens):
         built = Token(token.surface, token.pos, token.ne, token.clause, token.is_space)
         assert built == token and hash(built) == hash(token)
-        assert replace(token, clause=ClauseLabel.O).clause is ClauseLabel.O
+        relabelled = Token(token.surface, token.pos, token.ne, ClauseLabel.O, token.is_space)
+        assert relabelled.clause is ClauseLabel.O
         assert first.setdefault(raw, token) is token
 
 

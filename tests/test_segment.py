@@ -1,6 +1,5 @@
 import ast
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,7 @@ from lst20tools.segment import (
     MarkerLexicon,
     aggregate_sentences,
     detect_clauses,
-    _columns,
+    _RULE_COLUMNS,
     _split_spaces,
     _subject_stretch,
     load_marker_lexicon,
@@ -27,6 +26,7 @@ from lst20tools.validate import Severity, lint_document, lint_records, validate_
 from lst20tools.format import (
     Document,
     Sentence,
+    _token_columns,
     columnar_records,
     relabel_columnar,
     write_columnar,
@@ -291,7 +291,9 @@ def _pair_spans(lexicon_config, first, second):
 def _subject_shift_splits(first, second):
     """How S3 alone decides a clause pair: it splits where the right-hand
     subject stretch is not empty and differs from the left-hand one."""
-    left, right = (_subject_stretch(*_columns(toks(clause))[:2]) for clause in (first, second))
+    left, right = (
+        _subject_stretch(*_token_columns(toks(clause), "surface", "pos")) for clause in (first, second)
+    )
     return bool(right) and right != left
 
 
@@ -432,7 +434,9 @@ class TestPipeline:
         for lo, hi in clauses:
             labels[lo:hi] = [ClauseLabel.I_CLS] * (hi - lo)
             labels[lo], labels[hi - 1] = ClauseLabel.B_CLS, ClauseLabel.E_CLS
-        relabeled = [replace(t, clause=label) for t, label in zip(tokens, labels)]
+        relabeled = [
+            Token(t.surface, t.pos, t.ne, label, t.is_space) for t, label in zip(tokens, labels)
+        ]
         rebuilt = tuple(
             Sentence(relabeled[clauses[first][0] : clauses[last - 1][1]])
             for first, last in aggregate_sentences(clauses, tokens)
@@ -493,7 +497,8 @@ _R2_TOKENS = st.one_of(
 @given(st.lists(_R2_TOKENS, max_size=40))
 def test_r2_space_splits_match_quadratic_reference(tokens):
     lexicon = MarkerLexicon.default()
-    assert _split_spaces(*_columns(tokens), lexicon.clause_markers) == r2_space_splits(
+    columns = _token_columns(tokens, *_RULE_COLUMNS)
+    assert _split_spaces(*columns, lexicon.clause_markers) == r2_space_splits(
         tokens, lexicon.clause_markers
     )
 
@@ -554,7 +559,8 @@ _LONG_PARAGRAPHS = st.lists(st.sampled_from(_LONG_PIECES), min_size=60, max_size
 @given(_LONG_PARAGRAPHS)
 def test_r2_space_splits_match_quadratic_reference_on_long_paragraphs(tokens):
     lexicon = MarkerLexicon.default()
-    assert _split_spaces(*_columns(tokens), lexicon.clause_markers) == r2_space_splits(
+    columns = _token_columns(tokens, *_RULE_COLUMNS)
+    assert _split_spaces(*columns, lexicon.clause_markers) == r2_space_splits(
         tokens, lexicon.clause_markers
     )
 
@@ -577,9 +583,9 @@ def _plant_markers(rng, tokens):
     for token in tokens:
         if not token.is_space and rng.random() < 0.2:
             surface, pos = rng.choice(_MARKER_WORDS)
-            token = replace(token, surface=surface, pos=pos)
+            token = Token(surface, pos, token.ne, token.clause)
         elif not token.is_space and rng.random() < 0.3:
-            token = replace(token, pos=PosTag.VV)
+            token = Token(token.surface, PosTag.VV, token.ne, token.clause)
         planted.append(token)
     return planted
 
@@ -613,9 +619,10 @@ def test_segmenting_keeps_named_entities_whole(rng):
 def _assert_relabelled_as_if_constructed(paragraphs):
     """Every token ``segment_paragraphs`` returns equals, and hashes as, the
     one ``Token()`` builds from its input token's fields and its new clause
-    label, and ``replace`` works on it. It is the input token itself exactly
-    when that one already had the label. A check added to ``Token.__init__``
-    that the direct slot writes skip makes ``Token()`` raise here."""
+    label, and a copy with another clause label builds. It is the input token
+    itself exactly when that one already had the label. A check added to
+    ``Token.__init__`` that the direct slot writes skip makes ``Token()``
+    raise here."""
     sentences, _ = segment_paragraphs(paragraphs)
     out = iter([t for s in sentences for t in s.tokens])
     for tokens in paragraphs:
@@ -626,7 +633,8 @@ def _assert_relabelled_as_if_constructed(paragraphs):
                 built = Token(src.surface, src.pos, src.ne, got.clause, src.is_space)
                 assert built == got and hash(built) == hash(got)
                 assert (got is src) == (got.clause is src.clause)
-                assert replace(got, clause=ClauseLabel.O).clause is ClauseLabel.O
+                relabelled = Token(got.surface, got.pos, got.ne, ClauseLabel.O, got.is_space)
+                assert relabelled.clause is ClauseLabel.O
     assert next(out, None) is None
 
 
@@ -662,11 +670,11 @@ def test_a_token_whose_label_is_unchanged_comes_back_itself():
 def test_segment_paragraphs_reads_each_paragraphs_columns_once(monkeypatch):
     calls = []
 
-    def counted(tokens):
+    def counted(tokens, *names):
         calls.append(tokens)
-        return _columns(tokens)
+        return _token_columns(tokens, *names)
 
-    monkeypatch.setattr(segment, "_columns", counted)
+    monkeypatch.setattr(segment, "_token_columns", counted)
     paragraphs = [
         sentence.tokens
         for name in corpus_samples.GOLD_FIXTURES

@@ -158,9 +158,9 @@ def test_readme_library_snippet_runs(tmp_path):
 
 @pytest.mark.parametrize("command", _COMMANDS)
 def test_no_command_loads_the_token_layer(tmp_path, command):
-    """No command loads ``_tokens``, ``dataclasses`` or ``inspect``. Only the
-    modules loaded beyond those the interpreter had at start count, so a
-    ``site`` that preloads some of them does not fail the test."""
+    """No command loads ``dataclasses`` or ``inspect``. Only the modules
+    loaded beyond those the interpreter had at start count, so a ``site``
+    that preloads some of them does not fail the test."""
     argv = [*_COMMANDS[command][0], "-o", str(tmp_path / "out")]
     status, loaded = _fresh(
         "import json, sys\n"
@@ -170,7 +170,7 @@ def test_no_command_loads_the_token_layer(tmp_path, command):
         "print(json.dumps([status, sorted(set(sys.modules) - start)]))"
     )
     assert status == 0
-    assert {"dataclasses", "inspect", "lst20tools._tokens"}.isdisjoint(loaded), loaded
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded), loaded
 
 
 def _loaded_by_import(module: str) -> list[str]:
@@ -185,16 +185,16 @@ def _loaded_by_import(module: str) -> list[str]:
 
 def test_format_alone_loads_no_dataclasses():
     loaded = _loaded_by_import("format")
-    assert {"dataclasses", "inspect", "lst20tools._tokens"}.isdisjoint(loaded), loaded
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded), loaded
 
 
 @pytest.mark.parametrize("module", ["validate", "segment", "stats", "frames"])
 def test_each_command_module_alone_loads_no_dataclasses(module):
     loaded = _loaded_by_import(module)
-    assert {"dataclasses", "inspect", "lst20tools._tokens"}.isdisjoint(loaded), loaded
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded), loaded
 
 
-# The names of the Token layer, which format hands out from _tokens.
+# The names of the Token layer, which format defines.
 TOKEN_LAYER = (
     "Token Sentence Document space_token read_columnar read_inline write_columnar "
     "write_inline sentence_records _relabelled _sentences _entries_by_labels"
@@ -217,7 +217,7 @@ def test_the_token_layer_is_one_object_by_every_path():
         "for name in names:\n"
         "    namespace = {}\n"
         "    exec(f'from lst20tools.format import {name} as found', namespace)\n"
-        "    same = namespace['found'] is getattr(fmt, name) is getattr(lst20tools._tokens, name)\n"
+        "    same = namespace['found'] is getattr(fmt, name)\n"
         "    if name in lst20tools.__all__:\n"
         "        same = same and getattr(lst20tools, name) is getattr(fmt, name)\n"
         "    if not same:\n"

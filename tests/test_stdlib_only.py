@@ -58,3 +58,14 @@ def test_package_imports_only_its_own_modules():
         if name not in modules
     }
     assert not outside, sorted(outside)
+
+
+def test_no_module_imports_dataclasses():
+    """The value classes build on ``schema._Frozen``: ``dataclasses`` loads
+    ``inspect`` and ``ast``, a cost that a library view should not add."""
+    importers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "dataclasses" in _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert not importers, importers

@@ -1,12 +1,13 @@
-"""The public value classes: ``LintIssue``, ``LintReport``, ``MarkerLexicon``,
-``CorpusCounts``, ``FrameSlot``, ``FramePattern``, ``FrameMatch`` and
-``FrameSet``.
+"""The public value classes: ``Token``, ``Sentence``, ``Document``,
+``LintIssue``, ``LintReport``, ``MarkerLexicon``, ``CorpusCounts``,
+``FrameSlot``, ``FramePattern``, ``FrameMatch`` and ``FrameSet``.
 
 Each is built by position and by keyword with the same defaults, compares
 and hashes over its constructor's fields only (a field derived from them,
 such as ``LintReport.error_count`` or ``FramePattern.window``, takes no
-part), prints them in its repr, refuses assignment, and survives pickle,
-``copy.copy`` and ``copy.deepcopy`` with its derived fields.
+part), prints them in its repr, matches a class pattern by position,
+refuses assignment, and survives pickle, ``copy.copy`` and
+``copy.deepcopy`` with its derived fields.
 """
 
 import copy
@@ -27,7 +28,8 @@ from lst20tools.frames import (
     compile_frame,
     default_frameset,
 )
-from lst20tools.schema import PosTag
+from lst20tools.format import Document, Sentence, Token, space_token
+from lst20tools.schema import ClauseLabel, NeLabel, PosTag
 from lst20tools.segment import MarkerLexicon
 from lst20tools.stats import CorpusCounts
 from lst20tools.validate import LintIssue, LintReport, Severity
@@ -44,8 +46,14 @@ def _lexicon(extra=""):
     return MarkerLexicon(*(frozenset({name + extra}) for name in "abcdef"))
 
 
+_TOKEN = Token("a", PosTag.NN, NeLabel.B_PER, ClauseLabel.B_CLS, False)
+_SENTENCE = Sentence((_TOKEN, space_token()))
+
 # One instance of each class, built by position.
 SAMPLES = {
+    "Token": _TOKEN,
+    "Sentence": _SENTENCE,
+    "Document": Document("T00126", (_SENTENCE,)),
     "LintIssue": _issue(),
     "LintReport": LintReport((_issue(), _issue("NE_ORPHAN_I", Severity.ERROR))),
     "MarkerLexicon": _lexicon(),
@@ -58,6 +66,9 @@ SAMPLES = {
 
 # Each class's constructor parameters, in order.
 PARAMETERS = {
+    "Token": "surface pos ne clause is_space",
+    "Sentence": "tokens",
+    "Document": "doc_id sentences",
     "LintIssue": "severity code message sentence token layer",
     "LintReport": "issues",
     "MarkerLexicon": "subordinate_connectors cohesive_markers list_markers particles "
@@ -99,6 +110,8 @@ def test_built_by_position_or_keyword_alike(name):
 
 
 def test_defaults():
+    assert Token("a", PosTag.NN) == Token("a", PosTag.NN, NeLabel.O, ClauseLabel.O, False)
+    assert Document("d") == Document("d", ())
     assert FrameSlot(SlotKind.HOLE) == FrameSlot(SlotKind.HOLE, None, False)
     assert (FrameSlot(SlotKind.HOLE).tag, FrameSlot(SlotKind.HOLE).optional) == (None, False)
     empty = CorpusCounts()
@@ -137,6 +150,51 @@ def test_repr_text():
         "optional=False)))"
     )
     assert repr(SAMPLES["FrameMatch"]) == "FrameMatch(frame_id='x', alignment=((0, 1), (1, 2)))"
+    token = (
+        "Token(surface='a', pos=<PosTag.NN: 'NN'>, ne=<NeLabel.B_PER: 'B_PER'>, "
+        "clause=<ClauseLabel.B_CLS: 'B_CLS'>, is_space=False)"
+    )
+    sentence = (
+        f"Sentence(tokens=({token}, Token(surface='␣', pos=<PosTag.PU: 'PU'>, "
+        "ne=<NeLabel.O: 'O'>, clause=<ClauseLabel.O: 'O'>, is_space=True)))"
+    )
+    assert repr(SAMPLES["Token"]) == token
+    assert repr(SAMPLES["Sentence"]) == sentence
+    assert repr(SAMPLES["Document"]) == f"Document(doc_id='T00126', sentences=({sentence},))"
+
+
+def _matched(value) -> tuple:
+    """The fields a class pattern by position binds of ``value``."""
+    match value:
+        case Token(surface, pos, ne, clause, is_space):
+            return surface, pos, ne, clause, is_space
+        case Sentence(tokens):
+            return (tokens,)
+        case Document(doc_id, sentences):
+            return doc_id, sentences
+        case LintIssue(severity, code, message, sentence, token, layer):
+            return severity, code, message, sentence, token, layer
+        case LintReport(issues):
+            return (issues,)
+        case MarkerLexicon(subordinate, cohesive, lists, particles, questions, reporting):
+            return subordinate, cohesive, lists, particles, questions, reporting
+        case CorpusCounts(documents, sentences, clauses, entities, words, tokens, pos, ne):
+            return documents, sentences, clauses, entities, words, tokens, pos, ne
+        case FrameSlot(kind, tag, optional):
+            return kind, tag, optional
+        case FramePattern(frame_id, slots):
+            return frame_id, slots
+        case FrameMatch(frame_id, alignment):
+            return frame_id, alignment
+        case FrameSet(frames):
+            return (frames,)
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_a_class_pattern_matches_the_constructor_fields_by_position(name):
+    value = SAMPLES[name]
+    assert type(value).__match_args__ == tuple(_fields(value))
+    assert _matched(value) == tuple(getattr(value, field) for field in _fields(value))
 
 
 @pytest.mark.parametrize("name", SAMPLES)
@@ -153,6 +211,9 @@ def test_equality_and_hash_follow_the_constructor_fields(name):
 
 
 def test_a_changed_field_makes_a_different_value():
+    assert _TOKEN != Token("a", PosTag.NN, NeLabel.B_PER, ClauseLabel.E_CLS)
+    assert _SENTENCE != Sentence((_TOKEN,))
+    assert Document("d") != Document("e")
     assert _issue() != _issue("CLS_SINGLETON")
     assert LintReport((_issue(),)) != LintReport(())
     assert _lexicon() != _lexicon("!")
@@ -197,6 +258,8 @@ def test_iterables_are_held_as_tuples():
     frames = [compile_frame("_ VV", "x")]
     assert FrameSet(frames).frames == tuple(frames)
     assert LintReport(iter(issues)).error_count == 0
+    assert Sentence([_TOKEN]).tokens == (_TOKEN,)
+    assert Document("d", iter([_SENTENCE])).sentences == (_SENTENCE,)
 
 
 def test_counts_add():
@@ -261,6 +324,19 @@ def test_earlier_pickles_still_load():
     assert lexicon == _lexicon() and lexicon.clause_markers == frozenset("abcde")
     assert frameset == SAMPLES["FrameSet"] and frameset.frames[0].window == (0, 0, 1, 1)
     assert match == SAMPLES["FrameMatch"]
+
+
+def test_the_token_layer_refuses_what_it_cannot_hold():
+    refused = [
+        (lambda: Token("", PosTag.NN), "token surface must be non-empty"),
+        (lambda: Token("a\nb", PosTag.NN), "token surface must not contain tab or newline"),
+        (lambda: Token("_", PosTag.PU, is_space=True), "space tokens use the canonical surface '␣'"),
+        (lambda: Sentence(iter(())), "sentence must contain at least one token"),
+        (lambda: Document("", [_SENTENCE]), "document id must be non-empty"),
+    ]
+    for build, message in refused:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
 
 def test_frames_need_exactly_one_hole():
