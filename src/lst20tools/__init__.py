@@ -9,7 +9,7 @@ Each submodule is imported the first time one of its names is read
 the modules they use.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # Each submodule and the names the package exports from it. The command-line
 # front end exports none.
@@ -25,12 +25,15 @@ _EXPORTS = {
         "Token",
         "TokenError",
         "WriteError",
+        "columnar_records",
+        "inline_records",
         "read_columnar",
         "read_inline",
-        "relabel_columnar",
-        "space_token",
+        "sentence_records",
         "write_columnar",
+        "write_columnar_records",
         "write_inline",
+        "write_inline_records",
     ),
     "frames": (
         "FramePattern",
@@ -62,19 +65,19 @@ _EXPORTS = {
         "ConfigError",
         "MarkerLexicon",
         "aggregate_sentences",
-        "detect_clauses",
         "load_marker_lexicon",
         "segment_paragraphs",
+        "segment_records",
     ),
-    "stats": ("CorpusCounts", "document_counts", "load_manifest", "tag_frequency"),
+    "stats": (
+        "CorpusCounts", "document_counts", "load_manifest", "records_counts", "tag_frequency"
+    ),
     "validate": (
         "LintIssue",
         "LintReport",
         "Severity",
         "lint_document",
-        "validate_clause_sequence",
-        "validate_ne_sequence",
-        "validate_token_tags",
+        "lint_records",
     ),
     "cli": (),
 }

@@ -271,18 +271,19 @@ def _cmd_segment(args) -> int:
     """Each input sentence block (columnar) or line (inline) is one paragraph,
     segmented from the input's records, with no Token. Columnar input written
     back as columnar keeps its lines, relabelled (``format._relabel_blocks``);
-    any other pair writes ``format._relabel_records`` with the block writers."""
+    any other pair writes ``segment.segment_records`` with the block writers."""
     from . import segment as segment_mod
 
     path = _one_input(args, "segment")
-    relabel = functools.partial(segment_mod._segment_columns, lexicon=_load_lexicon(args))
+    lexicon = _load_lexicon(args)
     with _reading(path, args) as (records, errors):
         if args.informat == args.outformat == FORMAT_COLUMNAR:
+            relabel = functools.partial(segment_mod._segment_columns, lexicon=lexicon)
             blocks = fmt._relabel_blocks(records, relabel)
         elif args.outformat == FORMAT_COLUMNAR:
-            blocks = fmt._columnar_blocks(fmt._relabel_records(records, relabel))
+            blocks = fmt._columnar_blocks(segment_mod.segment_records(records, lexicon))
         else:  # inline output carries all four layers
-            blocks = fmt._inline_blocks(fmt._relabel_records(records, relabel), 4)
+            blocks = fmt._inline_blocks(segment_mod.segment_records(records, lexicon), 4)
     status = _print_format_issues(path, errors)
     _write(_open_output(args, [path], args.lexicon), blocks)
     return status

@@ -8,9 +8,9 @@ Inline: tokens separated by ``|``, annotation layers separated by ``/``
 (2, 3 or 4 layers), ``||`` terminates a sentence, and a white-space word
 is the glyph ``SPACE_GLYPH`` (U+2423).
 
-Every command reads and writes records (see :func:`columnar_records`). The
-Token layer at the end of this module, library API that no command runs, is
-a view over them: frozen :class:`Token`, :class:`Sentence` and
+Every command reads and writes records (see :func:`columnar_records`), the
+library's API. The Token layer at the end of this module, which no command
+runs, is a view over them: frozen :class:`Token`, :class:`Sentence` and
 :class:`Document` values, and readers and writers that build and read them.
 """
 
@@ -206,17 +206,9 @@ def columnar_records(text: _Text, errors: Optional[list[LineError]] = None) -> I
         started = lines[-1] != ""
 
 
-def relabel_columnar(records: Iterable[tuple], relabel) -> str:
-    """The columnar text of :func:`columnar_records`' ``records`` with new
-    clause labels. ``relabel(words, pos, ne, spaces)`` takes a paragraph's
-    columns and gives each token's new label and each sentence's half-open
-    token range. A line keeps its word, POS and NE as they were, and
-    sentences are laid out and refused as by :func:`write_columnar`."""
-    return "".join(_relabel_blocks(records, relabel))
-
-
 def _relabel_blocks(records: Iterable[tuple], relabel) -> list[str]:
-    """The blocks :func:`relabel_columnar` joins: sentences, and empty lines between them."""
+    """:func:`write_columnar_records` of :func:`_relabel_records` as blocks, with each line's
+    "\tPOS\tNE\t" as read, not looked up: ``lst20 segment``'s columnar to columnar fork."""
     blocks = []
     for _, words, labels, spaces in records:
         pos, ne, tails = (list(map(get, labels)) for get in (_FIRST, _SECOND, _FOURTH))
@@ -228,10 +220,10 @@ def _relabel_blocks(records: Iterable[tuple], relabel) -> list[str]:
 
 
 def _relabel_records(records: Iterable[tuple], relabel) -> Iterator[tuple]:
-    """A record per sentence that ``relabel``, as in :func:`relabel_columnar`,
-    finds in each of ``records``, with each token's ``_TAG_COLUMNS`` entry
-    swapped for the one that carries its new clause label; either block
-    writer writes them."""
+    """A record per sentence that ``relabel(words, pos, ne, spaces)`` finds in
+    each of ``records``, a paragraph's columns, as it gives each token's new
+    clause label and each sentence's half-open token range; each token's
+    ``_TAG_COLUMNS`` entry is swapped for the one with its new clause label."""
     for number, words, labels, spaces in records:
         pos, ne = (list(map(get, labels)) for get in (_FIRST, _SECOND))
         clauses, sentences = relabel(words, pos, ne, spaces)
@@ -489,12 +481,6 @@ def _relabelled(token: Token, clause: ClauseLabel) -> Token:
     new = object.__new__(Token)
     new._set_slots((token.surface, token.pos, token.ne, clause, token.is_space))
     return new
-
-
-def space_token(
-    pos: PosTag = PosTag.PU, ne: NeLabel = NE_OUTSIDE, clause: ClauseLabel = ClauseLabel.O
-) -> Token:
-    return Token(SPACE_GLYPH, pos, ne, clause, is_space=True)
 
 
 class Sentence(_Frozen):

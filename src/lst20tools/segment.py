@@ -29,21 +29,22 @@ Sentence rules, applied to each adjacent clause pair, merge rules first:
   identical stretches merge, differing stretches split.
 
 Every rule reads a paragraph's columns, its surfaces, POS tags, NE labels
-and space flags, and no Token. ``segment_paragraphs``, library API that no
-command calls, reads each paragraph's columns off its tokens once. The
-``segment`` command takes them from the input's records in either format:
-columnar input written back as columnar gets the labels written into its
-lines (``format.relabel_columnar``), and any other pair writes relabelled
-records. Both run the same rules on them.
+and space flags, and no Token. :func:`segment_records` takes them from
+records, a paragraph each, and gives a record per sentence; the ``segment``
+command writes these, except from columnar to columnar, where it writes the
+labels into the input's lines (``format._relabel_blocks``). Library API that
+no command calls, ``segment_paragraphs`` reads them off each paragraph's
+tokens once. All run the same rules.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import compress, count, repeat
 from operator import is_, not_
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .format import Sentence, Token, _relabelled, _token_columns
+from .format import Sentence, Token, _relabel_records, _relabelled, _token_columns
 from .schema import NE_OUTSIDE, BoundaryPrefix, ClauseLabel, PosTag, _Frozen
 
 _SUBORDINATE_CONNECTORS = ("ซึ่ง", "ที่", "ถ้า", "ว่า", "ผู้")
@@ -200,7 +201,11 @@ def _split_spaces(surfaces, pos, ne, spaces, markers: frozenset[str]) -> list[in
 
 
 def _clause_spans(surfaces, pos, ne, spaces, lexicon: MarkerLexicon) -> list[tuple[int, int]]:
-    """R1-R3 on one paragraph's columns: see :func:`detect_clauses`."""
+    """R1-R3 on one paragraph's columns: its clause spans as half-open ``(start, end)``
+    token ranges. The connectors that may cut are found once, and one index moves
+    through them across all regions. A region's last verb is one ``index`` on its
+    reversed POS slice, and the verb since the last cut a C-level ``in`` behind a scan
+    pointer, so the walk is linear in tokens plus connectors, a Python step per connector."""
     connectors = lexicon.subordinate_connectors
     candidates = [  # where R3 may cut
         i
@@ -237,28 +242,6 @@ def _clause_spans(surfaces, pos, ne, spaces, lexicon: MarkerLexicon) -> list[tup
                     verb_since_cut = False
         spans.append((cut, end))
     return spans
-
-
-def detect_clauses(
-    tokens: Sequence[Token], lexicon: Optional[MarkerLexicon] = None
-) -> list[tuple[int, int]]:
-    """Clause spans of one paragraph as half-open ``(start, end)`` token ranges.
-
-    R2 cuts the paragraph into regions, each trimmed of its edge white
-    space. Inside a region, R3 cuts at a subordinate connector when a verb
-    lies between the last cut and the connector and another verb lies
-    after it, so a clause is verbless only when its whole region is. A
-    connector inside a named entity (NE prefix I or E) never cuts.
-
-    The connectors that may cut are found once per paragraph, and one index
-    moves through them across all regions. A region's last verb is one
-    ``index`` on its reversed POS slice, and the verb since the last cut is
-    a C-level ``in`` behind a scan pointer, so the walk is linear in tokens
-    plus connectors, with one Python step per connector.
-    """
-    if not tokens:
-        raise ValueError("paragraph must contain at least one token")
-    return _clause_spans(*_token_columns(tokens, *_RULE_COLUMNS), lexicon or _DEFAULT_LEXICON)
 
 
 def _subject_stretch(words: Sequence[str], tags: Sequence[PosTag]) -> tuple[str, ...]:
@@ -343,13 +326,20 @@ def _segment_columns(
 ) -> tuple[list[ClauseLabel], list[tuple[int, int]]]:
     """One paragraph segmented from its columns, with no Token: each token's
     new clause label and the half-open token range of each sentence, for
-    :func:`segment_paragraphs` and ``format.relabel_columnar`` alike. No rule
-    reads the surface of a white-space token."""
+    :func:`segment_paragraphs`, :func:`segment_records` and the ``segment``
+    command alike. No rule reads the surface of a white-space token."""
     lexicon = lexicon or _DEFAULT_LEXICON
     clauses = _clause_spans(surfaces, pos, ne, spaces, lexicon)
     groups = _sentence_spans(clauses, surfaces, pos, spaces, lexicon)
     sentences = [(clauses[first][0], clauses[last - 1][1]) for first, last in groups]
     return _clause_labels(len(pos), clauses), sentences
+
+
+def segment_records(records, lexicon: Optional[MarkerLexicon] = None) -> Iterator[tuple]:
+    """Each of ``records``, as ``format.columnar_records`` and the like give them,
+    segmented as a paragraph: a record per sentence, numbered as its paragraph, with
+    new clause labels. White space is kept and dropped as by :func:`segment_paragraphs`."""
+    return _relabel_records(records, partial(_segment_columns, lexicon=lexicon))
 
 
 def segment_paragraphs(

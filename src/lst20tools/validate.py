@@ -15,7 +15,7 @@ from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from .format import Document, FormatError, LineError, Sentence, _token_columns, sentence_records
+from .format import Document, FormatError, LineError, sentence_records
 from .schema import PosTag, _Frozen, scan_boundaries
 
 LAYER_POS = "POS"
@@ -106,16 +106,6 @@ def _clause_rule(clauses, poses, sentence_idx) -> list[LintIssue]:
     return issues
 
 
-def validate_ne_sequence(sentence: Sentence, sentence_idx: int = 0) -> list[LintIssue]:
-    """BIEO legality of the NE layer. Lone B is a legal single-token entity."""
-    return _ne_rule(*_token_columns(sentence.tokens, "ne"), sentence_idx)
-
-
-def validate_clause_sequence(sentence: Sentence, sentence_idx: int = 0) -> list[LintIssue]:
-    """Clause-layer legality plus the verb-content and singleton warnings."""
-    return _clause_rule(*_token_columns(sentence.tokens, "clause", "pos"), sentence_idx)
-
-
 _URL = re.compile(r"^(?:https?://|www\.)[\x21-\x7e]*$").match
 _URL_CONT = re.compile(r"^[A-Za-z0-9/._~%?#=&+-]+$").match
 _ASCII_PUNCT = frozenset(string.punctuation)
@@ -161,11 +151,6 @@ def _token_rule(words, poses, spaces, sentence_idx) -> list[LintIssue]:
         head = surface < "x" and ("w" <= surface or "h" <= surface < "i") and _URL(surface)
         prev = surface
     return issues + pairs
-
-
-def validate_token_tags(sentence: Sentence, sentence_idx: int = 0) -> list[LintIssue]:
-    """Token-level rules: space POS, split URLs, split punctuation runs."""
-    return _token_rule(*_token_columns(sentence.tokens, "surface", "pos", "is_space"), sentence_idx)
 
 
 def _sort_key(issue: LintIssue):

@@ -7,6 +7,9 @@ import random
 from pathlib import Path
 
 from lst20tools import (
+    NE_OUTSIDE,
+    SPACE_GLYPH,
+    ClauseLabel,
     Document,
     PosTag,
     Sentence,
@@ -15,9 +18,10 @@ from lst20tools import (
     parse_clause_label,
     parse_ne_label,
     read_columnar,
-    space_token,
     write_columnar,
 )
+from lst20tools.format import _token_columns
+from lst20tools.segment import _DEFAULT_LEXICON, _RULE_COLUMNS, _clause_spans
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -52,6 +56,10 @@ def tok(surface: str, pos: str, ne: str = "O", clause: str = "O") -> Token:
     )
 
 
+def space_token(pos=PosTag.PU, ne=NE_OUTSIDE, clause=ClauseLabel.O) -> Token:
+    return Token(SPACE_GLYPH, pos, ne, clause, is_space=True)
+
+
 def toks(rows) -> list[Token]:
     """(surface, pos) pairs into tokens; surface=None makes a space token."""
     return [
@@ -62,6 +70,11 @@ def toks(rows) -> list[Token]:
 
 # ---------------------------------------------------------------------------
 # Segmentation inputs: unsegmented paragraphs plus expected outcomes.
+
+def clause_spans_of(tokens, lexicon=_DEFAULT_LEXICON) -> list[tuple[int, int]]:
+    """The clause spans R1-R3 find in a paragraph of tokens, from its columns."""
+    return _clause_spans(*_token_columns(tokens, *_RULE_COLUMNS), lexicon)
+
 
 def disease_report_paragraph():
     """31 tokens; the segmenter must find clause spans (0,6) (7,13) (14,25) (25,31)."""

@@ -7,11 +7,12 @@ backtracking, entity spans and counts by regex span extraction,
 corpus counts straight off the tab-split rows of a columnar file,
 clause spans by cutting at every connector and merging verbless chunks,
 inline parsing by testing every chunk of a sentence at each layer count,
-from the format's definition and the public label tables alone, before
-building any token, columnar parsing one line at a time over the whole
-file's lines, input sentences as runs of non-blank lines or as the chunks up to
-``||``, and linting by the regular expression per layer plus every
-token rule tested on each token and each adjacent pair on its own.
+from the format's definition and the public label tables alone,
+columnar parsing one line at a time over the whole file's lines, both
+into plain tuples of words, label texts and space flags with no token
+built, input sentences as runs of non-blank lines or as the chunks up to
+``||``, and linting such tuples by the regular expression per layer plus
+every token rule tested on each token and each adjacent pair on its own.
 """
 
 from __future__ import annotations
@@ -22,20 +23,12 @@ from collections import Counter
 from itertools import product
 from typing import Optional, Sequence
 
-from lst20tools.format import (
-    SPACE_GLYPH,
-    LineError,
-    Sentence,
-    Token,
-    TokenError,
-)
+from lst20tools.format import SPACE_GLYPH, Token
 from lst20tools.frames import FramePattern, FrameSlot, SlotKind
 from lst20tools.schema import (
     CLAUSE_LABELS,
     NE_LABELS,
-    NE_OUTSIDE,
     POS_TAGS,
-    ClauseLabel,
     PosTag,
     parse_clause_label,
     parse_ne_label,
@@ -290,56 +283,40 @@ def _fits(chunk: str, k: int) -> bool:
     )
 
 
-def read_inline_two_pass(
-    text: str, errors: Optional[list[TokenError]] = None
-) -> list[Sentence]:
-    """Inline parsing in two passes per sentence, with no memo.
+def read_inline_two_pass(text: str, errors: list) -> list[tuple]:
+    """Inline parsing in two passes per sentence, with no memo, no label table
+    and no token.
 
     The first pass tests every chunk at each layer count 2, 3 and 4; a
     sentence reads at the largest count all its chunks fit. When they share
     none, the sentence is a layer-count mismatch, located at the first chunk
-    that fits no count, else at token 0. The second pass builds each token at
-    the sentence's count and stops at the first that raises. Strict and
-    permissive modes follow :func:`lst20tools.format.read_inline`.
+    that fits no count, else at token 0. The second pass splits each chunk
+    at the sentence's count and stops at the first surface with a tab or
+    newline. Each sentence that reads is ``(number, words, labels, spaces)``:
+    its input number from 0, its surfaces (the glyph for white space), each
+    token's ``(pos, ne, clause)`` label texts, missing layers ``O``, and each
+    token's white-space flag. Each other one is appended to ``errors`` as
+    ``(sentence, token, reason)``.
     """
-    sentences = []
-    for sent_idx, chunks in enumerate(inline_sentence_chunks(text.removeprefix("\ufeff"))):
-        failure = None
+    records = []
+    for number, chunks in enumerate(inline_sentence_chunks(text.removeprefix("\ufeff"))):
         shared = [k for k in (2, 3, 4) if all(_fits(chunk, k) for chunk in chunks)]
         if not shared:
             bad = next(
                 (i for i, c in enumerate(chunks) if not any(_fits(c, k) for k in (2, 3, 4))), 0
             )
-            failure = TokenError(sent_idx, bad, "inconsistent or missing annotation layers")
-        else:
-            arity = max(shared)
-            tokens = []
-            for tok_idx, chunk in enumerate(chunks):
-                if chunk == SPACE_GLYPH:  # the bare glyph: a space at any count
-                    tokens.append(Token(SPACE_GLYPH, PosTag.PU, is_space=True))
-                    continue
-                # Every chunk fits this count, so the lookups below cannot miss.
-                parts = chunk.rsplit("/", arity - 1)
-                try:
-                    tokens.append(
-                        Token(
-                            parts[0],
-                            POS_TAGS[parts[1]],
-                            NE_LABELS[parts[2]] if arity >= 3 else NE_OUTSIDE,
-                            CLAUSE_LABELS[parts[3]] if arity == 4 else ClauseLabel.O,
-                            is_space=parts[0] == SPACE_GLYPH,
-                        )
-                    )
-                except ValueError as exc:
-                    failure = TokenError(sent_idx, tok_idx, str(exc))
-                    break
-        if failure is None:
-            sentences.append(Sentence(tuple(tokens)))
-        elif errors is None:
-            raise failure
-        else:
-            errors.append(failure)
-    return sentences
+            errors.append((number, bad, "inconsistent or missing annotation layers"))
+            continue
+        # Every chunk fits this count, so each tag is a label text of its table.
+        split = [[c, "PU"] if c == SPACE_GLYPH else c.rsplit("/", max(shared) - 1) for c in chunks]
+        words = [word for word, *_ in split]
+        bad = next((i for i, word in enumerate(words) if "\t" in word or "\n" in word), None)
+        if bad is not None:
+            errors.append((number, bad, "token surface must not contain tab or newline"))
+            continue
+        labels = [(*tags, *["O"] * (3 - len(tags))) for _, *tags in split]
+        records.append((number, words, labels, [word == SPACE_GLYPH for word in words]))
+    return records
 
 
 def inline_input_sentences(text: str) -> list[str]:
@@ -351,23 +328,28 @@ def inline_input_sentences(text: str) -> list[str]:
     return ["\ufeff" + " | ".join(chunks) + " ||" for chunks in sentences]
 
 
-def read_columnar_lines(
-    text: str, errors: Optional[list[LineError]] = None
-) -> list[Sentence]:
-    """Columnar parsing one line at a time, with no memo.
+def read_columnar_lines(text: str, errors: list) -> list[tuple]:
+    """Columnar parsing one line at a time, with no memo, no label table and
+    no token.
 
     Splits the whole text into lines up front and parses every line on its
-    own, its labels through the schema's parse functions. Strict and
-    permissive modes follow :func:`lst20tools.format.read_columnar`.
+    own, its labels through the schema's parse functions. Each input
+    sentence, a run of lines that are not blank once a final CR is dropped,
+    that holds a line that parses is ``(number, words, labels, spaces)``: its
+    input number from 0, its words as written (``_`` for white space), each
+    token's ``(pos, ne, clause)`` label texts and each token's white-space
+    flag. Each bad line is appended to ``errors`` as ``(line number, reason)``.
     """
-    sentences, current = [], []
+    sentences: list[tuple[list, list]] = []  # each input sentence's words and labels
+    current = None
     for line_no, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.removesuffix("\r")
         if not line:
-            if current:
-                sentences.append(Sentence(tuple(current)))
-            current = []
+            current = None
             continue
+        if current is None:
+            current = ([], [])
+            sentences.append(current)
         fields = line.split("\t")
         try:
             if len(fields) != 4:
@@ -375,24 +357,17 @@ def read_columnar_lines(
             word, pos, ne, clause = fields
             if not word:
                 raise ValueError("empty word field")
-            current.append(
-                Token(
-                    SPACE_GLYPH if word == "_" else word,
-                    parse_pos_tag(pos),
-                    parse_ne_label(ne),
-                    parse_clause_label(clause),
-                    is_space=word == "_",
-                )
-            )
+            labels = (parse_pos_tag(pos), parse_ne_label(ne), parse_clause_label(clause))
         except ValueError as exc:  # the schema's UnknownTag and MalformedLabel too
-            failure = LineError(line_no, str(exc))
-            if errors is None:
-                raise failure from None
-            errors.append(failure)
-    if current:
-        sentences.append(Sentence(tuple(current)))
-    return sentences
-
+            errors.append((line_no, str(exc)))
+            continue
+        current[0].append(word)
+        current[1].append(tuple(map(str, labels)))
+    return [
+        (number, words, labels, [word == "_" for word in words])
+        for number, (words, labels) in enumerate(sentences)
+        if words
+    ]
 
 
 def columnar_input_sentences(text: str) -> list[str]:
@@ -416,8 +391,9 @@ _URL_TAIL = frozenset(string.ascii_letters + string.digits + "/._~%?#=&+-")
 _PUNCTUATION = frozenset(string.punctuation)
 
 
-def lint_oracle(sentences: Sequence[Sentence]) -> set[tuple[int, Optional[int], str]]:
-    """What the linter decides, as ``(sentence, token, code)`` triples.
+def lint_oracle(records) -> set[tuple[int, Optional[int], str]]:
+    """What the linter decides on ``(number, words, labels, spaces)`` records,
+    as the readers above give them, as ``(sentence, token, code)`` triples.
 
     A BIEO layer that the regular language rejects gives one
     ``(sentence, None, "NE")`` or ``(sentence, None, "CLS")``: which rule
@@ -427,34 +403,33 @@ def lint_oracle(sentences: Sequence[Sentence]) -> set[tuple[int, Optional[int], 
     its own, with no state carried between pairs.
     """
     found: set[tuple[int, Optional[int], str]] = set()
-    for s, sentence in enumerate(sentences):
-        tokens = sentence.tokens
-        if not bieo_accepts([str(t.ne) for t in tokens]):
+    for s, words, labels, spaces in records:
+        pos, ne, clauses = (list(column) for column in zip(*labels))
+        if not bieo_accepts(ne):
             found.add((s, None, "NE"))
-        clauses = [str(t.clause) for t in tokens]
         if not bieo_accepts(clauses):
             found.add((s, None, "CLS"))
         else:
             for start, end in bieo_spans(clauses):
                 if end - start == 1:
                     found.add((s, start, "CLS_SINGLETON"))
-                if all(t.pos is not PosTag.VV for t in tokens[start:end]):
+                if "VV" not in pos[start:end]:
                     found.add((s, start, "CLS_NO_VERB"))
-        for i, token in enumerate(tokens):
-            if token.is_space and token.pos is not PosTag.PU:
+        for i, word in enumerate(words):
+            if spaces[i] and pos[i] != "PU":
                 found.add((s, i, "SPACE_NOT_PU"))
-            if not token.is_space and any(c.isspace() for c in token.surface):
+            if not spaces[i] and any(c.isspace() for c in word):
                 found.add((s, i, "FORMAT_SPACE_IN_SURFACE"))
-        for i in range(len(tokens) - 1):
-            cur, nxt = tokens[i], tokens[i + 1]
-            if cur.is_space or nxt.is_space:
+        for i in range(len(words) - 1):
+            if spaces[i] or spaces[i + 1]:
                 continue
+            cur, nxt = words[i], words[i + 1]
             if (
-                cur.surface.startswith(_URL_HEADS)
-                and set(cur.surface) <= _PRINTABLE_ASCII
-                and set(nxt.surface) <= _URL_TAIL
+                cur.startswith(_URL_HEADS)
+                and set(cur) <= _PRINTABLE_ASCII
+                and set(nxt) <= _URL_TAIL
             ):
                 found.add((s, i, "URL_SPLIT"))
-            if cur.surface in _PUNCTUATION and nxt.surface in _PUNCTUATION:
+            if cur in _PUNCTUATION and nxt in _PUNCTUATION:
                 found.add((s, i + 1, "PUNCT_RUN_SPLIT"))
     return found

@@ -27,8 +27,9 @@ from lst20tools import document_counts, lint_document, read_columnar
 from lst20tools.cli import main
 from lst20tools.format import read_inline, write_columnar, write_inline
 from lst20tools.frames import classify_instance, classify_lexeme, default_frameset
-from lst20tools.segment import aggregate_sentences, detect_clauses
-from lst20tools.validate import validate_ne_sequence
+from lst20tools.schema import parse_ne_label
+from lst20tools.segment import aggregate_sentences
+from lst20tools.validate import _ne_rule
 from oracles import bieo_accepts, bieo_spans, frame_match_exists
 from test_frames import _random_frame
 
@@ -49,11 +50,7 @@ def test_fixture_soundness():
 def test_bieo_oracle_equivalence():
     started = time.perf_counter()
     alphabet = ("O", "B_ORG", "I_ORG", "E_ORG", "B_PER", "I_PER", "E_PER")
-    prototypes = {
-        label: corpus_samples.tok("ก", "NN", ne=label) for label in alphabet
-    }
-    from lst20tools.format import Sentence
-
+    parsed = {label: parse_ne_label(label) for label in alphabet}
     checked = 0
     for length in range(0, 7):
         for labels in product(alphabet, repeat=length):
@@ -61,8 +58,7 @@ def test_bieo_oracle_equivalence():
             if length == 0:
                 assert expected
                 continue
-            sentence = Sentence(tuple(prototypes[label] for label in labels))
-            verdict = validate_ne_sequence(sentence) == []
+            verdict = _ne_rule([parsed[label] for label in labels], 0) == []
             assert verdict == expected, labels
             checked += 1
     assert checked == sum(7**k for k in range(1, 7))
@@ -88,7 +84,7 @@ def test_round_trip_random_documents():
 def test_segmentation_gold_reproduction():
     started = time.perf_counter()
     tokens, gold_labels = corpus_samples.disease_report_paragraph()
-    assert detect_clauses(tokens) == bieo_spans([label.value for label in gold_labels])
+    assert corpus_samples.clause_spans_of(tokens) == bieo_spans([label.value for label in gold_labels])
 
     for paragraph in (
         corpus_samples.phone_call_paragraph,

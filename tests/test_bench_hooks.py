@@ -16,7 +16,7 @@ import corpus_samples
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
-#: Wrapped, but called by no package code: both stay as public API only.
+#: Called by no package code: both stay because perfbench/spans.py wraps them.
 _UNCALLED = {"stats.tag_frequency", "segment.aggregate_sentences"}
 
 

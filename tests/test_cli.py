@@ -25,11 +25,16 @@ from lst20tools import (
     Token,
     TokenError,
     WriteError,
+    columnar_records,
+    inline_records,
     lint_document,
     read_columnar,
     read_inline,
+    segment_records,
     write_columnar,
+    write_columnar_records,
     write_inline,
+    write_inline_records,
 )
 from lst20tools import cli
 from lst20tools import format as format_module
@@ -37,13 +42,7 @@ from lst20tools import segment as segment_module
 from lst20tools.cli import _json_entries, format_report, main
 from lst20tools.format import inline_layer_count
 from lst20tools.validate import _format_issue, lint_records
-from oracles import (
-    columnar_input_sentences,
-    inline_input_sentences,
-    lint_oracle,
-    read_columnar_lines,
-    read_inline_two_pass,
-)
+from oracles import inline_input_sentences, lint_oracle, read_columnar_lines, read_inline_two_pass
 from test_format import BOM, columnar_texts, damaged_inline_texts
 from test_validate import _oracle_view
 
@@ -904,9 +903,9 @@ def _planted_document(rng: random.Random, k: int) -> Document:
 
 
 # Segment relabels the input's records in every format pair (columnar back
-# to columnar by format.relabel_columnar, any other pair by the block writers)
-# with segment._segment_columns; these tests hold it to the library path:
-# read_columnar or read_inline, segment_paragraphs, then a Token writer.
+# to columnar by format._relabel_blocks, any other pair by segment.segment_records
+# and the block writers) with segment._segment_columns; these tests hold it to the
+# library path: read_columnar or read_inline, segment_paragraphs, then a Token writer.
 
 _FIXTURE_NAMES = sorted(path.name for path in corpus_samples.FIXTURE_DIR.glob("*.txt"))
 
@@ -964,6 +963,27 @@ def _library_segment(
     return int(bool(errors)), out, located
 
 
+def _records_segment(path: Path, strict: bool, lexicon, informat: str, outformat: str) -> tuple:
+    """:func:`_library_segment` by the record API: the input's records, read
+    whole, segmented by ``segment_records`` and written by a record writer."""
+    text = path.read_bytes().decode("utf-8")
+    read = columnar_records if informat == "columnar" else inline_records
+    errors = None if strict else []
+    try:
+        sentences = list(segment_records(read(text, errors), lexicon))
+    except (LineError, TokenError) as exc:
+        return 1, "", f"{path.name}: {exc}\n"
+    located = "".join(f"{path.name}: {error}\n" for error in errors or ())
+    try:
+        if outformat == "columnar":
+            out = write_columnar_records(sentences)
+        else:
+            out = write_inline_records(sentences)
+    except WriteError as exc:
+        return 1, "", f"{located}{path.name}: {exc}\n"
+    return int(bool(errors)), out, located
+
+
 _FORMAT_PAIRS = [(i, o) for i in ("columnar", "inline") for o in ("columnar", "inline")]
 
 
@@ -974,6 +994,11 @@ _FORMAT_PAIRS = [(i, o) for i in ("columnar", "inline") for o in ("columnar", "i
 def test_segment_from_lines_is_the_token_path(
     tmp_path, capsys, data, pair, strict, lexicon, chunk_chars
 ):
+    """``segment`` gives the Token path's exit code, stdout and stderr, and the
+    record path's: ``segment_records`` and a record writer. Columnar to
+    columnar, the command writes lines relabelled in place
+    (``format._relabel_blocks``), so this pins that fork to
+    ``write_columnar_records(segment_records(columnar_records(text)))``."""
     informat, outformat = pair
     texts = segment_texts() if informat == "columnar" else damaged_inline_texts()
     text = data.draw(texts, label="text")
@@ -983,18 +1008,14 @@ def test_segment_from_lines_is_the_token_path(
     if lexicon:
         (tmp_path / "lex.cfg").write_text(_PLANTED_LEXICON, encoding="utf-8")
         options += ["--lexicon", str(tmp_path / "lex.cfg")]
-    # Chunks this small put chunk edges next to blank lines and blank runs.
+    markers = segment_module.load_marker_lexicon(_PLANTED_LEXICON) if lexicon else None
+    # The command reads 2 KiB blocks, and the two references the whole text in
+    # chunks this small, which put chunk edges next to blank lines and blank runs.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
-        code = main(["segment", *options, str(path)])
-    reference = _library_segment(
-        path,
-        strict,
-        segment_module.load_marker_lexicon(_PLANTED_LEXICON) if lexicon else None,
-        informat,
-        outformat,
-    )
-    assert (code, *capsys.readouterr()) == reference
+        got = (main(["segment", *options, str(path)]), *capsys.readouterr())
+        assert got == _library_segment(path, strict, markers, informat, outformat)
+        assert got == _records_segment(path, strict, markers, informat, outformat)
 
 
 def _written_or_refused(write, *args, **kwargs):
@@ -1009,8 +1030,8 @@ def _written_or_refused(write, *args, **kwargs):
 def test_relabel_columnar_hands_over_what_read_columnar_reads(text, chunk_chars, strict):
     """The records hand over the columns of each sentence ``read_columnar``
     reads, with the same errors, or under ``strict`` the same first one; with
-    the labels those sentences carry, ``relabel_columnar`` writes what
-    ``write_columnar`` writes."""
+    the labels those sentences carry, ``format._relabel_blocks`` joined
+    writes what ``write_columnar`` writes."""
     reference_errors = []
     doc = read_columnar(text, errors=reference_errors)
     sentences = iter(doc.sentences)
@@ -1029,7 +1050,7 @@ def test_relabel_columnar_hands_over_what_read_columnar_reads(text, chunk_chars,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
         records = format_module.columnar_records(text, errors)
-        written = _written_or_refused(format_module.relabel_columnar, records, keep)
+        written = _written_or_refused(lambda: "".join(format_module._relabel_blocks(records, keep)))
     if strict and reference_errors:
         assert written == (LineError, str(reference_errors[0]))
         assert written == _written_or_refused(read_columnar, text)
@@ -1702,16 +1723,21 @@ def damaged_columnar_texts(draw):
     return draw(st.sampled_from(["", BOM])) + "\n".join(lines)
 
 
+def _message(error: tuple) -> str:
+    """An oracle reader's error as the readers' errors print: ``(line, reason)``
+    as a LineError, ``(sentence, token, reason)`` as a TokenError."""
+    if len(error) == 2:
+        return f"line {error[0]}: {error[1]}"
+    return f"sentence {error[0]}, token {error[1]}: {error[2]}"
+
+
 def _oracle_report(text: str):
     """The oracles' FORMAT_LINE line numbers and lint triples of ``text``, each
-    input sentence read and linted on its own at its input number, and the
-    first bad line's error, or None."""
+    input sentence linted at its input number, and the first bad line's
+    message, or None."""
     errors = []
-    read_columnar_lines(text, errors)
-    triples = set()
-    for number, block in enumerate(columnar_input_sentences(text)):
-        triples |= {(number, t, code) for _, t, code in lint_oracle(read_columnar_lines(block, []))}
-    return [e.line_no for e in errors], triples, (errors[0] if errors else None)
+    triples = lint_oracle(read_columnar_lines(text, errors))
+    return [line_no for line_no, _ in errors], triples, (_message(errors[0]) if errors else None)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1907,10 +1933,16 @@ def _usage_oracle(text: str, word: str) -> list[tuple[int, int]]:
     """Each usage of ``word`` as ``frames check`` locates it: the input
     sentence number and the index among that sentence's tokens that are not
     white space."""
+    return _usages(read_columnar_lines(text, []), word)
+
+
+def _usages(records, word: str) -> list[tuple[int, int]]:
+    """Each usage of ``word`` in an oracle reader's records, at its sentence's
+    input number and its index among the sentence's words that are not white space."""
     usages = []
-    for number, block in enumerate(columnar_input_sentences(text)):
-        tokens = [t for s in read_columnar_lines(block, []) for t in s.tokens if not t.is_space]
-        usages += [(number, i) for i, t in enumerate(tokens) if t.surface == word]
+    for number, words, _, spaces in records:
+        content = [w for w, space in zip(words, spaces) if not space]
+        usages += [(number, i) for i, w in enumerate(content) if w == word]
     return usages
 
 
@@ -1928,10 +1960,11 @@ def test_columnar_commands_account_for_every_line(tmp_path, capsys, text, chunk_
     written inline: ``convert`` then writes nothing, and its refusal follows
     the bad lines."""
     errors = []
-    sentences = read_columnar_lines(text, errors)
-    bad = [e.line_no for e in errors]
-    tokens = [t for s in sentences for t in s.tokens]
-    word = tokens[pick % len(tokens)].surface if tokens else "ก"
+    records = read_columnar_lines(text, errors)
+    bad = [line_no for line_no, _ in errors]
+    words = [w for _, sentence, _, _ in records for w in sentence]
+    spaces = [f for _, _, _, flags in records for f in flags]
+    word = words[pick % len(words)] if words else "ก"
     path = tmp_path / "d.txt"
     path.write_bytes(text.encode("utf-8"))
     argvs = {
@@ -1947,24 +1980,24 @@ def test_columnar_commands_account_for_every_line(tmp_path, capsys, text, chunk_
             runs[name] = (main(argv), *capsys.readouterr())
             strict = (main([*argv, "--strict"]), *capsys.readouterr())
             if errors:
-                assert (strict[0], strict[2]) == (1, f"d.txt: {errors[0]}\n"), name
+                assert (strict[0], strict[2]) == (1, f"d.txt: {_message(errors[0])}\n"), name
     status = 1 if bad else 0
     code, out, err = runs["convert"]
-    if any(t.surface.lstrip() != t.surface for t in tokens):
+    if any(w.lstrip() != w for w in words):
         *located, refusal = err.splitlines(keepends=True)
         assert (code, out, _reported_lines("".join(located))) == (1, "", bad)
         assert refusal.startswith("d.txt: surface ") and refusal.endswith("not representable inline\n")
     else:
         assert (code, _reported_lines(err)) == (status, bad)
-        assert sum(line.count(" | ") + 1 for line in out.split("\n") if line) == len(tokens)
+        assert sum(line.count(" | ") + 1 for line in out.split("\n") if line) == len(words)
     code, out, err = runs["segment"]
     assert (code, _reported_lines(err)) == (status, bad)
     written = [line for line in out.split("\n") if line and not line.startswith("_\t")]
-    assert len(written) == len([t for t in tokens if not t.is_space])
+    assert len(written) == spaces.count(False)
     code, out, err = runs["stats"]
     payload = json.loads(out)
     assert (code, err, payload["format_errors"]) == (0, "", len(bad))
-    assert payload["counts"]["tokens"] + payload["format_errors"] == len(tokens) + len(bad)
+    assert payload["counts"]["tokens"] + payload["format_errors"] == len(words) + len(bad)
     code, out, err = runs["frames"]
     assert (code, _reported_lines(err)) == (status, bad)
     located = [tuple(map(int, line.split(":")[0].removeprefix("sentence ").split(", token ")))
@@ -1976,11 +2009,7 @@ def _inline_usage_oracle(text: str, word: str) -> list[tuple[int, int]]:
     """:func:`_usage_oracle` of inline text: each usage of ``word`` at its
     input sentence number and its index among the sentence's tokens that are
     not white space."""
-    usages = []
-    for number, sentence in enumerate(inline_input_sentences(text)):
-        tokens = [t for s in read_inline_two_pass(sentence, []) for t in s.tokens if not t.is_space]
-        usages += [(number, i) for i, t in enumerate(tokens) if t.surface == word]
-    return usages
+    return _usages(read_inline_two_pass(text, []), word)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1998,9 +2027,9 @@ def test_inline_commands_account_for_every_sentence(tmp_path, capsys, text, pick
     --to inline`` writes each sentence read, and ``segment`` each token that
     is not white space, with its word, POS and NE as read."""
     errors = []
-    sentences = read_inline_two_pass(text, errors)
-    tokens = [t for s in sentences for t in s.tokens]
-    word = tokens[pick % len(tokens)].surface if tokens else "ก"
+    records = read_inline_two_pass(text, errors)
+    words = [w for _, sentence, _, _ in records for w in sentence]
+    word = words[pick % len(words)] if words else "ก"
     path = tmp_path / "d.txt"
     path.write_bytes(text.encode("utf-8"))
     argvs = {
@@ -2016,29 +2045,37 @@ def test_inline_commands_account_for_every_sentence(tmp_path, capsys, text, pick
         runs[name] = (main(argv), *capsys.readouterr())
         strict = (main([*argv, "--strict"]), *capsys.readouterr())
         if errors:
-            assert (strict[0], strict[2]) == (1, f"d.txt: {errors[0]}\n"), name
+            assert (strict[0], strict[2]) == (1, f"d.txt: {_message(errors[0])}\n"), name
     status = 1 if errors else 0
-    reported = "".join(f"d.txt: {error}\n" for error in errors)
+    reported = "".join(f"d.txt: {_message(error)}\n" for error in errors)
     refusal = "d.txt: first surface starting with U+FEFF is not representable: readers strip it\n"
     code, out, err = runs["convert"]
-    if tokens and tokens[0].surface.startswith(BOM):
+    if words and words[0].startswith(BOM):
         assert (code, out, err) == (1, "", reported + refusal)
     else:
         assert (code, err) == (status, reported)
-        assert len([line for line in out.split("\n") if line]) == len(tokens)
+        assert len([line for line in out.split("\n") if line]) == len(words)
     # Each sentence read at its input number, in order, is one line of the
     # inline output, at the input's layer count.
     code, out, err = runs["to-inline"]
-    if tokens and tokens[0].surface.startswith(BOM):
+    if words and words[0].startswith(BOM):
         assert (code, out, err) == (1, "", reported + refusal)
     else:
         assert (code, err) == (status, reported)
-        by_number = [s for sentence in inline_input_sentences(text)
-                     for s in read_inline_two_pass(sentence, [])]
-        assert read_inline_two_pass(BOM + out) == by_number == sentences
-        assert out.count("\n") == len(sentences)
+        by_number = [(number, *record[1:]) for number, sentence in enumerate(inline_input_sentences(text))
+                     for record in read_inline_two_pass(sentence, [])]
+        assert by_number == records
+        reread_errors = []
+        reread = read_inline_two_pass(BOM + out, reread_errors)
+        assert ([r[1:] for r in reread], reread_errors) == ([r[1:] for r in records], [])
+        assert out.count("\n") == len(records)
     code, out, err = runs["segment"]
-    content = [(t.surface, t.pos.text, t.ne.text) for t in tokens if not t.is_space]
+    content = [
+        (w, labels[0], labels[1])
+        for _, sentence, tags, spaces in records
+        for w, labels, space in zip(sentence, tags, spaces)
+        if not space
+    ]
     if code == 1 and err.endswith(refusal):
         assert (out, err) == ("", reported + refusal)
         assert content[0][0].startswith(BOM)
@@ -2049,7 +2086,7 @@ def test_inline_commands_account_for_every_sentence(tmp_path, capsys, text, pick
     code, out, err = runs["stats"]
     payload = json.loads(out)
     assert (code, err, payload["format_errors"]) == (0, "", len(errors))
-    assert payload["counts"]["tokens"] == len(tokens)
+    assert payload["counts"]["tokens"] == len(words)
     code, out, err = runs["frames"]
     assert (code, err) == (status, reported)
     located = [tuple(map(int, line.split(":")[0].removeprefix("sentence ").split(", token ")))
@@ -2057,15 +2094,10 @@ def test_inline_commands_account_for_every_sentence(tmp_path, capsys, text, pick
     assert located == _inline_usage_oracle(text, word)
     code, out, err = runs["validate"]
     entries = json.loads(out)
-    assert [(e["sentence"], e["token"], e["message"]) for e in entries if e["code"] == "FORMAT_TOKEN"] == [
-        (error.sentence, error.token, error.reason) for error in errors
-    ]
+    assert [(e["sentence"], e["token"], e["message"]) for e in entries if e["code"] == "FORMAT_TOKEN"] == errors
     issues = tuple(
         LintIssue(Severity(e["severity"]), e["code"], e["message"], e["sentence"], e["token"], e["layer"])
         for e in entries if e["code"] != "FORMAT_TOKEN"
     )
-    triples = set()
-    for number, sentence in enumerate(inline_input_sentences(text)):
-        triples |= {(number, t, c) for _, t, c in lint_oracle(read_inline_two_pass(sentence, []))}
-    assert _oracle_view(LintReport(issues)) == triples
+    assert _oracle_view(LintReport(issues)) == lint_oracle(records)
     assert code == (1 if any(e["severity"] == "error" for e in entries) else 0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import corpus_samples
 import oracles
+from corpus_samples import space_token
 from oracles import (
     columnar_input_sentences,
     inline_input_sentences,
@@ -28,7 +29,6 @@ from lst20tools import (
     WriteError,
     read_columnar,
     read_inline,
-    space_token,
     write_columnar,
     write_inline,
 )
@@ -534,12 +534,52 @@ def columnar_texts(draw, lines=_READER_LINES, endings=("", "\r")):
     return bom + "\n".join(lines) + "\n" * draw(st.integers(0, 3))
 
 
+def _line_error(error):
+    """A LineError as the oracle gives one: its line number and reason, which
+    its message is made of."""
+    assert str(error) == f"line {error.line_no}: {error.reason}"
+    return error.line_no, error.reason
+
+
 def _read_columnar_either_way(read, text, errors):
     try:
         sentences = list(read(text, errors=errors))
     except LineError as error:
-        return "raised", (error.line_no, str(error))
-    return sentences, [(error.line_no, str(error)) for error in errors or []]
+        return "raised", _line_error(error)
+    return sentences, [_line_error(error) for error in errors or []]
+
+
+def _oracle_either_way(read, text, strict):
+    """What an oracle reader reads of ``text``, as the two helpers around it give
+    a reader's: its records and errors, or under ``strict`` its first error."""
+    errors = []
+    records = read(text, errors)
+    if strict and errors:
+        return "raised", errors[0]
+    return records, errors
+
+
+def _unnumbered(read):
+    """An oracle reader whose records leave out their input numbers."""
+    return lambda text, errors: [record[1:] for record in read(text, errors)]
+
+
+def _label_texts(entries):
+    """Record label entries as an oracle reader gives them: each its three label texts."""
+    return [tuple(map(str, entry[:3])) for entry in entries]
+
+
+def _token_rows(sentences, space_word):
+    """Token sentences as an oracle reader gives records, less their numbers:
+    words (``space_word`` for white space), label texts and space flags."""
+    return [
+        (
+            [space_word if t.is_space else t.surface for t in s.tokens],
+            [(t.pos.text, t.ne.text, t.clause.text) for t in s.tokens],
+            [t.is_space for t in s.tokens],
+        )
+        for s in sentences
+    ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -550,12 +590,12 @@ def test_read_columnar_matches_line_at_a_time_reference(text, strict, chunk_char
     # gives the same sentences and located errors as the reference, strict
     # mode the same first error or the same sentences.
     def chunked(text, errors):
-        return read_columnar(text, "d", errors=errors).sentences
+        return _token_rows(read_columnar(text, "d", errors=errors).sentences, "_")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
         got = _read_columnar_either_way(chunked, text, None if strict else [])
-    assert got == _read_columnar_either_way(read_columnar_lines, text, None if strict else [])
+    assert got == _oracle_either_way(_unnumbered(read_columnar_lines), text, strict)
 
 
 @settings(max_examples=300, deadline=None)
@@ -567,23 +607,21 @@ def test_columnar_records_are_the_sentences_read_by_input_number(text, strict, c
     # reference's.
     def records(text, errors):
         return [
-            (number, words, [entry[:3] for entry in entries], spaces)
+            (number, words, _label_texts(entries), spaces)
             for number, words, entries, spaces in format_module.columnar_records(text, errors)
-        ]
-
-    def reference(text, errors):
-        read_columnar_lines(text, errors)
-        return [
-            (number, ["_" if t.is_space else t.surface for t in s.tokens],
-             [(t.pos, t.ne, t.clause) for t in s.tokens], [t.is_space for t in s.tokens])
-            for number, block in enumerate(columnar_input_sentences(text))
-            for s in read_columnar_lines(block, [])
         ]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(format_module, "_CHUNK_CHARS", chunk_chars)
         got = _read_columnar_either_way(records, text, None if strict else [])
-    assert got == _read_columnar_either_way(reference, text, None if strict else [])
+    assert got == _oracle_either_way(read_columnar_lines, text, strict)
+    # The oracle numbers a sentence as its input sentence, read alone.
+    alone = [
+        (number, *record[1:])
+        for number, block in enumerate(columnar_input_sentences(text))
+        for record in read_columnar_lines(block, [])
+    ]
+    assert alone == read_columnar_lines(text, [])
 
 
 def _assert_tokens_as_if_constructed(text):
@@ -685,6 +723,10 @@ def _read_either_way(read, text, errors):
     return sentences, found
 
 
+def _inline_token_rows(text, errors):
+    return _token_rows(read_inline(text, errors=errors), SPACE_GLYPH)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
@@ -703,8 +745,8 @@ def _read_either_way(read, text, errors):
 def test_read_inline_matches_two_pass_reference(pieces, strict):
     # Most pieces are followed by a separator, so that whole chunks recur.
     text = "".join(piece + separator for piece, separator in pieces)
-    got = _read_either_way(read_inline, text, None if strict else [])
-    assert got == _read_either_way(read_inline_two_pass, text, None if strict else [])
+    got = _read_either_way(_inline_token_rows, text, None if strict else [])
+    assert got == _oracle_either_way(_unnumbered(read_inline_two_pass), text, strict)
 
 
 # Chunks at the edges of the layer-count test: an empty surface at each
@@ -718,8 +760,8 @@ def test_read_inline_matches_two_pass_reference_at_layer_edges():
     # Each edge chunk alone and beside each other one, a sentence apiece.
     lines = [*_LAYER_EDGES, *map(" | ".join, product(_LAYER_EDGES, repeat=2))]
     text = "".join(line + " ||\n" for line in lines)
-    got = _read_either_way(read_inline, text, [])
-    assert got == _read_either_way(read_inline_two_pass, text, [])
+    got = _read_either_way(_inline_token_rows, text, [])
+    assert got == _oracle_either_way(_unnumbered(read_inline_two_pass), text, False)
 
 
 _INLINE_DAMAGE = (
@@ -777,20 +819,18 @@ def test_inline_records_are_the_sentences_read_by_input_number(text, strict):
         for number, words, entries, spaces in format_module.inline_records(text, errors):
             for entry in entries:
                 assert entry is format_module._TAG_COLUMNS["\t".join(map(str, entry[:3]))]
-            found.append((number, words, [entry[:3] for entry in entries], spaces))
+            found.append((number, words, _label_texts(entries), spaces))
         return found
 
-    def reference(text, errors):
-        read_inline_two_pass(text, errors)
-        return [
-            (number, [t.surface for t in s.tokens],
-             [(t.pos, t.ne, t.clause) for t in s.tokens], [t.is_space for t in s.tokens])
-            for number, sentence in enumerate(inline_input_sentences(text))
-            for s in read_inline_two_pass(sentence, [])
-        ]
-
     got = _read_either_way(records, text, None if strict else [])
-    assert got == _read_either_way(reference, text, None if strict else [])
+    assert got == _oracle_either_way(read_inline_two_pass, text, strict)
+    # The oracle numbers a sentence as its input sentence, read alone.
+    alone = [
+        (number, *record[1:])
+        for number, sentence in enumerate(inline_input_sentences(text))
+        for record in read_inline_two_pass(sentence, [])
+    ]
+    assert alone == read_inline_two_pass(text, [])
 
 
 # Pieces of inline text around its separators: bars in runs of one to

@@ -7,28 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus_samples
-from corpus_samples import toks
-from lst20tools import PosTag, Token, space_token
+from corpus_samples import clause_spans_of, space_token, toks
+from lst20tools import PosTag, Token
 from lst20tools import segment
 from lst20tools.schema import NE_OUTSIDE, ClauseLabel, parse_ne_label
 from lst20tools.segment import (
     ConfigError,
     MarkerLexicon,
     aggregate_sentences,
-    detect_clauses,
     _RULE_COLUMNS,
     _split_spaces,
     _subject_stretch,
     load_marker_lexicon,
     segment_paragraphs,
 )
-from lst20tools.validate import Severity, lint_document, lint_records, validate_clause_sequence
+from lst20tools.validate import Severity, _clause_rule, lint_document, lint_records
 from lst20tools.format import (
     Document,
     Sentence,
+    _relabel_blocks,
     _token_columns,
     columnar_records,
-    relabel_columnar,
     write_columnar,
 )
 from oracles import bieo_spans, clause_spans, r2_space_splits
@@ -108,6 +107,9 @@ class TestLexicon:
 
 
 class TestDetectClauses:
+    """R1-R3, ``segment._clause_spans``, on a paragraph's columns: what the
+    removed ``detect_clauses`` returned for the paragraph's tokens."""
+
     def test_space_with_marker_splits(self):
         # verb chunk + connector, space, verb chunk: split at the space
         tokens = toks(
@@ -119,19 +121,19 @@ class TestDetectClauses:
                 ("ไก่", "NN"), ("ติด", "VV"), ("เชื้อ", "NN"),
             ]
         )
-        assert detect_clauses(tokens) == [(0, 6), (7, 14)]
+        assert clause_spans_of(tokens) == [(0, 6), (7, 14)]
 
     def test_space_without_marker_does_not_split(self):
         tokens = toks(
             [("ก", "NN"), ("กิน", "VV"), (None, "PU"), ("ข", "NN"), ("นอน", "VV")]
         )
-        assert detect_clauses(tokens) == [(0, 5)]
+        assert clause_spans_of(tokens) == [(0, 5)]
 
     def test_space_without_flanking_verbs_does_not_split(self):
         tokens = toks(
             [("ก", "NN"), ("ว่า", "CC"), (None, "PU"), ("ข", "NN"), ("กิน", "VV")]
         )
-        assert detect_clauses(tokens) == [(0, 5)]
+        assert clause_spans_of(tokens) == [(0, 5)]
 
     def test_connector_opens_clause_without_space(self):
         tokens = toks(
@@ -141,36 +143,36 @@ class TestDetectClauses:
                 ("แถลง", "VV"), ("ข่าว", "NN"),
             ]
         )
-        assert detect_clauses(tokens) == [(0, 3), (3, 9)]
+        assert clause_spans_of(tokens) == [(0, 3), (3, 9)]
 
     def test_no_rule_fires_one_clause(self):
         tokens = toks([("ก", "NN"), ("กิน", "VV"), ("ข้าว", "NN")])
-        assert detect_clauses(tokens) == [(0, 3)]
+        assert clause_spans_of(tokens) == [(0, 3)]
 
     def test_connector_needs_cc_tag(self):
         # ผู้ as a noun must not trigger the marker rule
         tokens = toks([("ผู้", "NN"), ("กิน", "VV"), ("ข้าว", "NN")])
-        assert len(detect_clauses(tokens)) == 1
+        assert len(clause_spans_of(tokens)) == 1
 
     def test_verbless_lead_merges_forward(self):
         tokens = toks([("ผู้", "NN"), ("ที่", "CC"), ("กิน", "VV")])
-        assert detect_clauses(tokens) == [(0, 3)]
+        assert clause_spans_of(tokens) == [(0, 3)]
 
     def test_trailing_connector_merges_back(self):
         tokens = toks([("เขา", "PR"), ("ทราบ", "VV"), ("ว่า", "CC")])
-        assert detect_clauses(tokens) == [(0, 3)]
+        assert clause_spans_of(tokens) == [(0, 3)]
 
     def test_verbless_paragraph_is_one_clause(self):
         tokens = toks([("(", "PU"), ("1", "NU"), (")", "PU")])
-        assert detect_clauses(tokens) == [(0, 3)]
+        assert clause_spans_of(tokens) == [(0, 3)]
 
     def test_gold_clause_spans(self):
         tokens, _ = corpus_samples.disease_report_paragraph()
-        assert detect_clauses(tokens) == [(0, 6), (7, 13), (14, 25), (25, 31)]
+        assert clause_spans_of(tokens) == [(0, 6), (7, 13), (14, 25), (25, 31)]
 
     def test_empty_paragraph_rejected(self):
         with pytest.raises(ValueError):
-            detect_clauses([])
+            segment_paragraphs([[]])
 
 
 def _clause_column(sentences):
@@ -201,7 +203,7 @@ class TestEmitClauseLabels:
 
     def test_gold_label_column(self):
         tokens, gold = corpus_samples.disease_report_paragraph()
-        assert detect_clauses(tokens) == bieo_spans([label.value for label in gold])
+        assert clause_spans_of(tokens) == bieo_spans([label.value for label in gold])
 
     def test_emitted_labels_always_validate(self):
         tokens, _ = corpus_samples.disease_report_paragraph()
@@ -209,7 +211,7 @@ class TestEmitClauseLabels:
         errors = [
             i
             for sentence in sentences
-            for i in validate_clause_sequence(sentence)
+            for i in _clause_rule(*_token_columns(sentence.tokens, "clause", "pos"), 0)
             if i.severity is Severity.ERROR
         ]
         assert errors == []
@@ -465,7 +467,7 @@ class TestPipeline:
                 else:
                     rows.append((f"w{rng.randint(0, 5)}", rng.choice(pos_pool)))
             tokens = toks(rows)
-            spans = detect_clauses(tokens)
+            spans = clause_spans_of(tokens)
             covered = set()
             for lo, hi in spans:
                 assert lo < hi
@@ -521,7 +523,7 @@ _R3_TOKENS = st.one_of(
 @given(st.lists(_R3_TOKENS, min_size=1, max_size=40))
 def test_detect_clauses_matches_chunk_and_merge_oracle(tokens):
     lexicon = MarkerLexicon.default()
-    assert detect_clauses(tokens) == clause_spans(
+    assert clause_spans_of(tokens) == clause_spans(
         tokens, lexicon.clause_markers, lexicon.subordinate_connectors
     )
 
@@ -569,7 +571,7 @@ def test_r2_space_splits_match_quadratic_reference_on_long_paragraphs(tokens):
 @given(_LONG_PARAGRAPHS)
 def test_detect_clauses_matches_chunk_and_merge_oracle_on_long_paragraphs(tokens):
     lexicon = MarkerLexicon.default()
-    assert detect_clauses(tokens) == clause_spans(
+    assert clause_spans_of(tokens) == clause_spans(
         tokens, lexicon.clause_markers, lexicon.subordinate_connectors
     )
 
@@ -626,7 +628,7 @@ def _assert_relabelled_as_if_constructed(paragraphs):
     sentences, _ = segment_paragraphs(paragraphs)
     out = iter([t for s in sentences for t in s.tokens])
     for tokens in paragraphs:
-        clauses = detect_clauses(tokens)
+        clauses = clause_spans_of(tokens)
         for first, last in aggregate_sentences(clauses, tokens):
             for src in tokens[clauses[first][0] : clauses[last - 1][1]]:
                 got = next(out)
@@ -691,7 +693,7 @@ def test_segment_paragraphs_reads_each_paragraphs_columns_once(monkeypatch):
 def _segmented(text: str) -> str:
     """Columnar ``text`` segmented as ``lst20 segment`` segments it: from the
     text's records, each relabelled and written back as columnar lines."""
-    return relabel_columnar(columnar_records(text), segment._segment_columns)
+    return "".join(_relabel_blocks(columnar_records(text), segment._segment_columns))
 
 
 def _rows(text: str) -> list[list[tuple]]:

@@ -24,25 +24,25 @@ import corpus_samples
 SRC = Path(lst20tools.__file__).resolve().parents[1]
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-# The names the package exported when __init__.py imported every module, and
-# relabel_columnar, exported once segment called only the blocks of its text.
+# The names the package exports: the record functions, segment_records among
+# them, and the Token layer's names that perfbench's tracer looks up.
 PUBLIC = {
     "format": "FORMAT_COLUMNAR FORMAT_INLINE SPACE_GLYPH Document FormatError LineError "
-    "Sentence Token TokenError WriteError read_columnar read_inline relabel_columnar "
-    "space_token write_columnar write_inline",
+    "Sentence Token TokenError WriteError columnar_records inline_records read_columnar "
+    "read_inline sentence_records write_columnar write_columnar_records write_inline "
+    "write_inline_records",
     "frames": "FramePattern FrameSet FrameSpecError classify_instance classify_lexeme "
     "compile_frame default_frameset frame_matches",
     "schema": "NE_OUTSIDE BoundaryPrefix ClauseLabel MalformedLabel NeCategory NeLabel "
     "PosTag UnknownCategory UnknownTag clause_transition_valid ne_transition_valid "
     "parse_clause_label parse_ne_label parse_pos_tag",
-    "segment": "ConfigError MarkerLexicon aggregate_sentences detect_clauses "
-    "load_marker_lexicon segment_paragraphs",
-    "stats": "CorpusCounts document_counts load_manifest tag_frequency",
-    "validate": "LintIssue LintReport Severity lint_document validate_clause_sequence "
-    "validate_ne_sequence validate_token_tags",
+    "segment": "ConfigError MarkerLexicon aggregate_sentences load_marker_lexicon "
+    "segment_paragraphs segment_records",
+    "stats": "CorpusCounts document_counts load_manifest records_counts tag_frequency",
+    "validate": "LintIssue LintReport Severity lint_document lint_records",
 }
-# What `from lst20tools import *` and dir(lst20tools) listed then, besides
-# dunder names: the exported names and the modules that define them.
+# What `from lst20tools import *` and dir(lst20tools) list, besides dunder
+# names: the exported names and the modules that define them.
 PUBLIC_NAMES = sorted({*" ".join(PUBLIC.values()).split(), *PUBLIC})
 
 
@@ -148,6 +148,13 @@ def test_unknown_name_raises_attribute_error():
         from lst20tools import read_everything  # noqa: F401
 
 
+def test_version_is_the_one_pyproject_declares():
+    # Read with a regular expression: tomllib is missing on Python 3.10.
+    pyproject = README.with_name("pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+    assert lst20tools.__version__ == declared
+
+
 def test_readme_library_snippet_runs(tmp_path):
     snippet = re.search(r"## Library\n\n```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     shutil.copy(corpus_samples.FIXTURE_DIR / "glimpse.txt", tmp_path / "T00126.txt")
@@ -196,7 +203,7 @@ def test_each_command_module_alone_loads_no_dataclasses(module):
 
 # The names of the Token layer, which format defines.
 TOKEN_LAYER = (
-    "Token Sentence Document space_token read_columnar read_inline write_columnar "
+    "Token Sentence Document read_columnar read_inline write_columnar "
     "write_inline sentence_records _relabelled _sentences _entries_by_labels"
 ).split()
 
@@ -245,7 +252,8 @@ _PICKLED = (
 
 
 def test_pickles_that_name_format_still_load():
-    from lst20tools import ClauseLabel, Document, PosTag, Sentence, Token, parse_ne_label, space_token
+    from corpus_samples import space_token
+    from lst20tools import ClauseLabel, Document, PosTag, Sentence, Token, parse_ne_label
 
     token = Token("กรุงเทพ", PosTag.NN, parse_ne_label("B_LOC"), ClauseLabel.B_CLS)
     sentence = Sentence((token, space_token(), Token("ดู", PosTag.VV, clause=ClauseLabel.E_CLS)))

@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import corpus_samples
-from corpus_samples import load_fixture, tok
-from lst20tools import Document, Sentence, read_columnar, space_token, write_columnar
+from corpus_samples import load_fixture, space_token, tok
+from lst20tools import Document, Sentence, read_columnar, write_columnar
 from lst20tools import cli as cli_module
 from lst20tools import format as format_module
 from lst20tools.cli import main

@@ -7,18 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus_samples
-from corpus_samples import GOLD_FIXTURES, load_fixture, tok
-from lst20tools import Document, Sentence, Token, lint_document, space_token
+from corpus_samples import GOLD_FIXTURES, load_fixture, space_token, tok
+from lst20tools import Document, Sentence, Token, lint_document
+from lst20tools.format import _token_columns
 from lst20tools.schema import PosTag, parse_clause_label, parse_ne_label
-from lst20tools.validate import (
-    LAYER_CLS,
-    LAYER_NE,
-    Severity,
-    validate_clause_sequence,
-    validate_ne_sequence,
-    validate_token_tags,
-)
+from lst20tools.validate import LAYER_CLS, LAYER_NE, Severity, _clause_rule, _ne_rule, _token_rule
 from oracles import bieo_accepts, lint_oracle
+
+
+# Each lint rule on one sentence's columns, numbered 0, in the order the rule finds its issues.
+def ne_issues(sentence):
+    return _ne_rule(*_token_columns(sentence.tokens, "ne"), 0)
+
+
+def clause_issues(sentence):
+    return _clause_rule(*_token_columns(sentence.tokens, "clause", "pos"), 0)
+
+
+def token_issues(sentence):
+    return _token_rule(*_token_columns(sentence.tokens, "surface", "pos", "is_space"), 0)
 
 
 def ne_sentence(*labels):
@@ -31,34 +38,34 @@ def cls_sentence(rows):
 
 class TestNeSequence:
     def test_company_entity_is_clean(self, company_doc):
-        assert validate_ne_sequence(company_doc.sentences[0]) == []
+        assert ne_issues(company_doc.sentences[0]) == []
 
     def test_orphan_intermediate(self):
-        issues = validate_ne_sequence(ne_sentence("I_ORG"))
+        issues = ne_issues(ne_sentence("I_ORG"))
         assert [(i.code, i.token) for i in issues] == [("NE_ORPHAN_I", 0)]
 
     def test_orphan_end(self):
-        issues = validate_ne_sequence(ne_sentence("O", "E_ORG"))
+        issues = ne_issues(ne_sentence("O", "E_ORG"))
         assert [(i.code, i.token) for i in issues] == [("NE_ORPHAN_E", 1)]
 
     def test_category_mismatch(self):
-        issues = validate_ne_sequence(ne_sentence("B_PER", "E_ORG"))
+        issues = ne_issues(ne_sentence("B_PER", "E_ORG"))
         assert [(i.code, i.token) for i in issues] == [("NE_CAT_MISMATCH", 1)]
 
     def test_unterminated_at_sentence_end(self):
-        issues = validate_ne_sequence(ne_sentence("B_ORG", "I_ORG"))
+        issues = ne_issues(ne_sentence("B_ORG", "I_ORG"))
         assert [(i.code, i.token) for i in issues] == [("NE_UNTERMINATED", 1)]
 
     def test_unterminated_mid_sentence(self):
-        issues = validate_ne_sequence(ne_sentence("B_ORG", "I_ORG", "O"))
+        issues = ne_issues(ne_sentence("B_ORG", "I_ORG", "O"))
         assert [(i.code, i.token) for i in issues] == [("NE_UNTERMINATED", 2)]
 
     def test_lone_b_is_legal(self):
-        assert validate_ne_sequence(ne_sentence("O", "B_BRN", "O")) == []
-        assert validate_ne_sequence(ne_sentence("B_BRN")) == []
+        assert ne_issues(ne_sentence("O", "B_BRN", "O")) == []
+        assert ne_issues(ne_sentence("B_BRN")) == []
 
     def test_all_issues_are_errors(self):
-        issues = validate_ne_sequence(ne_sentence("I_ORG", "E_PER", "E_ORG"))
+        issues = ne_issues(ne_sentence("I_ORG", "E_PER", "E_ORG"))
         assert issues and all(i.severity is Severity.ERROR for i in issues)
 
 
@@ -70,35 +77,35 @@ def test_ne_lint_matches_oracle_exhaustive_short():
         for labels in product(ALPHABET, repeat=length):
             if length == 0:
                 continue
-            clean = validate_ne_sequence(ne_sentence(*labels)) == []
+            clean = ne_issues(ne_sentence(*labels)) == []
             assert clean == bieo_accepts(labels), labels
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=6))
 def test_ne_lint_matches_oracle_random(labels):
-    clean = validate_ne_sequence(ne_sentence(*labels)) == []
+    clean = ne_issues(ne_sentence(*labels)) == []
     assert clean == bieo_accepts(labels)
 
 
 class TestClauseSequence:
     def test_gold_clause_fixture_is_clean(self):
         doc = load_fixture("disease_report.txt")
-        issues = validate_clause_sequence(doc.sentences[0])
+        issues = clause_issues(doc.sentences[0])
         assert issues == []
 
     def test_unterminated_clause(self):
-        issues = validate_clause_sequence(
+        issues = clause_issues(
             cls_sentence([("NN", "B_CLS"), ("VV", "I_CLS")])
         )
         assert [i.code for i in issues] == ["CLS_UNTERMINATED"]
 
     def test_orphan_intermediate(self):
-        issues = validate_clause_sequence(cls_sentence([("VV", "I_CLS")]))
+        issues = clause_issues(cls_sentence([("VV", "I_CLS")]))
         assert [i.code for i in issues] == ["CLS_ORPHAN_I"]
 
     def test_verbless_clause_warns(self):
-        issues = validate_clause_sequence(
+        issues = clause_issues(
             cls_sentence([("PR", "B_CLS"), ("AV", "E_CLS")])
         )
         assert [(i.code, i.severity) for i in issues] == [
@@ -106,7 +113,7 @@ class TestClauseSequence:
         ]
 
     def test_singleton_clause_warns(self):
-        issues = validate_clause_sequence(cls_sentence([("VV", "B_CLS")]))
+        issues = clause_issues(cls_sentence([("VV", "B_CLS")]))
         assert [(i.code, i.severity) for i in issues] == [
             ("CLS_SINGLETON", Severity.WARNING)
         ]
@@ -130,42 +137,42 @@ class TestClauseSequence:
                 tok("ค", "NN", clause="E_CLS"),
             )
         )
-        assert validate_clause_sequence(inside) == []
-        assert validate_clause_sequence(outside) == []
+        assert clause_issues(inside) == []
+        assert clause_issues(outside) == []
 
 
 class TestTokenTags:
     def test_space_must_be_pu(self):
         sentence = Sentence((space_token(pos=PosTag.NN),))
-        issues = validate_token_tags(sentence)
+        issues = token_issues(sentence)
         assert [(i.code, i.severity) for i in issues] == [
             ("SPACE_NOT_PU", Severity.ERROR)
         ]
 
     def test_space_as_pu_is_clean(self):
-        assert validate_token_tags(Sentence((space_token(),))) == []
+        assert token_issues(Sentence((space_token(),))) == []
 
     def test_punctuation_run_split(self):
         sentence = Sentence((tok("!", "PU"), tok("!", "PU")))
-        issues = validate_token_tags(sentence)
+        issues = token_issues(sentence)
         assert [i.code for i in issues] == ["PUNCT_RUN_SPLIT"]
 
     def test_thai_repetition_mark_not_flagged(self):
         sentence = Sentence((tok("ๆ", "PU"), tok("ๆ", "PU")))
-        assert validate_token_tags(sentence) == []
+        assert token_issues(sentence) == []
 
     def test_url_split_warns(self):
         sentence = Sentence((tok("http://x.th/a", "NN"), tok(".html", "NN")))
-        issues = validate_token_tags(sentence)
+        issues = token_issues(sentence)
         assert [i.code for i in issues] == ["URL_SPLIT"]
 
     def test_whole_url_next_to_thai_is_clean(self):
         sentence = Sentence((tok("http://x.th/a", "NN"), tok("และ", "CC")))
-        assert validate_token_tags(sentence) == []
+        assert token_issues(sentence) == []
 
     def test_inner_whitespace_warns(self):
         sentence = Sentence((Token("a b", PosTag.NN),))
-        issues = validate_token_tags(sentence)
+        issues = token_issues(sentence)
         assert [i.code for i in issues] == ["FORMAT_SPACE_IN_SURFACE"]
 
 
@@ -237,10 +244,20 @@ def _oracle_view(report) -> set:
     return errors | set(rest)
 
 
+def _oracle_records(sentences):
+    """Token sentences as :func:`lint_oracle` takes them: numbered from 0, with
+    each token's label texts."""
+    return [
+        (number, [t.surface for t in s.tokens], [(t.pos.text, t.ne.text, t.clause.text) for t in s.tokens],
+         [t.is_space for t in s.tokens])
+        for number, s in enumerate(sentences)
+    ]
+
+
 def _agrees_with_oracle(doc):
     report = lint_document(doc)
     assert list(report.issues) == sorted(report.issues, key=lambda i: (i.sentence, i.token, i.code))
-    assert _oracle_view(report) == lint_oracle(doc.sentences)
+    assert _oracle_view(report) == lint_oracle(_oracle_records(doc.sentences))
 
 
 #: Surfaces for the token rules: URL heads and tails, heads in another case,
@@ -301,12 +318,12 @@ class TestLintOracle:
     @pytest.mark.parametrize("head", ["HTTP://x.th/a", "Http://x.th/a", "WWW.x.th", "xhttp://x"])
     def test_url_head_is_case_sensitive_and_anchored(self, head):
         sentence = Sentence((tok(head, "NN"), tok(".html", "NN")))
-        assert validate_token_tags(sentence) == []
+        assert token_issues(sentence) == []
 
     @pytest.mark.parametrize("head", ["http://x.th/a", "https://x.th", "www.x.th", "http://"])
     def test_every_url_head_form_is_split(self, head):
         sentence = Sentence((tok(head, "NN"), tok("/a", "NN")))
-        assert [(i.code, i.token) for i in validate_token_tags(sentence)] == [("URL_SPLIT", 0)]
+        assert [(i.code, i.token) for i in token_issues(sentence)] == [("URL_SPLIT", 0)]
 
     def test_lone_verbless_clause_has_both_warnings(self):
         report = lint_document(Document("d", (cls_sentence([("NN", "B_CLS")]),)))
@@ -314,7 +331,7 @@ class TestLintOracle:
             ("CLS_NO_VERB", 0),
             ("CLS_SINGLETON", 0),
         ]
-        assert [i.code for i in validate_clause_sequence(cls_sentence([("NN", "B_CLS")]))] == [
+        assert [i.code for i in clause_issues(cls_sentence([("NN", "B_CLS")]))] == [
             "CLS_SINGLETON",
             "CLS_NO_VERB",
         ]
@@ -322,4 +339,4 @@ class TestLintOracle:
     @pytest.mark.parametrize("surface", ["a b", "a\u00a0b", "a\u2028b", "\x1cb", "b\u3000"])
     def test_any_white_space_in_a_word(self, surface):
         sentence = Sentence((Token(surface, PosTag.NN),))
-        assert [i.code for i in validate_token_tags(sentence)] == ["FORMAT_SPACE_IN_SURFACE"]
+        assert [i.code for i in token_issues(sentence)] == ["FORMAT_SPACE_IN_SURFACE"]

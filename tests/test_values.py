@@ -18,6 +18,7 @@ from collections import Counter
 
 import pytest
 
+from corpus_samples import space_token
 from lst20tools.frames import (
     FrameMatch,
     FramePattern,
@@ -28,7 +29,7 @@ from lst20tools.frames import (
     compile_frame,
     default_frameset,
 )
-from lst20tools.format import Document, Sentence, Token, space_token
+from lst20tools.format import Document, Sentence, Token
 from lst20tools.schema import ClauseLabel, NeLabel, PosTag
 from lst20tools.segment import MarkerLexicon
 from lst20tools.stats import CorpusCounts
